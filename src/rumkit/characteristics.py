@@ -11,7 +11,7 @@ monotone inversion of omega in a_0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
@@ -19,6 +19,7 @@ from scipy.interpolate import RectBivariateSpline
 from .errors import (
     CoverageError,
     LevelRangeError,
+    NumericalFailure,
     StepUnderflowError,
     ValidationError,
 )
@@ -107,14 +108,17 @@ def _hermite_crossing(y0, y1, m0, m1, h, target):
     """Fraction theta in [0,1] where the cubic Hermite interpolant hits target.
 
     y0, y1: endpoint states; m0, m1: endpoint slopes (d a_j / d a_0); h: step.
-    Vectorized Newton iteration seeded by the linear crossing estimate.
+    Vectorized Newton iteration seeded by the linear crossing estimate. Raises
+    NumericalFailure if the interpolant misses target at the final theta by
+    more than 1e-9 (1 + |target|), e.g. when Newton stalls at a clip bound.
     """
     y0 = np.asarray(y0, dtype=float)
     denom = np.where(y1 - y0 == 0.0, 1.0, y1 - y0)
     theta = np.clip((target - y0) / denom, 0.0, 1.0)
     d0 = m0 * h
     d1 = m1 * h
-    for _ in range(12):
+
+    def residual(theta):
         t2 = theta * theta
         t3 = t2 * theta
         val = (
@@ -130,14 +134,24 @@ def _hermite_crossing(y0, y1, m0, m1, h, target):
             + (-6 * t2 + 6 * theta) * y1
             + (3 * t2 - 2 * theta) * d1
         )
+        return val, dval
+
+    for _ in range(12):
+        val, dval = residual(theta)
         dval = np.where(dval == 0.0, 1.0, dval)
         theta = np.clip(theta - val / dval, 0.0, 1.0)
+    miss = np.abs(residual(theta)[0])
+    if np.any(miss > 1e-9 * (1.0 + abs(target))):
+        raise NumericalFailure(
+            f"Hermite crossing refinement did not converge: residual {np.max(miss):.3g} "
+            f"at target a_j = {target!r}"
+        )
     return theta
 
 
 def _sweep_crossings(
     t,
-    a0_start: float,
+    a0_start: np.ndarray,
     aj_states: np.ndarray,
     a_ref: float,
     step: float,
@@ -145,43 +159,37 @@ def _sweep_crossings(
     a0_limit: float,
     aj_box: tuple[float, float],
 ) -> np.ndarray:
-    """Crossing a_0 of the anchor line for a column of states sharing a0_start.
+    """Crossing a_0 of the anchor line for states with per-state start a_0.
 
-    Integrates all states jointly in the given a_0 direction, detecting the
-    a_j = a_ref crossing per state and refining it on the step's cubic Hermite
-    interpolant (same O(h^4) order as RK4 itself). States that leave the
-    enlarged a_j box or never cross within a0_limit stay NaN.
+    State i starts at (a0_start[i], aj_states[i]). All states march jointly in
+    the given a_0 direction, each at its own a_0 with step
+    direction * min(step, |a0_limit - a_0|). The a_j = a_ref crossing is
+    detected per state and refined on the step's cubic Hermite interpolant
+    (same O(h^4) order as RK4 itself). A state leaves the march when it
+    crosses, leaves the enlarged a_j box or reaches a0_limit; the last two
+    stay NaN.
     """
-    n = len(aj_states)
-    out = np.full(n, np.nan)
-    y = np.array(aj_states, dtype=float)
-    if direction > 0:
-        active = y < a_ref
-    else:
-        active = y > a_ref
-    exact = np.isclose(aj_states, a_ref, rtol=0.0, atol=0.0)
-    out[exact] = a0_start
-    a0 = a0_start
+    out = np.full(len(aj_states), np.nan)
+    y = np.asarray(aj_states, dtype=float)
+    idx = np.flatnonzero(y < a_ref if direction > 0 else y > a_ref)
+    y = y[idx]
+    a0 = np.asarray(a0_start, dtype=float)[idx]
     lo_box, hi_box = aj_box
-    while active.any() and direction * (a0_limit - a0) > 1e-14:
-        h = direction * min(step, abs(a0_limit - a0))
-        idx = np.where(active)[0]
-        y_act = y[idx]
-        y_new, k_start, k_end = _rk4_advance(t, a0, y_act, h)
-        crossed = (y_act - a_ref) * (y_new - a_ref) <= 0.0
+    while True:
+        live = direction * (a0_limit - a0) > 1e-14
+        idx, a0, y = idx[live], a0[live], y[live]
+        if not idx.size:
+            return out
+        h = direction * np.minimum(step, np.abs(a0_limit - a0))
+        y_new, k_start, k_end = _rk4_advance(t, a0, y, h)
+        crossed = (y - a_ref) * (y_new - a_ref) <= 0.0
         if crossed.any():
-            ci = idx[crossed]
             theta = _hermite_crossing(
-                y_act[crossed], y_new[crossed], k_start[crossed], k_end[crossed], h, a_ref
+                y[crossed], y_new[crossed], k_start[crossed], k_end[crossed], h[crossed], a_ref
             )
-            out[ci] = a0 + theta * h
-            active[ci] = False
-        escaped = (~crossed) & ((y_new < lo_box) | (y_new > hi_box))
-        if escaped.any():
-            active[idx[escaped]] = False
-        y[idx] = y_new
-        a0 = a0 + h
-    return out
+            out[idx[crossed]] = a0[crossed] + theta * h[crossed]
+        keep = ~crossed & (y_new >= lo_box) & (y_new <= hi_box)
+        idx, a0, y = idx[keep], (a0 + h)[keep], y_new[keep]
 
 
 @dataclass
@@ -395,21 +403,16 @@ def build_omega(
         back = lambda s: s
 
     values = np.empty((resolution, resolution))
-    below = aj_lattice < a_ref
-    above = aj_lattice > a_ref
-    at = ~(below | above)
-    for c, (a0c, s0) in enumerate(zip(a0_lattice, starts)):
-        col = np.full(resolution, np.nan)
-        col[at] = a0c
-        if below.any():
-            col[below] = back(_sweep_crossings(
-                slope, s0, aj_lattice[below], a_ref, step, +1.0, limit_hi, aj_box
-            ))
-        if above.any():
-            col[above] = back(_sweep_crossings(
-                slope, s0, aj_lattice[above], a_ref, step, -1.0, limit_lo, aj_box
-            ))
-        values[:, c] = col
+    values[aj_lattice == a_ref] = a0_lattice
+    for side, direction, limit in (
+        (aj_lattice < a_ref, +1.0, limit_hi),
+        (aj_lattice > a_ref, -1.0, limit_lo),
+    ):
+        # every lattice node on this side of the anchor line, in one march
+        aj_nodes, s_nodes = np.meshgrid(aj_lattice[side], starts, indexing="ij")
+        values[side] = back(_sweep_crossings(
+            slope, s_nodes.ravel(), aj_nodes.ravel(), a_ref, step, direction, limit, aj_box
+        )).reshape(aj_nodes.shape)
     if np.isnan(values).any():
         bad = np.argwhere(np.isnan(values))
         i, c = bad[0]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -86,6 +86,8 @@ class ProbabilityField:
             raise GridMismatchError(
                 f"values shape {self.values.shape} != expected {expect}"
             )
+        if not np.all(np.isfinite(self.values)):
+            raise ValidationError("field entries must be finite")
         if np.any(self.values < -1e-12) or np.any(self.values > 1 + 1e-12):
             raise ValidationError("field entries must lie in [0, 1]")
         sums = self.values.sum(axis=-1)
@@ -366,6 +368,8 @@ def read_field_csv(path) -> ProbabilityField:
     if header != expect:
         raise ValidationError(f"unexpected field CSV header {header!r}")
     data = np.asarray(rows, dtype=float)
+    if not np.all(np.isfinite(data)):
+        raise ValidationError("field CSV has non-finite entries")
     coords = data[:, :nalt]
     probs = data[:, nalt:]
     axis_vals = []

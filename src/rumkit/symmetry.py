@@ -15,7 +15,7 @@ which for an additive-noise generator equals h'_m(a_m) / h'_j(a_j).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np

@@ -48,6 +48,21 @@ def oracle_density(v1, v2):
     return 2.0 / (v1**2 * v2**2 * (1.0 + 1.0 / v1 + 1.0 / v2) ** 3)
 
 
+def half_field():
+    """5x5 two-alternative field with q = (0.5, 0.5) everywhere."""
+    grid = field.GridSpec((0.0, 0.0), (1.0, 1.0), (5, 5))
+    return field.ProbabilityField(grid=grid, values=np.full((5, 5, 2), 0.5))
+
+
+def write_nan_field_csv(path):
+    """A 5x5 field CSV whose fourth row has q_1 = nan."""
+    field.write_field_csv(half_field(), path)
+    lines = path.read_text().splitlines()
+    cells = lines[4].split(",")
+    lines[4] = ",".join(cells[:-1] + ["nan"])
+    path.write_text("\n".join(lines) + "\n")
+
+
 @pytest.fixture(scope="session")
 def m_log():
     return log_model(domain=((1e-3, 100.0),) * 3)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rumkit import characteristics, symmetry
-from rumkit.errors import CoverageError, LevelRangeError, ValidationError
+from rumkit.errors import CoverageError, LevelRangeError, NumericalFailure, ValidationError
 
 BOX = ((1.0, 4.0), (1.0, 4.0))
 
@@ -142,6 +142,127 @@ class TestBuildOmega:
         omega1.export_csv(path, n=11)
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
         assert rows.shape == (121, 3)
+
+
+def _sweep_column(t, a0_start, aj_states, a_ref, step, direction, a0_limit, aj_box):
+    """Reference: the per-column sweep, all states sharing one start a_0."""
+    n = len(aj_states)
+    out = np.full(n, np.nan)
+    y = np.array(aj_states, dtype=float)
+    if direction > 0:
+        active = y < a_ref
+    else:
+        active = y > a_ref
+    exact = np.isclose(aj_states, a_ref, rtol=0.0, atol=0.0)
+    out[exact] = a0_start
+    a0 = a0_start
+    lo_box, hi_box = aj_box
+    while active.any() and direction * (a0_limit - a0) > 1e-14:
+        h = direction * min(step, abs(a0_limit - a0))
+        idx = np.where(active)[0]
+        y_act = y[idx]
+        y_new, k_start, k_end = characteristics._rk4_advance(t, a0, y_act, h)
+        crossed = (y_act - a_ref) * (y_new - a_ref) <= 0.0
+        if crossed.any():
+            ci = idx[crossed]
+            theta = characteristics._hermite_crossing(
+                y_act[crossed], y_new[crossed], k_start[crossed], k_end[crossed], h, a_ref
+            )
+            out[ci] = a0 + theta * h
+            active[ci] = False
+        escaped = (~crossed) & ((y_new < lo_box) | (y_new > hi_box))
+        if escaped.any():
+            active[idx[escaped]] = False
+        y[idx] = y_new
+        a0 = a0 + h
+    return out
+
+
+def _sweep_by_column(t, a0_start, aj_states, *args):
+    """Reference sweep: one _sweep_column call per distinct start a_0."""
+    out = np.full(len(aj_states), np.nan)
+    for s0 in np.unique(a0_start):
+        col = a0_start == s0
+        out[col] = _sweep_column(t, s0, aj_states[col], *args)
+    return out
+
+
+def _build_both(monkeypatch, t, domain, **kw):
+    """(lockstep, per-column reference) outcome of build_omega: lattice or error."""
+    outcomes = []
+    for sweep in (characteristics._sweep_crossings, _sweep_by_column):
+        with monkeypatch.context() as m:
+            m.setattr(characteristics, "_sweep_crossings", sweep)
+            try:
+                outcomes.append(characteristics.build_omega(t, domain, **kw))
+            except CoverageError as exc:
+                outcomes.append(exc)
+    return outcomes
+
+
+def _log_sieve_ratio(j, alpha_j, domain):
+    # t = a_j / (alpha_j a_0) as a degree-1 log-polynomial sieve
+    return symmetry.RatioFunction(
+        j=j, pivot=0, form="sieve", domain=domain, basis="log_polynomial", degree=1,
+        coefficients=np.array([-np.log(alpha_j), 1.0, -1.0]),
+    )
+
+
+class TestLockstepEquivalence:
+    """The lockstep sweep reproduces the per-column sweep bit for bit."""
+
+    @pytest.mark.parametrize("j, alpha_j, aj_range", [(1, 2.0, (0.05, 12.0)), (2, 0.5, (0.09, 9.0))])
+    def test_log_ratio_wide_domain(self, monkeypatch, j, alpha_j, aj_range):
+        domain = (aj_range, (0.002, 96.0))
+        t = _log_sieve_ratio(j, alpha_j, domain)
+        new, ref = _build_both(
+            monkeypatch, t, domain, a_ref=1.0, resolution=31,
+            step=np.log(96.0 / 0.002) / 50, j=j,
+        )
+        assert new.log_axes
+        assert np.array_equal(new.lattice_values, ref.lattice_values)
+
+    def test_linear_ratio_with_anchor_row(self, monkeypatch):
+        t = symmetry.RatioFunction(
+            j=1, pivot=0, form="sieve", domain=BOX, basis="polynomial", degree=1,
+            coefficients=np.array([0.8, 0.1, 0.05]),
+        )
+        new, ref = _build_both(monkeypatch, t, BOX, a_ref=2.5, resolution=21, step=0.03, j=1)
+        assert not new.log_axes
+        anchor = new.aj_lattice == 2.5
+        assert anchor.sum() == 1
+        assert np.array_equal(new.lattice_values[anchor][0], new.a0_lattice)
+        assert np.array_equal(new.lattice_values, ref.lattice_values)
+
+    def test_escaping_states_same_coverage_error(self, monkeypatch):
+        # the slope is negative for a_0 < 2.5, so states below the anchor
+        # first drift away from it and some leave the enlarged a_j box
+        # (a plain callable: a RatioFunction would clip the slope at 0)
+        def t(aj, a0):
+            return a0 - 2.5 + 0.0 * aj
+
+        new, ref = _build_both(monkeypatch, t, BOX, a_ref=3.0, resolution=15, step=0.05)
+        assert isinstance(new, CoverageError) and isinstance(ref, CoverageError)
+        assert str(new) == str(ref)
+
+
+class TestHermiteCrossing:
+    def test_linear_interpolant(self):
+        # slopes equal to the chord: the cubic is the straight line
+        theta = characteristics._hermite_crossing(
+            np.array([0.0, -0.75]), np.array([1.0, 1.25]), np.array([0.5, 1.0]),
+            np.array([0.5, 1.0]), 2.0, 0.25,
+        )
+        assert theta == pytest.approx([0.25, 0.5], abs=1e-15)
+
+    def test_stall_at_clip_bound_raises(self):
+        # Newton from the linear estimate 0.5 jumps past theta = 1, where the
+        # end slope points back out of [0, 1]: the clip pins theta at 1 while
+        # the true crossing lies below 0.5
+        with pytest.raises(NumericalFailure):
+            characteristics._hermite_crossing(
+                np.array([0.0]), np.array([1.0]), np.array([5.0]), np.array([-1.0]), 2.0, 0.5
+            )
 
 
 class TestUtilityInversion:

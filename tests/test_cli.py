@@ -8,7 +8,7 @@ import pytest
 from rumkit import cli, field, model
 from rumkit.cli import EXIT_CHECK_FAIL, EXIT_INPUT_ERROR, EXIT_NUMERICAL, EXIT_PASS
 
-from conftest import lin_model, log_model, oracle_prob
+from conftest import lin_model, log_model, oracle_prob, write_nan_field_csv
 
 
 def run(*argv):
@@ -133,6 +133,12 @@ class TestCheck:
     def test_planted_interaction_fails(self, tmp_path, planted_field_csv):
         code = run("check", "--field", planted_field_csv, "--out", str(tmp_path))
         assert code == EXIT_CHECK_FAIL
+
+    def test_nan_field_rejected(self, tmp_path):
+        path = tmp_path / "field.csv"
+        write_nan_field_csv(path)
+        code = run("check", "--field", str(path), "--out", str(tmp_path / "out"))
+        assert code == EXIT_INPUT_ERROR
 
 
 class TestIdentify:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from rumkit import field, model
 from rumkit.errors import ExtrapolationError, RumkitError, ValidationError
 
-from conftest import lin_model, log_model, oracle_prob
+from conftest import half_field, lin_model, log_model, oracle_prob, write_nan_field_csv
 
 interior_pt = st.lists(st.floats(-0.9, 0.9), min_size=3, max_size=3)
 
@@ -25,6 +25,21 @@ class TestGridSpec:
     def test_reversed_bounds_rejected(self):
         with pytest.raises(ValidationError):
             field.GridSpec((2.0,), (1.0,), (5,))
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_constructor_rejects(self, bad):
+        values = np.full((5, 5, 2), 0.5)
+        values[2, 3, 1] = bad
+        with pytest.raises(ValidationError):
+            field.ProbabilityField(grid=half_field().grid, values=values)
+
+    def test_csv_nan_cell_rejected(self, tmp_path):
+        path = tmp_path / "field.csv"
+        write_nan_field_csv(path)
+        with pytest.raises(ValidationError):
+            field.read_field_csv(path)
 
 
 class TestInterpolate:
