@@ -7,7 +7,9 @@ utilities and a heterogeneity density, and verify the recovered structure
 reproduces the field.
 """
 
-from . import characteristics, cli, density, errors, field, model, symmetry, verify
+# cli is left out of the eager imports so that `python -m rumkit.cli` does
+# not find it already loaded; `from rumkit import cli` still works.
+from . import characteristics, density, errors, field, model, symmetry, verify
 
 __version__ = "0.1.0"
 

@@ -23,9 +23,44 @@ from .errors import (
     StepUnderflowError,
     ValidationError,
 )
-from .rootfind import invert_monotone, invert_monotone_vec
 
 _SPAN_GUARD = 200.0  # max integration span, in units of the a_0 domain width
+
+
+def _invert_monotone_vec(
+    f,
+    targets: np.ndarray,
+    lo: float,
+    hi: float,
+    tol: float = 1e-9,
+    max_iter: int = 100,
+) -> np.ndarray:
+    """Vectorized bisection: solve f(x) = targets elementwise on a shared bracket.
+
+    f must map an array of abscissae to function values elementwise. Entries
+    whose target lies outside [f(lo), f(hi)] come back NaN; callers decide how
+    to treat them.
+    """
+    targets = np.asarray(targets, dtype=float)
+    f_lo = f(np.full_like(targets, lo))
+    f_hi = f(np.full_like(targets, hi))
+    increasing = bool(np.all(f_hi >= f_lo))
+    if increasing:
+        in_range = (targets >= f_lo) & (targets <= f_hi)
+    else:
+        in_range = (targets <= f_lo) & (targets >= f_hi)
+    a = np.full_like(targets, lo)
+    b = np.full_like(targets, hi)
+    for _ in range(max_iter):
+        if np.max(b - a) <= tol:
+            break
+        m = 0.5 * (a + b)
+        fm = f(m)
+        go_right = (fm < targets) if increasing else (fm > targets)
+        a = np.where(go_right, m, a)
+        b = np.where(go_right, b, m)
+    out = 0.5 * (a + b)
+    return np.where(in_range, out, np.nan)
 
 
 def _slope(t, a0, aj):
@@ -291,20 +326,10 @@ class OmegaFunction:
         tv = np.asarray(self.ratio(AJ, A0), dtype=float)
         return np.abs(d0 + dj * tv)
 
-    def invert_a0(self, a_j: float, v: float, tol: float = 1e-9) -> float:
-        """a_0 with omega(a_j, a_0) = v; bisection plus secant (utility evaluation)."""
-        _, (a0_lo, a0_hi) = self.domain
-        try:
-            return invert_monotone(lambda x: float(self._spline.ev(a_j, x)), v, a0_lo, a0_hi, tol)
-        except LevelRangeError as exc:
-            raise LevelRangeError(
-                f"level {v!r} not attained at a_j={a_j!r}: {exc}"
-            ) from exc
-
     def invert_a0_many(self, a_j: float, v: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         """Vectorized inversion in a_0; NaN where v is outside the attained range."""
         _, (a0_lo, a0_hi) = self.domain
-        return invert_monotone_vec(
+        return _invert_monotone_vec(
             lambda x: self._spline.ev(np.broadcast_to(a_j, np.shape(x)), x),
             np.asarray(v, dtype=float),
             a0_lo,
@@ -315,7 +340,7 @@ class OmegaFunction:
     def invert_aj_many(self, v: np.ndarray, a_0: float, tol: float = 1e-9) -> np.ndarray:
         """Vectorized b(v, a_0): a_j with omega(a_j, a_0) = v; NaN out of range."""
         (aj_lo, aj_hi), _ = self.domain
-        return invert_monotone_vec(
+        return _invert_monotone_vec(
             lambda x: self._spline.ev(x, np.broadcast_to(a_0, np.shape(x))),
             np.asarray(v, dtype=float),
             aj_lo,
@@ -447,7 +472,10 @@ class UtilityFunction:
     omega: OmegaFunction
 
     def eval(self, a_j: float, v: float, tol: float = 1e-9) -> float:
-        return self.omega.invert_a0(a_j, v, tol)
+        w = float(self.eval_many(a_j, np.array([v], dtype=float), tol)[0])
+        if np.isnan(w):
+            raise LevelRangeError(f"level {v!r} not attained at a_j={a_j!r}")
+        return w
 
     def eval_many(self, a_j: float, v: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         return self.omega.invert_a0_many(a_j, v, tol)
@@ -469,11 +497,6 @@ class UtilityFunction:
             comments="",
             fmt="%.12g",
         )
-
-
-def utility_eval(w: UtilityFunction, a_j: float, v: float) -> float:
-    """Monotone root-find of omega(a_j, .) = v, to 1e-9 in a_0 units."""
-    return w.eval(a_j, v)
 
 
 def lipschitz_diagnostic(t, domain, n: int = 201) -> float:

@@ -11,15 +11,12 @@ agree, which makes the pair a strong internal consistency check.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .errors import NegativeDensityError, SupportError, ValidationError
 from .field import ProbabilityField
-
-_INTERIOR_MARGIN = 2  # grid steps kept clear of the boundary for FD stencils
 
 
 @dataclass(frozen=True)
@@ -187,18 +184,11 @@ def _interior_a0_candidates(
     return cands
 
 
-def reconstruct_cdf(
-    field: ProbabilityField,
-    omegas,
-    v,
-    a_0=None,
-    return_spread: bool = False,
-):
+def reconstruct_cdf(field: ProbabilityField, omegas, v, a_0=None) -> float:
     """CDF value F(v) = q_0 at the a-point where each omega_j attains v_j.
 
     The mapped point depends on the reference a_0 but the value does not, so
-    with a_0=None the value is averaged over three interior references and the
-    spread across them is available as a consistency diagnostic.
+    with a_0=None the value is averaged over three interior references.
     """
     v = np.asarray(v, dtype=float)
     if len(v) != len(omegas):
@@ -233,39 +223,7 @@ def reconstruct_cdf(
         raise SupportError(
             f"v = {v.tolist()} has no level-attaining a-point at any reference a_0"
         )
-    mean = float(np.mean(vals))
-    spread = float(np.max(vals) - np.min(vals)) if len(vals) > 1 else 0.0
-    if return_spread:
-        return mean, spread
-    return mean
-
-
-def _axis_index(a_axes, value) -> float:
-    # margin respected by callers; here just the spacing for the FD step
-    return a_axes[1] - a_axes[0]
-
-
-def _mixed_partial_batch(field: ProbabilityField, r: int, axes, points, deltas):
-    """Vectorized central-difference mixed partial of q_r over the given axes.
-
-    points: (n, dims) array of interior a-points; deltas: FD half-steps per
-    differentiated axis. Uses the 2^m corner stencil in one interpolator call.
-    """
-    points = np.asarray(points, dtype=float)
-    n = points.shape[0]
-    m = len(axes)
-    stencil = []
-    signs = []
-    for combo in itertools.product((-1.0, 1.0), repeat=m):
-        shifted = points.copy()
-        for s, ax, d in zip(combo, axes, deltas):
-            shifted[:, ax] += s * d
-        stencil.append(shifted)
-        signs.append(np.prod(combo))
-    flat = np.concatenate(stencil, axis=0)
-    vals = field._interpolators[r](flat).reshape(len(signs), n)
-    num = np.tensordot(np.asarray(signs), vals, axes=1)
-    return num / np.prod([2.0 * d for d in deltas])
+    return float(np.mean(vals))
 
 
 def reconstruct_density(
@@ -345,7 +303,6 @@ def reconstruct_density(
     first = np.argmax(score + bonus, axis=0)
     any_valid = np.max(score, axis=0) >= 0.0
 
-    deltas_j = [spacing[j + 1] for j in range(J)]
     for c, a0 in enumerate(candidates):
         sel = any_valid & (first == c)
         if not sel.any():
@@ -358,18 +315,14 @@ def reconstruct_density(
             aj = inv[j][c][idx[:, j]]
             pts[:, j + 1] = aj
         if route == "mixed":
-            num = _mixed_partial_batch(
-                field, 0, list(range(1, J + 1)), pts, deltas_j
-            )
+            num = field.fd_stencil(0, tuple(range(1, J + 1)), pts)
             for j in range(J):
                 d_om *= np.asarray(omegas[j].d_aj(pts[:, j + 1], a0))
             f_node = num / d_om
         else:
             k = alt_k
             other = [j for j in range(1, J + 1) if j != k]
-            num = _mixed_partial_batch(
-                field, k, [0] + other, pts, [spacing[0]] + [spacing[j] for j in other]
-            )
+            num = field.fd_stencil(k, (0, *other), pts)
             d_om = np.asarray(omegas[k - 1].d_a0(pts[:, k], a0))
             for j in other:
                 d_om = d_om * np.asarray(omegas[j - 1].d_aj(pts[:, j], a0))
@@ -401,7 +354,7 @@ def reconstruct_density(
         pts[:, 0] = a0
         for j in range(J):
             pts[:, j + 1] = inv[j][c][idx[:, j]]
-        F_vals[tuple(idx.T)] = field._interpolators[0](pts)
+        F_vals[tuple(idx.T)] = field.fd_stencil(0, (), pts)
 
     return DensityGrid(
         axes=tuple(np.asarray(ax, dtype=float) for ax in v_grid),

@@ -9,10 +9,6 @@ class NumericalFailure(RumkitError):
     """A numerical procedure could not produce a trustworthy result."""
 
 
-class CheckFailure(RumkitError):
-    """A requested statistical or structural check did not pass."""
-
-
 class ValidationError(RumkitError):
     """A specification object (model, grid, config) violates its invariants."""
 

@@ -1,14 +1,15 @@
 """Tabulated choice probabilities on rectangular grids.
 
-Provides multilinear interpolation, central finite-difference first and mixed
-partial derivatives, monotonicity/cross-partial shape checks, and the field
-CSV wire format.
+Provides multilinear interpolation, one batched finite-difference stencil for
+first and mixed partial derivatives off the lattice, monotonicity/cross-partial
+shape checks, and the field CSV wire format.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -16,8 +17,6 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from .errors import ExtrapolationError, GridMismatchError, ValidationError
-
-_RENORM_REPORT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -35,14 +34,12 @@ class GridSpec:
         if not (len(self.lower) == len(self.upper) == len(self.counts)):
             raise ValidationError("grid axis descriptions must have equal length")
         for lo, hi, n in zip(self.lower, self.upper, self.counts):
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValidationError("grid bounds must be finite")
             if not lo < hi:
                 raise ValidationError("grid bounds must be strictly increasing")
             if n < 5:
                 raise ValidationError("grids need at least 5 nodes per axis")
-
-    @property
-    def n_axes(self) -> int:
-        return len(self.counts)
 
     @property
     def dims(self) -> int:
@@ -64,11 +61,10 @@ class GridSpec:
             for lo, hi, n in zip(self.lower, self.upper, self.counts)
         ]
 
-    def contains(self, a) -> bool:
+    def contains(self, a):
+        """Hull membership of one point (dims,) or, per point, of a batch (n, dims)."""
         a = np.asarray(a, dtype=float)
-        return bool(
-            np.all(a >= np.array(self.lower)) and np.all(a <= np.array(self.upper))
-        )
+        return np.all((a >= np.array(self.lower)) & (a <= np.array(self.upper)), axis=-1)
 
 
 @dataclass
@@ -81,7 +77,7 @@ class ProbabilityField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        expect = self.grid.counts + (self.grid.n_axes,)
+        expect = self.grid.counts + (self.grid.dims,)
         if self.values.shape != expect:
             raise GridMismatchError(
                 f"values shape {self.values.shape} != expected {expect}"
@@ -97,7 +93,7 @@ class ProbabilityField:
 
     @property
     def n_alternatives(self) -> int:
-        return self.grid.n_axes
+        return self.grid.dims
 
     @cached_property
     def _interpolators(self) -> list[RegularGridInterpolator]:
@@ -110,14 +106,19 @@ class ProbabilityField:
     @cached_property
     def node_gradients(self) -> np.ndarray:
         """d q_j / d a_k on nodes, shape (J+1, J+1) + counts; O(h^2) everywhere."""
-        axes = self.grid.axes()
         out = np.empty((self.n_alternatives, self.n_alternatives) + self.grid.counts)
         for j in range(self.n_alternatives):
             for k in range(self.n_alternatives):
-                out[j, k] = np.gradient(
-                    self.values[..., j], axes[k], axis=k, edge_order=2
-                )
+                out[j, k] = self.node_mixed_partial(j, (k,))
         return out
+
+    def node_mixed_partial(self, r: int, axes: tuple[int, ...]) -> np.ndarray:
+        """Nested central differences of q_r on the whole lattice (edges one-sided)."""
+        grid_axes = self.grid.axes()
+        arr = self.values[..., r]
+        for k in axes:
+            arr = np.gradient(arr, grid_axes[k], axis=k, edge_order=2)
+        return arr
 
     def _raw_interp(self, j: int, pts: np.ndarray) -> np.ndarray:
         try:
@@ -125,88 +126,75 @@ class ProbabilityField:
         except ValueError as exc:
             raise ExtrapolationError(f"point outside grid hull: {exc}") from exc
 
-    def interpolate(self, a, return_residual: bool = False):
-        """Multilinear interpolation of the probability vector, renormalized to sum 1."""
+    def _hull_points(self, points) -> np.ndarray:
+        """(n, dims) float array of the points; raises if any lies outside the hull."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        outside = ~self.grid.contains(pts)
+        if outside.any():
+            bad = pts[np.argmax(outside)]
+            raise ExtrapolationError(f"point {bad.tolist()} outside grid hull")
+        return pts
+
+    def interpolate(self, a) -> np.ndarray:
+        """Multilinear interpolation of the probability vector, renormalized to sum 1.
+
+        a is one point (dims,) or a batch (n, dims); the result has the same
+        leading shape with the J+1 probabilities last.
+        """
         a = np.asarray(a, dtype=float)
-        if not self.grid.contains(a):
-            raise ExtrapolationError(f"point {a.tolist()} outside grid hull")
-        q = np.array([float(self._raw_interp(j, a[None, :])[0]) for j in range(self.n_alternatives)])
-        s = q.sum()
-        residual = s - 1.0
-        q = q / s
-        if return_residual:
-            return q, residual
-        return q
+        pts = self._hull_points(a)
+        q = np.stack([self._raw_interp(j, pts) for j in range(self.n_alternatives)], axis=-1)
+        q = q / q.sum(axis=-1, keepdims=True)
+        return q if a.ndim > 1 else q[0]
 
-    def partial_detail(self, j: int, k: int, a) -> tuple[float, bool]:
-        """(dq_j/da_k at a, one_sided_flag); step equals the grid spacing on axis k."""
-        a = np.asarray(a, dtype=float)
-        if not self.grid.contains(a):
-            raise ExtrapolationError(f"point {a.tolist()} outside grid hull")
-        h = self.grid.spacing[k]
-        lo, hi = self.grid.lower[k], self.grid.upper[k]
-        one_sided = False
-        if a[k] - lo >= h * (1 - 1e-12) and hi - a[k] >= h * (1 - 1e-12):
-            p_hi = a.copy()
-            p_lo = a.copy()
-            p_hi[k] += h
-            p_lo[k] -= h
-            val = (self._raw_interp(j, p_hi[None])[0] - self._raw_interp(j, p_lo[None])[0]) / (
-                2 * h
-            )
-        else:
-            one_sided = True
-            sign = 1.0 if a[k] - lo < h else -1.0
-            p0, p1, p2 = a.copy(), a.copy(), a.copy()
-            p1[k] += sign * h
-            p2[k] += sign * 2 * h
-            val = sign * (
-                -3 * self._raw_interp(j, p0[None])[0]
-                + 4 * self._raw_interp(j, p1[None])[0]
-                - self._raw_interp(j, p2[None])[0]
-            ) / (2 * h)
-        return float(val), one_sided
+    def fd_stencil(self, r: int, axes: tuple[int, ...], points) -> np.ndarray:
+        """Finite-difference partial of q_r over distinct axes at (n, dims) points.
 
-    def partial(self, j: int, k: int, a) -> float:
-        """Central finite difference of q_j along axis k (O(h^2) for smooth fields)."""
-        return self.partial_detail(j, k, a)[0]
-
-    def mixed_partial(self, r: int, axes: tuple[int, ...], a) -> float:
-        """Nested central differences of q_r over distinct axes (2^m-point stencil)."""
+        Central 2^m-corner stencil with step equal to the grid spacing on each
+        differentiated axis, every corner in one interpolator call; m = 0
+        returns q_r itself. A first partial within one spacing of the hull
+        edge uses the one-sided 3-point rule instead; a higher-order stencil
+        there raises ExtrapolationError.
+        """
         axes = tuple(axes)
         if len(set(axes)) != len(axes):
-            raise ValidationError("mixed partial axes must be distinct")
-        a = np.asarray(a, dtype=float)
-        if not self.grid.contains(a):
-            raise ExtrapolationError(f"point {a.tolist()} outside grid hull")
-        for k in axes:
-            h = self.grid.spacing[k]
-            if a[k] - self.grid.lower[k] < h * (1 - 1e-12) or self.grid.upper[k] - a[k] < h * (
-                1 - 1e-12
-            ):
-                raise ExtrapolationError(
-                    f"point too close to the boundary along axis {k} for a central stencil"
-                )
-        m = len(axes)
-        spacings = [self.grid.spacing[k] for k in axes]
-        total = 0.0
-        for signs in np.ndindex(*(2,) * m):
-            p = a.copy()
-            parity = 1.0
-            for k, s, h in zip(axes, signs, spacings):
-                off = 1.0 if s == 0 else -1.0
-                parity *= off
-                p[k] += off * h
-            total += parity * float(self._raw_interp(r, p[None])[0])
-        return total / float(np.prod([2 * h for h in spacings]))
-
-    def node_mixed_partial(self, r: int, axes: tuple[int, ...]) -> np.ndarray:
-        """Nested central differences of q_r on the whole lattice (edges one-sided)."""
-        grid_axes = self.grid.axes()
-        arr = np.array(self.values[..., r])
-        for k in axes:
-            arr = np.gradient(arr, grid_axes[k], axis=k, edge_order=2)
-        return arr
+            raise ValidationError("stencil axes must be distinct")
+        pts = self._hull_points(points)
+        steps = [self.grid.spacing[k] for k in axes]
+        near = np.zeros(len(pts), dtype=bool)
+        for k, h in zip(axes, steps):
+            x = pts[:, k]
+            near |= (x - self.grid.lower[k] < h * (1 - 1e-12)) | (
+                self.grid.upper[k] - x < h * (1 - 1e-12)
+            )
+        if near.any() and len(axes) > 1:
+            raise ExtrapolationError(
+                f"point {pts[np.argmax(near)].tolist()} too close to the boundary "
+                f"for a central stencil along axes {axes}"
+            )
+        out = np.empty(len(pts))
+        inner = pts[~near]
+        corners, signs = [], []
+        for combo in itertools.product((-1.0, 1.0), repeat=len(axes)):
+            shifted = inner.copy()
+            for s, k, h in zip(combo, axes, steps):
+                shifted[:, k] += s * h
+            corners.append(shifted)
+            signs.append(np.prod(combo))
+        vals = self._raw_interp(r, np.concatenate(corners)).reshape(len(signs), len(inner))
+        out[~near] = np.tensordot(np.asarray(signs), vals, axes=1) / np.prod(
+            [2.0 * h for h in steps]
+        )
+        if near.any():
+            (k,), (h,) = axes, steps
+            p0 = pts[near]
+            sign = np.where(p0[:, k] - self.grid.lower[k] < h, 1.0, -1.0)
+            p1, p2 = p0.copy(), p0.copy()
+            p1[:, k] += sign * h
+            p2[:, k] += sign * 2 * h
+            f0, f1, f2 = self._raw_interp(r, np.concatenate([p0, p1, p2])).reshape(3, -1)
+            out[near] = sign * (-3 * f0 + 4 * f1 - f2) / (2 * h)
+        return out
 
     def interior_slices(self) -> tuple[slice, ...]:
         return tuple(slice(1, n - 1) for n in self.grid.counts)

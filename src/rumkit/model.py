@@ -17,7 +17,6 @@ from .errors import DomainError, GridMismatchError, NoClosedFormError, Validatio
 from .field import GridSpec, ProbabilityField
 
 _MONOTONE_SAMPLES = 65
-_SUM_TOL = 1e-12
 
 UTILITY_KINDS = ("linear", "log", "power", "polynomial")
 NOISE_KINDS = ("gumbel_iid", "gaussian_iid", "gaussian_correlated")
@@ -131,6 +130,8 @@ class ChoiceModelSpec:
         if len(self.domain) != len(self.utilities):
             raise ValidationError("domain must give one interval per alternative")
         for j, ((lo, hi), u) in enumerate(zip(self.domain, self.utilities)):
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValidationError(f"domain bounds for alternative {j} must be finite")
             if not lo < hi:
                 raise ValidationError(f"domain interval for alternative {j} is empty")
             if u.needs_positive and lo <= 0:
@@ -220,15 +221,6 @@ class ChoiceModelSpec:
             fh.write("\n")
 
 
-def validate_prob_vector(p: np.ndarray, sum_tol: float = _SUM_TOL) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if np.any(p < -1e-15) or np.any(p > 1 + 1e-15):
-        raise ValidationError("probability entries must lie in [0, 1]")
-    if abs(p.sum() - 1.0) > sum_tol:
-        raise ValidationError(f"probabilities sum to {p.sum()!r}, not 1")
-    return p
-
-
 def utility_value(model: ChoiceModelSpec, j: int, a: float) -> float:
     """h_j(a) with domain checking."""
     model.require_in_domain(j, a)
@@ -300,7 +292,7 @@ def tabulate(
     seed: int = 0,
 ) -> ProbabilityField:
     """Tabulate q_j on a rectangular grid; axis k of the grid is a_k."""
-    if grid.n_axes != model.n_alternatives:
+    if grid.dims != model.n_alternatives:
         raise GridMismatchError("grid must have one axis per alternative")
     for j, (lo, hi) in enumerate(zip(grid.lower, grid.upper)):
         if lo < model.domain[j][0] or hi > model.domain[j][1]:

@@ -70,26 +70,23 @@ def _winners(tables, a0):
     return who
 
 
-def _subcell_tables(tables, refine):
-    """Utility at refine sub-centers per cell, linearly interpolated per axis.
+def _lerp_tables(lo, hi, frac):
+    """Utility linearly interpolated from lo to hi at fraction frac.
 
     An infinite endpoint wins the whole half: interpolation against +/-inf
     keeps the finite end's value until the infinite corner itself.
     """
-    out = []
+    with np.errstate(invalid="ignore"):
+        w = lo + frac * (hi - lo)
+    w = np.where(np.isinf(lo) & ~np.isinf(hi), hi, w)
+    w = np.where(np.isinf(hi) & ~np.isinf(lo), lo, w)
+    return np.where(np.isinf(lo) & np.isinf(hi), lo, w)
+
+
+def _subcell_tables(tables, refine):
+    """Utility at refine sub-centers per cell, linearly interpolated per axis."""
     frac = (np.arange(refine) + 0.5) / refine
-    for t in tables:
-        lo = t[:-1]
-        hi = t[1:]
-        with np.errstate(invalid="ignore"):
-            sub = lo[:, None] + frac[None, :] * (hi - lo)[:, None]
-        lo_b = np.broadcast_to(lo[:, None], sub.shape)
-        hi_b = np.broadcast_to(hi[:, None], sub.shape)
-        sub = np.where(np.isinf(lo_b) & ~np.isinf(hi_b), hi_b, sub)
-        sub = np.where(np.isinf(hi_b) & ~np.isinf(lo_b), lo_b, sub)
-        sub = np.where(np.isinf(lo_b) & np.isinf(hi_b), lo_b, sub)
-        out.append(sub.ravel())
-    return out
+    return [_lerp_tables(t[:-1, None], t[1:, None], frac).ravel() for t in tables]
 
 
 def rationalized_choice_prob(
@@ -153,13 +150,7 @@ def rationalized_choice_prob(
         n_inf = np.zeros(n, dtype=int)
         for j in range(J):
             t = tables[j]
-            lo_w = t[cells[:, j]]
-            hi_w = t[cells[:, j] + 1]
-            with np.errstate(invalid="ignore"):
-                w = lo_w + u[:, j] * (hi_w - lo_w)
-            w = np.where(np.isinf(lo_w) & ~np.isinf(hi_w), hi_w, w)
-            w = np.where(np.isinf(hi_w) & ~np.isinf(lo_w), lo_w, w)
-            w = np.where(np.isinf(lo_w) & np.isinf(hi_w), lo_w, w)
+            w = _lerp_tables(t[cells[:, j]], t[cells[:, j] + 1], u[:, j])
             n_inf += (np.isinf(w) & (w > 0)).astype(int)
             take = w > best
             best = np.where(take, w, best)
@@ -266,15 +257,11 @@ def translation_invariance_check(
     lo = lower + max(c_max, 0.0)
     hi = upper - max(c_max, 0.0)
     pts = lo + rng.random((n_points, field.grid.dims)) * (hi - lo)
+    base = field.interpolate(pts)
     per_shift = {}
     worst = 0.0
     for c in shifts:
-        devs = np.empty(n_points)
-        for i, a in enumerate(pts):
-            devs[i] = float(
-                np.max(np.abs(field.interpolate(a + c) - field.interpolate(a)))
-            )
-        d = float(devs.max())
+        d = float(np.max(np.abs(field.interpolate(pts + c) - base)))
         per_shift[c] = d
         worst = max(worst, d)
     return {

@@ -1,6 +1,10 @@
 """Command-line pipeline: simulate, check, identify, verify, convert."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,6 +231,22 @@ class TestVerify:
         code = run("verify", "--field", log_field_csv, "--out", str(tmp_path))
         assert code == EXIT_INPUT_ERROR
 
+    def test_explicit_a_ref_round_trips(self, tmp_path, lin_model_json):
+        # verify must rebuild the omegas at identify's stored anchoring, not
+        # at the default one
+        grid = ["--grid=-6:6:51"] * 3
+        assert run("simulate", "--model", lin_model_json, "--out", str(tmp_path),
+                   *grid) == EXIT_PASS
+        csv = str(tmp_path / "field.csv")
+        code = run(
+            "identify", "--field", csv, "--out", str(tmp_path), "--resolution", "21",
+            "--v-nodes", "61", "--tol-condition-a", "0.02", "--a-ref", "1.0",
+        )
+        assert code == EXIT_PASS
+        meta = json.loads((tmp_path / "identify_meta.json").read_text())
+        assert meta["a_ref"] == [1.0, 1.0]
+        assert run("verify", "--field", csv, "--out", str(tmp_path)) == EXIT_PASS
+
 
 class TestConvert:
     def make_price_csv(self, path, with_p0=False, p0_value=0.0):
@@ -310,6 +330,18 @@ class TestConvert:
 
 
 class TestExitCodes:
+    def test_module_entry_point_without_runtime_warning(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "rumkit.cli", "--help"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_tolerances_must_be_positive(self, tmp_path, log_field_csv):
         code = run(
             "check", "--field", log_field_csv, "--out", str(tmp_path),

@@ -25,6 +25,10 @@ class TestGridSpec:
     def test_reversed_bounds_rejected(self):
         with pytest.raises(ValidationError):
             field.GridSpec((2.0,), (1.0,), (5,))
+        for lo, hi in (((0.0, 0.0), (np.inf, 1.0)), ((-np.inf, 0.0), (1.0, 1.0)),
+                       ((0.0, np.nan), (1.0, 1.0))):
+            with pytest.raises(ValidationError, match="finite"):
+                field.GridSpec(lo, hi, (5, 5))
 
 
 class TestNonFinite:
@@ -54,6 +58,11 @@ class TestInterpolate:
         q = lin_field.interpolate(a)
         exact = model.choice_prob_closed_form(m_lin, a)
         assert np.max(np.abs(q - exact)) <= 1e-3
+        # a batch of points gives each point's vector unchanged
+        batch = np.array([a, (0.3, -0.7, 0.11)])
+        assert np.array_equal(
+            lin_field.interpolate(batch), [lin_field.interpolate(p) for p in batch]
+        )
 
     def test_outside_hull_rejected(self, lin_field):
         with pytest.raises(ExtrapolationError):
@@ -69,27 +78,28 @@ class TestInterpolate:
 class TestDerivatives:
     def test_partial_matches_softmax_identity(self, lin_field):
         # d q_0 / d a_1 = -q_0 q_1 = -1/9 at the symmetric point
-        d = lin_field.partial(0, 1, (0.0, 0.0, 0.0))
+        d = lin_field.fd_stencil(0, (1,), [(0.0, 0.0, 0.0)])[0]
         assert d == pytest.approx(-1.0 / 9.0, abs=1e-3)
 
     def test_constant_field_zero_derivative(self):
         g = field.GridSpec((0.0,) * 3, (1.0,) * 3, (5,) * 3)
         vals = np.full(g.counts + (3,), 1.0 / 3.0)
         f = field.ProbabilityField(g, vals)
-        assert f.partial(0, 0, (0.5, 0.5, 0.5)) == 0.0
+        assert f.fd_stencil(0, (0,), [(0.5, 0.5, 0.5)])[0] == 0.0
 
     def test_log_model_derivative_signs(self, log_field):
         a = (2.0, 2.0, 2.0)
-        assert log_field.partial(0, 0, a) > 0
-        assert log_field.partial(1, 0, a) < 0
+        assert log_field.fd_stencil(0, (0,), [a])[0] > 0
+        assert log_field.fd_stencil(1, (0,), [a])[0] < 0
 
     def test_boundary_flagged_one_sided(self, lin_field):
-        _, flagged = lin_field.partial_detail(0, 0, (-1.0, 0.0, 0.0))
-        assert flagged
+        # np.gradient(edge_order=2) uses the same one-sided 3-point rule at the edge
+        d = lin_field.fd_stencil(0, (0,), [(-1.0, 0.0, 0.0)])[0]
+        assert d == pytest.approx(lin_field.node_gradients[0, 0][0, 20, 20], abs=1e-12)
 
     def test_mixed_partial_softmax_identity(self, lin_field):
         # d^2 q_0 / d a_1 d a_2 = 2 q_0 q_1 q_2 = 2/27 at the symmetric point
-        m = lin_field.mixed_partial(0, (1, 2), (0.0, 0.0, 0.0))
+        m = lin_field.fd_stencil(0, (1, 2), [(0.0, 0.0, 0.0)])[0]
         assert m == pytest.approx(2.0 / 27.0, abs=2e-3)
 
     def test_mixed_partial_zero_for_multilinear(self):
@@ -99,13 +109,13 @@ class TestDerivatives:
         q2 = 0.1 + 0.1 * mesh[1]
         vals = np.stack([1.0 - q1 - q2, q1, q2], axis=-1)
         f = field.ProbabilityField(g, vals)
-        assert f.mixed_partial(0, (1, 2), (0.5, 0.5, 0.5)) == pytest.approx(0.0, abs=1e-12)
+        assert f.fd_stencil(0, (1, 2), [(0.5, 0.5, 0.5)])[0] == pytest.approx(0.0, abs=1e-12)
 
     @given(interior_pt)
     @settings(max_examples=20, deadline=None)
     def test_partials_sum_to_zero(self, lin_field, a):
         # differentiate sum_j q_j = 1 along any axis
-        total = sum(lin_field.partial(j, 1, a) for j in range(3))
+        total = sum(lin_field.fd_stencil(j, (1,), [a])[0] for j in range(3))
         assert abs(total) <= 1e-6
 
     def test_halving_spacing_quarters_error(self, m_lin):
@@ -114,7 +124,7 @@ class TestDerivatives:
         for n in (21, 41):
             g = field.GridSpec((-1.0,) * 3, (1.0,) * 3, (n,) * 3)
             f = model.tabulate(m_lin, g)
-            errs.append(abs(f.partial(0, 1, (0.0, 0.0, 0.0)) - target))
+            errs.append(abs(f.fd_stencil(0, (1,), [(0.0, 0.0, 0.0)])[0] - target))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.35)
 
 

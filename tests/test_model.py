@@ -34,6 +34,12 @@ class TestUtilityPrimitive:
             model.UtilityPrimitive("linear", (0.0, -1.0))
         with pytest.raises(ValidationError):
             model.UtilityPrimitive("log", (-2.0,))
+        # a non-finite domain end is rejected as such, not as non-monotone
+        for domain in (((-10.0, np.inf),) * 3, ((-np.inf, 10.0),) * 3):
+            with pytest.raises(ValidationError, match="finite"):
+                lin_model(domain=domain)
+        with pytest.raises(ValidationError, match="finite"):
+            log_model(domain=((0.5, np.inf),) * 3)
 
     def test_log_requires_positive_argument(self):
         m = log_model()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rumkit import field, model, symmetry
+from rumkit import characteristics, field, model, symmetry
 from rumkit.errors import (
     DegeneratePointError,
     NegativeRatioError,
@@ -66,6 +66,26 @@ class TestDalyZachary:
             abs(loc[0] - lo), abs(hi - loc[0]), abs(loc[1] - lo), abs(hi - loc[1])
         )
         assert edge_dist <= 0.75
+
+    def test_batched_report_matches_pointwise_loop(self, log_field):
+        # reference: slutsky_ratio per point, skipping degenerate denominators
+        # and keeping the first point of largest deviation; the threshold at
+        # the median |dq_2/da_0| makes about half the points degenerate
+        pts = 1.0 + 3.0 * np.random.default_rng(4).random((40, 3))
+        eps = float(np.median(np.abs(log_field.fd_stencil(2, (0,), pts))))
+        rep = symmetry.test_daly_zachary(log_field, points=pts, eps_denom=eps)
+        for key, stat in rep.pair_stats.items():
+            k, l = map(int, key.split(","))
+            devs, locs = [], []
+            for p in pts:
+                try:
+                    devs.append(abs(symmetry.slutsky_ratio(log_field, k, l, p, eps) - 1.0))
+                except DegeneratePointError:
+                    continue
+                locs.append(p.tolist())
+            assert stat["n_used"] == len(devs)
+            assert stat["statistic"] == max(devs)
+            assert stat["location"] == locs[int(np.argmax(devs))]
 
     def test_single_pair_exact_point(self):
         g = field.GridSpec((-1.0, -1.0), (1.0, 1.0), (11, 11))
@@ -166,4 +186,6 @@ class TestPivotAndGradient:
         t = symmetry.RatioFunction.from_callable(
             lambda aj, a0: aj / (2.0 * a0), ((1.0, 4.0), (1.0, 4.0)), j=1, m=0
         )
-        assert symmetry.max_ratio_gradient(t) == pytest.approx(0.5, rel=0.05)
+        assert characteristics.lipschitz_diagnostic(t, t.domain) == pytest.approx(
+            0.5, rel=0.05
+        )
