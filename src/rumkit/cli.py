@@ -284,15 +284,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_PASS if report.passed else EXIT_CHECK_FAIL
 
 
-def _read_csv_columns(path):
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != len(header):
-        raise ValidationError("CSV column count does not match header")
-    return header, data
-
-
 def cmd_convert(cfg: RunConfig) -> int:
     """Translate between price-income rows (p_1..p_J, y, q_*) and a-rows.
 
@@ -300,7 +291,7 @@ def cmd_convert(cfg: RunConfig) -> int:
     a non-lattice scatter, so --resample interpolates the probabilities back
     onto a rectangular a-lattice through the exact inverse map.
     """
-    header, data = _read_csv_columns(cfg.field_path)
+    header, data = field_mod.read_csv_table(cfg.field_path)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     if "p_0" in header:

@@ -21,7 +21,7 @@ class NoClosedFormError(RumkitError):
     """The noise family admits no closed-form choice probability."""
 
 
-class GridMismatchError(RumkitError):
+class GridMismatchError(ValidationError):
     """A grid is inconsistent with a model domain or a stored lattice."""
 
 

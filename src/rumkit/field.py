@@ -329,35 +329,68 @@ def subsample(field: ProbabilityField, strides) -> ProbabilityField:
 # -- CSV wire format ------------------------------------------------------
 
 
+def _field_header(nalt: int) -> list[str]:
+    return [f"a_{k}" for k in range(nalt)] + [f"q_{j}" for j in range(nalt)]
+
+
 def write_field_csv(field: ProbabilityField, path) -> None:
-    """Header a_0..a_J,q_0..q_J; one row per node, lexicographic node order."""
+    """Header a_0..a_J,q_0..q_J; one row per node, lexicographic node order.
+
+    Every number is written as its shortest round-trip repr and every line
+    ends in CRLF (the bytes csv.writer produces). Coordinates are formatted
+    once per axis; rows are formatted and written one axis-0 slab at a time.
+    """
     nalt = field.n_alternatives
-    axes = field.grid.axes()
+    coords = [list(map(repr, ax.tolist())) for ax in field.grid.axes()]
+    tails = ["".join(map(",".__add__, t)) for t in itertools.product(*coords[1:])]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"a_{k}" for k in range(nalt)] + [f"q_{j}" for j in range(nalt)])
-        for idx in np.ndindex(*field.grid.counts):
-            coords = [repr(float(axes[k][i])) for k, i in enumerate(idx)]
-            probs = [repr(float(v)) for v in field.values[idx]]
-            w.writerow(coords + probs)
+        fh.write(",".join(_field_header(nalt)) + "\r\n")
+        for a0, slab in zip(coords[0], field.values):
+            probs = [map(repr, col) for col in slab.reshape(-1, nalt).T.tolist()]
+            rows = map(",".join, zip(map(a0.__add__, tails), *probs))
+            fh.write("\r\n".join(rows) + "\r\n")
+
+
+def read_csv_table(path) -> tuple[list[str], np.ndarray]:
+    """Header names and float body of a comma-separated table.
+
+    Blank lines are skipped and LF or CRLF line endings both read. An empty
+    file, a header without rows, a non-numeric or missing cell, a ragged row,
+    a body whose width differs from the header, or a non-finite entry raises
+    ValidationError.
+    """
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), None)
+        has_rows = any(line.strip() for line in fh)
+    if header is None:
+        raise ValidationError(f"CSV file {path} is empty")
+    if not has_rows:
+        raise ValidationError(f"CSV file {path} has a header but no data rows")
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+    except ValueError as exc:
+        raise ValidationError(f"malformed CSV {path}: {exc}") from exc
+    if data.shape[1] != len(header):
+        raise ValidationError(
+            f"CSV {path} has {data.shape[1]} data columns but {len(header)} header names"
+        )
+    if not np.all(np.isfinite(data)):
+        raise ValidationError(f"CSV {path} has non-finite entries")
+    return header, data
 
 
 def read_field_csv(path) -> ProbabilityField:
-    """Read a field CSV, validating that the rows form a complete uniform lattice."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(x) for x in row] for row in reader if row]
+    """Read a field CSV, validating that the rows form a complete uniform lattice.
+
+    Rows may come in any order.
+    """
+    header, data = read_csv_table(path)
     n_cols = len(header)
     if n_cols % 2 != 0:
         raise ValidationError("field CSV must have equal coordinate and probability columns")
     nalt = n_cols // 2
-    expect = [f"a_{k}" for k in range(nalt)] + [f"q_{j}" for j in range(nalt)]
-    if header != expect:
+    if header != _field_header(nalt):
         raise ValidationError(f"unexpected field CSV header {header!r}")
-    data = np.asarray(rows, dtype=float)
-    if not np.all(np.isfinite(data)):
-        raise ValidationError("field CSV has non-finite entries")
     coords = data[:, :nalt]
     probs = data[:, nalt:]
     axis_vals = []

@@ -63,6 +63,30 @@ def write_nan_field_csv(path):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _shift_a0(line, old, new):
+    cells = line.split(",")
+    return ",".join([new] + cells[1:]) if cells[0] == old else line
+
+
+# edits of the half_field CSV lines (header first) that make it unreadable
+MALFORMED_FIELD_CSVS = {
+    "non_numeric_cell": lambda ls: ls[:4] + [ls[4].rsplit(",", 1)[0] + ",abc"] + ls[5:],
+    "short_row": lambda ls: ls[:4] + [ls[4].rsplit(",", 1)[0]] + ls[5:],
+    "extra_column": lambda ls: ls[:1] + [line + ",0.0" for line in ls[1:]],
+    "header_only": lambda ls: ls[:1],
+    "empty": lambda ls: [],
+    "missing_row": lambda ls: ls[:-1],
+    "non_uniform_axis": lambda ls: [_shift_a0(line, "0.25", "0.3") for line in ls],
+}
+
+
+def write_malformed_field_csv(path, case):
+    """The 5x5 half_field CSV with one MALFORMED_FIELD_CSVS edit applied."""
+    field.write_field_csv(half_field(), path)
+    lines = MALFORMED_FIELD_CSVS[case](path.read_text().splitlines())
+    path.write_text("".join(line + "\n" for line in lines))
+
+
 @pytest.fixture(scope="session")
 def m_log():
     return log_model(domain=((1e-3, 100.0),) * 3)

@@ -12,7 +12,14 @@ import pytest
 from rumkit import cli, field, model
 from rumkit.cli import EXIT_CHECK_FAIL, EXIT_INPUT_ERROR, EXIT_NUMERICAL, EXIT_PASS
 
-from conftest import lin_model, log_model, oracle_prob, write_nan_field_csv
+from conftest import (
+    MALFORMED_FIELD_CSVS,
+    lin_model,
+    log_model,
+    oracle_prob,
+    write_malformed_field_csv,
+    write_nan_field_csv,
+)
 
 
 def run(*argv):
@@ -141,6 +148,15 @@ class TestCheck:
     def test_nan_field_rejected(self, tmp_path):
         path = tmp_path / "field.csv"
         write_nan_field_csv(path)
+        code = run("check", "--field", str(path), "--out", str(tmp_path / "out"))
+        assert code == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FIELD_CSVS))
+    def test_malformed_field_is_input_error(self, tmp_path, case):
+        # unreadable cells, ragged or missing rows and a non-uniform lattice
+        # are input errors (exit 2), not a failed check or a numerical failure
+        path = tmp_path / "field.csv"
+        write_malformed_field_csv(path, case)
         code = run("check", "--field", str(path), "--out", str(tmp_path / "out"))
         assert code == EXIT_INPUT_ERROR
 
@@ -300,6 +316,19 @@ class TestConvert:
         self.make_price_csv(src, with_p0=True, p0_value=0.0)
         code = run("convert", "--field", str(src), "--out", str(tmp_path))
         assert code == EXIT_PASS
+
+    @pytest.mark.parametrize("column, cell", [(0, "abc"), (2, "nan")], ids=["p_1", "y"])
+    def test_bad_cell_rejected(self, tmp_path, column, cell):
+        src = tmp_path / "prices.csv"
+        self.make_price_csv(src)
+        lines = src.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[column] = cell
+        lines[3] = ",".join(cells)
+        src.write_text("\n".join(lines) + "\n")
+        code = run("convert", "--field", str(src), "--out", str(tmp_path / "out"))
+        assert code == EXIT_INPUT_ERROR
+        assert not (tmp_path / "out" / "field_a.csv").exists()
 
     def test_resample_emits_lattice(self, tmp_path):
         # a genuine (y, p) lattice: probabilities from the linear model at the

@@ -1,14 +1,25 @@
 """Probability fields: interpolation, derivatives, shape checks, CSV format."""
 
+import csv
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rumkit import field, model
-from rumkit.errors import ExtrapolationError, RumkitError, ValidationError
+from rumkit.errors import ExtrapolationError, ValidationError
 
-from conftest import half_field, lin_model, log_model, oracle_prob, write_nan_field_csv
+from conftest import (
+    MALFORMED_FIELD_CSVS,
+    half_field,
+    lin_model,
+    log_model,
+    oracle_prob,
+    write_malformed_field_csv,
+    write_nan_field_csv,
+)
 
 interior_pt = st.lists(st.floats(-0.9, 0.9), min_size=3, max_size=3)
 
@@ -179,12 +190,94 @@ class TestCsv:
         field.write_field_csv(log_field, path)
         back = field.read_field_csv(path)
         assert back.grid == log_field.grid
-        assert np.allclose(back.values, log_field.values, atol=1e-12)
+        assert np.array_equal(back.values, log_field.values)
+
+    def test_shuffled_rows_read_back(self, tmp_path, log_field):
+        path = tmp_path / "field.csv"
+        field.write_field_csv(log_field, path)
+        header, *rows = path.read_text().splitlines()
+        order = np.random.default_rng(7).permutation(len(rows))
+        # LF endings and blank lines are accepted too
+        path.write_text("\n".join([header, ""] + [rows[i] for i in order]) + "\n\n")
+        back = field.read_field_csv(path)
+        assert back.grid == log_field.grid
+        assert np.array_equal(back.values, log_field.values)
 
     def test_incomplete_lattice_rejected(self, tmp_path, log_field):
         path = tmp_path / "field.csv"
         field.write_field_csv(log_field, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-10]) + "\n")
-        with pytest.raises(RumkitError):
+        with pytest.raises(ValidationError):
             field.read_field_csv(path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FIELD_CSVS))
+    def test_malformed_rejected(self, tmp_path, case):
+        path = tmp_path / "field.csv"
+        write_malformed_field_csv(path, case)
+        # a warning (numpy's "input contained no data") would fail the test
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                field.read_field_csv(path)
+
+
+def reference_write_field_csv(f, path):
+    """Per-node csv.writer + repr writer: the reference the slab writer must match."""
+    nalt = f.n_alternatives
+    axes = f.grid.axes()
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow([f"a_{k}" for k in range(nalt)] + [f"q_{j}" for j in range(nalt)])
+        for idx in np.ndindex(*f.grid.counts):
+            coords = [repr(float(axes[k][i])) for k, i in enumerate(idx)]
+            probs = [repr(float(v)) for v in f.values[idx]]
+            w.writerow(coords + probs)
+
+
+def _softmax_field(dims, n):
+    grid = field.GridSpec((-1.0,) * dims, (1.5,) * dims, (n,) * dims)
+    return model.tabulate_from_utilities(
+        grid, [lambda m, k=k: (1.0 + 0.7 * k) * m[k] for k in range(dims)]
+    )
+
+
+def _tiny_probability_field():
+    # coordinates and probabilities that repr prints in exponent form
+    grid = field.GridSpec((1e-5, -3.0), (2e-5, 3.0), (5, 6))
+    q1 = np.geomspace(1e-300, 0.5, 30).reshape(5, 6)
+    q1[0, 1] = 5e-324
+    return field.ProbabilityField(grid, np.stack([1.0 - q1, q1], axis=-1))
+
+
+def _single_alternative_field():
+    grid = field.GridSpec((-2.0,), (2.0,), (9,))
+    return field.ProbabilityField(grid, np.ones((9, 1)))
+
+
+class TestWriterEquivalence:
+    """The slab-streamed writer produces the reference writer's bytes."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: _softmax_field(2, 7),
+            lambda: _softmax_field(3, 6),
+            lambda: _softmax_field(4, 5),
+            _tiny_probability_field,
+            lambda: model.tabulate(
+                lin_model(), field.GridSpec((-1.0,) * 3, (1.0,) * 3, (5,) * 3),
+                method="monte_carlo", n=300, seed=3,
+            ),
+            _single_alternative_field,
+        ],
+        ids=["J1", "J2", "J3", "exponent_form", "monte_carlo", "single_alternative"],
+    )
+    def test_bytes_match_reference(self, tmp_path, make):
+        f = make()
+        field.write_field_csv(f, tmp_path / "new.csv")
+        reference_write_field_csv(f, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        back = field.read_field_csv(tmp_path / "new.csv")
+        assert back.grid == f.grid
+        assert np.array_equal(back.values, f.values)
