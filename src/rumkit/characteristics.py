@@ -25,16 +25,13 @@ from .errors import (
 )
 
 _SPAN_GUARD = 200.0  # max integration span, in units of the a_0 domain width
+_BOX_MARGIN = 0.2  # a_j box enlargement for the march, as a fraction of the a_j span
+_SPIKE_TOL = 0.1  # one RK4 step may move a_j by this fraction of (|a_j| + 1)
+_INVERT_TOL = 1e-9  # bisection bracket width at which inversion stops
+_INVERT_MAX_ITER = 100
 
 
-def _invert_monotone_vec(
-    f,
-    targets: np.ndarray,
-    lo: float,
-    hi: float,
-    tol: float = 1e-9,
-    max_iter: int = 100,
-) -> np.ndarray:
+def _invert_monotone_vec(f, targets: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Vectorized bisection: solve f(x) = targets elementwise on a shared bracket.
 
     f must map an array of abscissae to function values elementwise. Entries
@@ -51,8 +48,8 @@ def _invert_monotone_vec(
         in_range = (targets <= f_lo) & (targets >= f_hi)
     a = np.full_like(targets, lo)
     b = np.full_like(targets, hi)
-    for _ in range(max_iter):
-        if np.max(b - a) <= tol:
+    for _ in range(_INVERT_MAX_ITER):
+        if np.max(b - a) <= _INVERT_TOL:
             break
         m = 0.5 * (a + b)
         fm = f(m)
@@ -95,12 +92,11 @@ def integrate_characteristic(
     target_a0: float,
     step: float,
     domain=None,
-    spike_tol: float = 0.1,
 ) -> CharacteristicPath:
     """RK4 trace of da_j/da_0 = t(a_j, a_0) from start=(a_0, a_j) to target_a0.
 
     Fixed step with one level of halving when a single step moves a_j by more
-    than spike_tol relative to its magnitude. If a domain rectangle
+    _SPIKE_TOL relative to its magnitude. If a domain rectangle
     ((aj_lo, aj_hi), (a0_lo, a0_hi)) is given, the path stops at the first exit
     and is flagged clipped.
     """
@@ -116,14 +112,14 @@ def integrate_characteristic(
     while direction * (target_a0 - a0) > 1e-14:
         h = direction * min(step, abs(target_a0 - a0))
         aj_new, _, _ = _rk4_advance(t, a0, np.asarray(aj), h)
-        if abs(float(aj_new) - aj) > spike_tol * scale:
+        if abs(float(aj_new) - aj) > _SPIKE_TOL * scale:
             # one level of halving over a steep region
             half = h / 2.0
             if abs(half) < 1e-15 * max(1.0, abs(a0)):
                 raise StepUnderflowError(f"step underflow near a_0 = {a0!r}")
             mid, _, _ = _rk4_advance(t, a0, np.asarray(aj), half)
             aj_new, _, _ = _rk4_advance(t, a0 + half, mid, half)
-            if abs(float(aj_new) - aj) > 2 * spike_tol * scale:
+            if abs(float(aj_new) - aj) > 2 * _SPIKE_TOL * scale:
                 raise StepUnderflowError(
                     f"characteristic slope spike at a_0 = {a0!r} exceeds halving capacity"
                 )
@@ -326,7 +322,7 @@ class OmegaFunction:
         tv = np.asarray(self.ratio(AJ, A0), dtype=float)
         return np.abs(d0 + dj * tv)
 
-    def invert_a0_many(self, a_j: float, v: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    def invert_a0_many(self, a_j: float, v: np.ndarray) -> np.ndarray:
         """Vectorized inversion in a_0; NaN where v is outside the attained range."""
         _, (a0_lo, a0_hi) = self.domain
         return _invert_monotone_vec(
@@ -334,18 +330,21 @@ class OmegaFunction:
             np.asarray(v, dtype=float),
             a0_lo,
             a0_hi,
-            tol,
         )
 
-    def invert_aj_many(self, v: np.ndarray, a_0: float, tol: float = 1e-9) -> np.ndarray:
-        """Vectorized b(v, a_0): a_j with omega(a_j, a_0) = v; NaN out of range."""
+    def invert_aj_many(self, v: np.ndarray, a_0) -> np.ndarray:
+        """Vectorized b(v, a_0): a_j with omega(a_j, a_0) = v; NaN out of range.
+
+        a_0 is a scalar or an array that broadcasts to v's shape, e.g. v of
+        shape (n_ref, n_v) against a_0 of shape (n_ref, 1) inverts every level
+        at every reference in one call.
+        """
         (aj_lo, aj_hi), _ = self.domain
         return _invert_monotone_vec(
             lambda x: self._spline.ev(x, np.broadcast_to(a_0, np.shape(x))),
             np.asarray(v, dtype=float),
             aj_lo,
             aj_hi,
-            tol,
         )
 
     def export_csv(self, path, n: int = 101) -> None:
@@ -366,7 +365,6 @@ def build_omega(
     a_ref: float | None = None,
     resolution: int = 201,
     step: float | None = None,
-    margin: float = 0.2,
     j: int | None = None,
     scale: str = "auto",
 ) -> OmegaFunction:
@@ -375,8 +373,8 @@ def build_omega(
     domain: ((aj_lo, aj_hi), (a0_lo, a0_hi)). For every lattice node the
     characteristic through it is integrated until it crosses a_j = a_ref; the
     crossing a_0 is the node's level value. Characteristics may leave the
-    domain rectangle on their way to the anchor line: integration runs on a
-    margin-enlarged a_j box and an automatically extended a_0 span.
+    domain rectangle on their way to the anchor line: integration runs on an
+    a_j box enlarged by _BOX_MARGIN and an automatically extended a_0 span.
 
     scale: "linear" steps uniformly in a_0, "log" in ln a_0 with log-spaced
     lattices (the right parametrization when the domain spans decades), "auto"
@@ -399,7 +397,7 @@ def build_omega(
     if use_log:
         if step is None:
             step = np.log(a0_hi / a0_lo) / 300.0
-        pad = (aj_hi / aj_lo) ** margin
+        pad = (aj_hi / aj_lo) ** _BOX_MARGIN
         aj_box = (aj_lo / pad, aj_hi * pad)
         span = np.log(a0_hi / a0_lo)
         limit_hi = np.log(a0_hi) + _SPAN_GUARD * span
@@ -416,7 +414,7 @@ def build_omega(
     else:
         if step is None:
             step = (a0_hi - a0_lo) / 300.0
-        pad_j = margin * (aj_hi - aj_lo)
+        pad_j = _BOX_MARGIN * (aj_hi - aj_lo)
         aj_box = (aj_lo - pad_j, aj_hi + pad_j)
         span = a0_hi - a0_lo
         limit_hi = a0_hi + _SPAN_GUARD * span
@@ -471,14 +469,14 @@ class UtilityFunction:
     j: int
     omega: OmegaFunction
 
-    def eval(self, a_j: float, v: float, tol: float = 1e-9) -> float:
-        w = float(self.eval_many(a_j, np.array([v], dtype=float), tol)[0])
+    def eval(self, a_j: float, v: float) -> float:
+        w = float(self.eval_many(a_j, np.array([v], dtype=float))[0])
         if np.isnan(w):
             raise LevelRangeError(f"level {v!r} not attained at a_j={a_j!r}")
         return w
 
-    def eval_many(self, a_j: float, v: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        return self.omega.invert_a0_many(a_j, v, tol)
+    def eval_many(self, a_j: float, v: np.ndarray) -> np.ndarray:
+        return self.omega.invert_a0_many(a_j, v)
 
     def export_csv(self, path, n: int = 101) -> None:
         (aj_lo, aj_hi), _ = self.omega.domain

@@ -305,10 +305,8 @@ def cmd_convert(cfg: RunConfig) -> int:
         if "y" not in header:
             raise ValidationError("price input needs a y column")
         y_col = header.index("y")
-        q_cols = [i for i, h in enumerate(header) if h.startswith("q_")]
         J = len(p_cols)
-        if len(q_cols) != J + 1:
-            raise ValidationError(f"expected {J + 1} q columns, found {len(q_cols)}")
+        q_cols = _probability_columns(header, data, J + 1)
         y = data[:, y_col]
         a = np.empty((len(data), J + 1))
         a[:, 0] = y
@@ -325,12 +323,15 @@ def cmd_convert(cfg: RunConfig) -> int:
         if cfg.resample:
             _resample_to_lattice(header, data, p_cols, y_col, q_cols, cfg, out)
     elif cfg.direction == "a_to_price":
-        a_cols = [i for i, h in enumerate(header) if h.startswith("a_")]
-        q_cols = [i for i, h in enumerate(header) if h.startswith("q_")]
-        J = len(a_cols) - 1
-        y = data[:, a_cols[0]]
+        if "a_0" not in header:
+            raise ValidationError("a-coordinate input needs an a_0 column")
+        y_col = header.index("a_0")
+        a_cols = [i for i, h in enumerate(header) if h.startswith("a_") and h != "a_0"]
+        J = len(a_cols)
+        q_cols = _probability_columns(header, data, J + 1)
+        y = data[:, y_col]
         p = np.empty((len(data), J))
-        for j, c in enumerate(a_cols[1:]):
+        for j, c in enumerate(a_cols):
             p[:, j] = y - data[:, c]
         rows = np.concatenate([p, y[:, None], data[:, q_cols]], axis=1)
         new_header = ",".join(
@@ -343,6 +344,15 @@ def cmd_convert(cfg: RunConfig) -> int:
     else:
         raise ValidationError(f"unknown direction {cfg.direction!r}")
     return EXIT_PASS
+
+
+def _probability_columns(header, data, n_alt: int) -> list[int]:
+    """Indices of the q_* columns; n_alt of them, holding probability rows."""
+    q_cols = [i for i, h in enumerate(header) if h.startswith("q_")]
+    if len(q_cols) != n_alt:
+        raise ValidationError(f"expected {n_alt} q columns, found {len(q_cols)}")
+    field_mod.check_probability_rows(data[:, q_cols])
+    return q_cols
 
 
 def _resample_to_lattice(header, data, p_cols, y_col, q_cols, cfg, out: Path):

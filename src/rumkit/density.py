@@ -11,7 +11,7 @@ agree, which makes the pair a strong internal consistency check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -30,13 +30,7 @@ class MassReport:
     min_raw_density: float
 
     def to_dict(self) -> dict:
-        return {
-            "mass": self.mass,
-            "corner_cdf": self.corner_cdf,
-            "support_fraction": self.support_fraction,
-            "clipped_nodes": self.clipped_nodes,
-            "min_raw_density": self.min_raw_density,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -60,6 +54,9 @@ class DensityGrid:
                 raise ValidationError(f"{name} shape {arr.shape} != grid shape {shape}")
         if self.support_mask.shape != shape:
             raise ValidationError("support_mask shape mismatch")
+        for arr in (*self.axes, self.f_values, self.F_values):
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError("density grid axes and values must be finite")
         if np.any(self.f_values[self.support_mask] < 0):
             raise ValidationError("negative density on support after clipping")
 
@@ -145,14 +142,15 @@ def _axis_is_log(lo: float, hi: float) -> bool:
     return lo > 0 and hi / lo > 20.0
 
 
-def _interior_a0_candidates(
-    field: ProbabilityField,
-    n: int = 64,
-    margin_steps: int = 0,
-    return_node_mask: bool = False,
-):
-    """Reference a_0 values inside the field: exact grid nodes first, then
-    off-node values spread log-uniformly on wide positive axes.
+_N_REFERENCES = 64  # reference a_0 targets spread over the a_0 axis
+_TOL_NEG_REL = 1e-4  # negative density clipped to 0 down to this fraction of max f
+
+
+def _interior_a0_candidates(field: ProbabilityField, margin_steps: int = 0):
+    """Reference a_0 values inside the field and a mask of the exact grid nodes.
+
+    Exact grid nodes come first, then off-node values spread log-uniformly on
+    wide positive axes; each group is ordered middle-out.
 
     Any a_0 works as the mapping reference when a_0 is not differentiated
     (FD stencils shift the other axes by exactly one grid spacing, so cell
@@ -165,10 +163,10 @@ def _interior_a0_candidates(
     valid = ax[margin_steps : len(ax) - margin_steps or None]
     lo, hi = float(valid[0]), float(valid[-1])
     if _axis_is_log(lo, hi):
-        targets = np.geomspace(lo, hi, n)
+        targets = np.geomspace(lo, hi, _N_REFERENCES)
         pick = np.abs(np.log(valid)[None, :] - np.log(targets)[:, None]).argmin(axis=1)
     else:
-        targets = np.linspace(lo, hi, n)
+        targets = np.linspace(lo, hi, _N_REFERENCES)
         pick = np.abs(valid[None, :] - targets[:, None]).argmin(axis=1)
 
     def middle_out(arr):
@@ -177,53 +175,51 @@ def _interior_a0_candidates(
 
     nodes = middle_out(valid[np.unique(pick)])
     cands = np.concatenate([nodes, middle_out(targets)])
-    if return_node_mask:
-        mask = np.zeros(len(cands), dtype=bool)
-        mask[: len(nodes)] = True
-        return cands, mask
-    return cands
+    return cands, np.arange(len(cands)) < len(nodes)
+
+
+def _level_map(omegas, v_axes, references, bounds) -> list:
+    """b_j(v, a_0) for every level on v_axes[j] and every reference a_0.
+
+    Entry [j][c, i] is the a_j at which omega_j attains v_axes[j][i] with
+    a_0 = references[c], from one batched inversion per axis; NaN where the
+    level is not attained or the a_j falls outside bounds[j] = (lo, hi).
+    """
+    a0 = np.asarray(references, dtype=float)[:, None]
+    out = []
+    for om, v, (lo, hi) in zip(omegas, v_axes, bounds):
+        v = np.asarray(v, dtype=float)
+        b = om.invert_aj_many(np.broadcast_to(v, (len(a0), len(v))), a0)
+        out.append(np.where((b >= lo) & (b <= hi), b, np.nan))
+    return out
 
 
 def reconstruct_cdf(field: ProbabilityField, omegas, v, a_0=None) -> float:
     """CDF value F(v) = q_0 at the a-point where each omega_j attains v_j.
 
     The mapped point depends on the reference a_0 but the value does not, so
-    with a_0=None the value is averaged over three interior references.
+    with a_0=None the value is averaged over the first three references, in
+    candidate order, whose point lies inside the field hull.
     """
     v = np.asarray(v, dtype=float)
     if len(v) != len(omegas):
         raise ValidationError("v length must match the number of omega functions")
-    if a_0 is not None:
-        candidates = [float(a_0)]
-        want = 1
-    else:
-        # middle-out over all interior nodes; keep the first 3 that work
-        candidates = _interior_a0_candidates(field)
+    if a_0 is None:
+        references, _ = _interior_a0_candidates(field)
         want = 3
-    vals = []
-    for a0 in candidates:
-        if len(vals) >= want:
-            break
-        point = [a0]
-        ok = True
-        for vj, om in zip(v, omegas):
-            aj = om.invert_aj_many(np.array([vj]), a0)[0]
-            if np.isnan(aj):
-                ok = False
-                break
-            point.append(aj)
-        if not ok:
-            continue
-        try:
-            q = field.interpolate(np.asarray(point))
-        except Exception:
-            continue
-        vals.append(q[0])
-    if not vals:
+    else:
+        references = np.array([float(a_0)])
+        want = 1
+    g = field.grid
+    hull = [(g.lower[j], g.upper[j]) for j in range(1, g.dims)]
+    inv = _level_map(omegas, v[:, None], references, hull)
+    pts = np.column_stack([references] + [b[:, 0] for b in inv])
+    ok = g.contains(pts)  # NaN coordinates compare False
+    if not ok.any():
         raise SupportError(
             f"v = {v.tolist()} has no level-attaining a-point at any reference a_0"
         )
-    return float(np.mean(vals))
+    return float(np.mean(field.interpolate(pts[ok][:want])[:, 0]))
 
 
 def reconstruct_density(
@@ -232,7 +228,6 @@ def reconstruct_density(
     v_grid,
     route: str = "mixed",
     alt_k: int = 1,
-    tol_neg: float | None = None,
 ) -> DensityGrid:
     """Density grid over v_grid (tuple of axes) from the field and omega maps.
 
@@ -242,8 +237,9 @@ def reconstruct_density(
     Each v-node is mapped to a-space at the innermost reference a_0 where
     every inversion lands clear of the FD stencil margin, preferring exact
     grid nodes over off-node references whenever one is usable;
-    nodes with no such reference are masked out of support. Negative values in
-    [-tol_neg, 0) are clipped to 0 and counted; anything below -tol_neg aborts.
+    nodes with no such reference are masked out of support. Negative values
+    down to -_TOL_NEG_REL * max f are clipped to 0 and counted; anything lower
+    aborts.
     """
     J = len(omegas)
     if field.grid.dims != J + 1:
@@ -255,7 +251,7 @@ def reconstruct_density(
     axes_a = field.grid.axes()
     spacing = field.grid.spacing
     candidates, node_mask = _interior_a0_candidates(
-        field, margin_steps=0 if route == "mixed" else 1, return_node_mask=True
+        field, margin_steps=0 if route == "mixed" else 1
     )
 
     def axis_bounds(j):
@@ -267,27 +263,15 @@ def reconstruct_density(
             axes_a[j + 1][-1] - steps * spacing[j + 1],
         )
 
-    # b_j(v, a_0) for every axis value and candidate reference, all at once
-    inv = []  # inv[j][c] = a_j array over v-axis j, NaN when unusable
-    for j, om in enumerate(omegas):
-        lo, hi = axis_bounds(j)
-        per_cand = []
-        for a0 in candidates:
-            b = om.invert_aj_many(v_grid[j], float(a0))
-            b = np.where((b >= lo) & (b <= hi), b, np.nan)
-            per_cand.append(b)
-        inv.append(np.asarray(per_cand))
-
+    bounds = [axis_bounds(j) for j in range(J)]
+    inv = _level_map(omegas, v_grid, candidates, bounds)  # inv[j]: (n_cand, n_v_j)
     shape = tuple(len(ax) for ax in v_grid)
-    f_raw = np.full(shape, np.nan)
-    support = np.zeros(shape, dtype=bool)
 
     # score each candidate per node by how deep every inverted coordinate
     # sits inside its axis; pick the deepest, mask nodes with no valid choice
     score = np.full((len(candidates),) + shape, np.inf)
-    for j in range(J):
-        lo, hi = axis_bounds(j)
-        b = inv[j]  # (n_cand, n_axis_j)
+    for j, (lo, hi) in enumerate(bounds):
+        b = inv[j]
         if _axis_is_log(lo, hi):
             m = np.minimum(np.log(b / lo), np.log(hi / b)) / np.log(hi / lo)
         else:
@@ -301,67 +285,47 @@ def reconstruct_density(
         (score >= 0.0) & node_mask.reshape((-1,) + (1,) * J), 2.0, 0.0
     )
     first = np.argmax(score + bonus, axis=0)
-    any_valid = np.max(score, axis=0) >= 0.0
-
-    for c, a0 in enumerate(candidates):
-        sel = any_valid & (first == c)
-        if not sel.any():
-            continue
-        idx = np.argwhere(sel)
-        pts = np.empty((len(idx), J + 1))
-        pts[:, 0] = a0
-        d_om = np.ones(len(idx))
-        for j in range(J):
-            aj = inv[j][c][idx[:, j]]
-            pts[:, j + 1] = aj
-        if route == "mixed":
-            num = field.fd_stencil(0, tuple(range(1, J + 1)), pts)
-            for j in range(J):
-                d_om *= np.asarray(omegas[j].d_aj(pts[:, j + 1], a0))
-            f_node = num / d_om
-        else:
-            k = alt_k
-            other = [j for j in range(1, J + 1) if j != k]
-            num = field.fd_stencil(k, (0, *other), pts)
-            d_om = np.asarray(omegas[k - 1].d_a0(pts[:, k], a0))
-            for j in other:
-                d_om = d_om * np.asarray(omegas[j - 1].d_aj(pts[:, j], a0))
-            f_node = -num / d_om
-        f_raw[tuple(idx.T)] = f_node
-        support[tuple(idx.T)] = True
-
+    support = np.max(score, axis=0) >= 0.0
     if not support.any():
         raise SupportError("no v-node maps into the field interior")
-    fmax = float(np.nanmax(f_raw))
-    if tol_neg is None:
-        tol_neg = 1e-4 * max(fmax, 0.0)
-    min_raw = float(np.nanmin(f_raw))
+
+    # every supported node's a-point, at its chosen reference, in one batch
+    nodes = np.nonzero(support)
+    ref = first[support]
+    a0 = candidates[ref]
+    pts = np.column_stack([a0] + [inv[j][ref, nodes[j]] for j in range(J)])
+    if route == "mixed":
+        num = field.fd_stencil(0, tuple(range(1, J + 1)), pts)
+        d_om = np.ones(len(pts))
+        for j in range(J):
+            d_om *= np.asarray(omegas[j].d_aj(pts[:, j + 1], a0))
+        f_node = num / d_om
+    else:
+        k = alt_k
+        other = [j for j in range(1, J + 1) if j != k]
+        num = field.fd_stencil(k, (0, *other), pts)
+        d_om = np.asarray(omegas[k - 1].d_a0(pts[:, k], a0))
+        for j in other:
+            d_om = d_om * np.asarray(omegas[j - 1].d_aj(pts[:, j], a0))
+        f_node = -num / d_om
+
+    tol_neg = _TOL_NEG_REL * max(float(np.nanmax(f_node)), 0.0)
+    min_raw = float(np.nanmin(f_node))
     if min_raw < -tol_neg:
         raise NegativeDensityError(
             f"density {min_raw:.3e} below -tol_neg = {-tol_neg:.3e}"
         )
-    clipped = int(np.sum((f_raw < 0) & support))
-    f_vals = np.where(support, np.clip(f_raw, 0.0, None), 0.0)
-
-    # CDF at each node through the same mapping, vectorized per candidate
+    f_vals = np.zeros(shape)
+    f_vals[nodes] = np.clip(f_node, 0.0, None)
     F_vals = np.zeros(shape)
-    for c, a0 in enumerate(candidates):
-        sel = any_valid & (first == c)
-        if not sel.any():
-            continue
-        idx = np.argwhere(sel)
-        pts = np.empty((len(idx), J + 1))
-        pts[:, 0] = a0
-        for j in range(J):
-            pts[:, j + 1] = inv[j][c][idx[:, j]]
-        F_vals[tuple(idx.T)] = field.fd_stencil(0, (), pts)
+    F_vals[nodes] = field.fd_stencil(0, (), pts)
 
     return DensityGrid(
         axes=tuple(np.asarray(ax, dtype=float) for ax in v_grid),
         f_values=f_vals,
         F_values=F_vals,
         support_mask=support,
-        clipped_nodes=clipped,
+        clipped_nodes=int(np.sum(f_node < 0)),
         min_raw_density=min_raw,
         a_ref=tuple(om.a_ref for om in omegas),
         provenance={"route": route, "field_hash": field.content_hash()},

@@ -67,6 +67,18 @@ class GridSpec:
         return np.all((a >= np.array(self.lower)) & (a <= np.array(self.upper)), axis=-1)
 
 
+def check_probability_rows(values) -> None:
+    """Raise ValidationError unless every row along the last axis is a
+    probability vector: finite entries in [0, 1] summing to 1 within 1e-9."""
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("field entries must be finite")
+    if np.any(values < -1e-12) or np.any(values > 1 + 1e-12):
+        raise ValidationError("field entries must lie in [0, 1]")
+    sums = values.sum(axis=-1)
+    if max(sums.max() - 1.0, 1.0 - sums.min()) > 1e-9:
+        raise ValidationError("field rows must sum to 1")
+
+
 @dataclass
 class ProbabilityField:
     """Dense table of probability vectors on a GridSpec, immutable after build."""
@@ -82,13 +94,7 @@ class ProbabilityField:
             raise GridMismatchError(
                 f"values shape {self.values.shape} != expected {expect}"
             )
-        if not np.all(np.isfinite(self.values)):
-            raise ValidationError("field entries must be finite")
-        if np.any(self.values < -1e-12) or np.any(self.values > 1 + 1e-12):
-            raise ValidationError("field entries must lie in [0, 1]")
-        sums = self.values.sum(axis=-1)
-        if np.max(np.abs(sums - 1.0)) > 1e-9:
-            raise ValidationError("field rows must sum to 1")
+        check_probability_rows(self.values)
         self.values.setflags(write=False)
 
     @property
@@ -199,11 +205,16 @@ class ProbabilityField:
     def interior_slices(self) -> tuple[slice, ...]:
         return tuple(slice(1, n - 1) for n in self.grid.counts)
 
-    def content_hash(self) -> str:
+    @cached_property
+    def _content_digest(self) -> str:
         h = hashlib.sha256()
         h.update(repr((self.grid.lower, self.grid.upper, self.grid.counts)).encode())
         h.update(np.ascontiguousarray(self.values).tobytes())
         return h.hexdigest()[:16]
+
+    def content_hash(self) -> str:
+        """Digest of the grid and values, computed once (values are read-only)."""
+        return self._content_digest
 
 
 @dataclass

@@ -152,26 +152,12 @@ class ChoiceModelSpec:
     def n_alternatives(self) -> int:
         return len(self.utilities)
 
-    @property
-    def n_choices(self) -> int:
-        """J: number of inside alternatives (indices 1..J)."""
-        return len(self.utilities) - 1
-
     def require_in_domain(self, j: int, a: float) -> None:
         lo, hi = self.domain[j]
         if not lo <= a <= hi:
             raise DomainError(
                 f"a={a!r} outside domain [{lo}, {hi}] of alternative {j}"
             )
-
-    def marginal_utility_ratio(self, j: int, m: int):
-        """Analytic h'_m(a_m) / h'_j(a_j) as a function of (a_j, a_m)."""
-        hj, hm = self.utilities[j], self.utilities[m]
-
-        def ratio(a_j, a_m):
-            return hm.derivative(a_m) / hj.derivative(a_j)
-
-        return ratio
 
     # -- JSON wire format -------------------------------------------------
 
@@ -221,6 +207,14 @@ class ChoiceModelSpec:
             fh.write("\n")
 
 
+def _softmax_inplace(logits: np.ndarray) -> np.ndarray:
+    """Turn a writable (..., J+1) logit buffer into probabilities, in place."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
+
+
 def utility_value(model: ChoiceModelSpec, j: int, a: float) -> float:
     """h_j(a) with domain checking."""
     model.require_in_domain(j, a)
@@ -241,9 +235,7 @@ def choice_prob_closed_form(model: ChoiceModelSpec, a) -> np.ndarray:
     logits = np.array(
         [u.value(aj) for u, aj in zip(model.utilities, a)]
     ) / model.noise.scale
-    logits -= logits.max()
-    w = np.exp(logits)
-    return w / w.sum()
+    return _softmax_inplace(logits)
 
 
 def _noise_draws(model: ChoiceModelSpec, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -304,14 +296,12 @@ def tabulate(
             raise NoClosedFormError(
                 f"no closed form for noise kind {model.noise.kind!r}; use Monte Carlo"
             )
-        logit_axes = [
-            u.value(ax) / model.noise.scale for u, ax in zip(model.utilities, grid.axes())
-        ]
-        mesh = np.meshgrid(*logit_axes, indexing="ij")
-        logits = np.stack(mesh, axis=-1)
-        logits -= logits.max(axis=-1, keepdims=True)
-        w = np.exp(logits)
-        values = w / w.sum(axis=-1, keepdims=True)
+        values = np.empty(grid.counts + (grid.dims,))
+        for k, (u, ax) in enumerate(zip(model.utilities, grid.axes())):
+            shape = [1] * grid.dims
+            shape[k] = -1
+            values[..., k] = (u.value(ax) / model.noise.scale).reshape(shape)
+        _softmax_inplace(values)
         provenance = f"closed_form:{model_hash(model)}"
     elif method == "monte_carlo":
         shape = grid.counts + (model.n_alternatives,)
@@ -333,11 +323,12 @@ def tabulate_from_utilities(grid: GridSpec, utilities, scale: float = 1.0) -> Pr
     terms that break condition-A style restrictions).
     """
     mesh = np.meshgrid(*grid.axes(), indexing="ij")
-    logits = np.stack([np.asarray(u(mesh)) / scale for u in utilities], axis=-1)
-    logits -= logits.max(axis=-1, keepdims=True)
-    w = np.exp(logits)
-    values = w / w.sum(axis=-1, keepdims=True)
-    return ProbabilityField(grid=grid, values=values, provenance="custom_softmax")
+    values = np.empty(grid.counts + (len(utilities),))
+    for j, u in enumerate(utilities):
+        values[..., j] = np.asarray(u(mesh)) / scale
+    return ProbabilityField(
+        grid=grid, values=_softmax_inplace(values), provenance="custom_softmax"
+    )
 
 
 def model_hash(model: ChoiceModelSpec) -> str:

@@ -14,7 +14,6 @@ which for an additive-noise generator equals h'_m(a_m) / h'_j(a_j).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -29,6 +28,8 @@ from .errors import (
 from .field import ProbabilityField
 
 BASIS_KINDS = ("polynomial", "log_polynomial")
+_MAX_FAMILIES = 200  # (a_j, a_m) node pairs sampled per condition-A pair
+_MAX_FAMILY_SIZE = 200  # off-pair node combinations sampled per family
 
 
 def default_eps_denom(field: ProbabilityField) -> float:
@@ -99,11 +100,6 @@ class SymmetryReport:
             "inconclusive": self.inconclusive,
         }
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
 
 def test_daly_zachary(
     field: ProbabilityField,
@@ -143,23 +139,19 @@ def test_daly_zachary(
     return SymmetryReport("daly_zachary", tol, stats, len(pts))
 
 
-def _interior_index_arrays(field: ProbabilityField) -> list[np.ndarray]:
-    return [np.arange(1, n - 1) for n in field.grid.counts]
-
-
 def test_condition_A(
     field: ProbabilityField,
     m: int,
     tol: float,
     eps_denom: float | None = None,
-    max_families: int = 200,
-    max_family_size: int = 200,
     seed: int = 0,
 ) -> SymmetryReport:
     """For each j != m, spread of ratio(j, m) across the off-pair coordinates.
 
     Families are grid-node sets sharing (a_j, a_m) while the remaining
-    coordinates range over interior nodes. Vacuous for J = 1.
+    coordinates range over interior nodes; at most _MAX_FAMILIES families of
+    at most _MAX_FAMILY_SIZE nodes are sampled (deterministic in seed).
+    Vacuous for J = 1.
     """
     nalt = field.n_alternatives
     if nalt == 2:
@@ -168,7 +160,7 @@ def test_condition_A(
         eps_denom = default_eps_denom(field)
     rng = np.random.default_rng(seed)
     grads = field.node_gradients
-    interior = _interior_index_arrays(field)
+    interior = [np.arange(1, n - 1) for n in field.grid.counts]
     stats = {}
     for j in range(nalt):
         if j == m:
@@ -180,14 +172,14 @@ def test_condition_A(
             for ij in interior[j]
             for im in interior[m]
         ]
-        if len(pair_idx) > max_families:
-            sel = rng.choice(len(pair_idx), size=max_families, replace=False)
+        if len(pair_idx) > _MAX_FAMILIES:
+            sel = rng.choice(len(pair_idx), size=_MAX_FAMILIES, replace=False)
             pair_idx = [pair_idx[i] for i in sel]
         off_axes = [k for k in range(nalt) if k not in (j, m)]
         off_grids = np.meshgrid(*[interior[k] for k in off_axes], indexing="ij")
         off_combos = np.stack([g.ravel() for g in off_grids], axis=-1)
-        if off_combos.shape[0] > max_family_size:
-            sel = rng.choice(off_combos.shape[0], size=max_family_size, replace=False)
+        if off_combos.shape[0] > _MAX_FAMILY_SIZE:
+            sel = rng.choice(off_combos.shape[0], size=_MAX_FAMILY_SIZE, replace=False)
             off_combos = off_combos[sel]
         max_spread = -1.0
         loc = None
@@ -252,7 +244,6 @@ class RatioFunction:
     """Bivariate ratio surface t_jm(a_j, a_m) >= 0 on a domain rectangle.
 
     form is one of:
-      analytic -- derived from a ChoiceModelSpec's marginal utilities
       sieve    -- least-squares polynomial (or log-polynomial) fit
       callable -- arbitrary function supplied by the caller
     """
@@ -271,7 +262,7 @@ class RatioFunction:
     def __call__(self, a_j, a_m):
         a_j = np.asarray(a_j, dtype=float)
         a_m = np.asarray(a_m, dtype=float)
-        if self.form in ("analytic", "callable"):
+        if self.form == "callable":
             return np.maximum(np.asarray(self.fn(a_j, a_m), dtype=float), 0.0)
         if self.basis == "log_polynomial":
             xj, xm = np.log(a_j), np.log(a_m)
@@ -284,12 +275,6 @@ class RatioFunction:
         if self.basis == "log_polynomial":
             return np.exp(acc)
         return np.maximum(acc, 0.0)
-
-    @classmethod
-    def from_model(cls, model, j: int, m: int = 0) -> "RatioFunction":
-        fn = model.marginal_utility_ratio(j, m)
-        dom = (model.domain[j], model.domain[m])
-        return cls(j=j, pivot=m, form="analytic", domain=dom, fn=fn)
 
     @classmethod
     def from_callable(cls, fn, domain, j: int = 1, m: int = 0) -> "RatioFunction":
@@ -323,16 +308,6 @@ class RatioFunction:
             fit_rms=d.get("fit_rms"),
             fit_max_residual=d.get("fit_max_residual"),
         )
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
-    @classmethod
-    def from_json(cls, path) -> "RatioFunction":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def ratio_samples(

@@ -46,28 +46,19 @@ def _cell_utility_table(utilities, density: DensityGrid, a):
     return tables
 
 
-def _winners(tables, a0):
-    """Argmax alternative per v-cell grid node; -1 where undecidable."""
-    J = len(tables)
-    shape = tuple(len(t) for t in tables)
-    best = np.full(shape, float(a0))
-    who = np.zeros(shape, dtype=int)
-    for j, t in enumerate(tables):
-        resh = [1] * J
-        resh[j] = len(t)
-        w = t.reshape(resh)
-        w_b = np.broadcast_to(w, shape)
-        take = w_b > best
-        best = np.where(take, w_b, best)
-        who = np.where(take, j + 1, who)
-    # undecidable: more than one alternative at +inf in the same cell
-    inf_count = np.zeros(shape, dtype=int)
-    for j, t in enumerate(tables):
-        resh = [1] * J
-        resh[j] = len(t)
-        inf_count = inf_count + np.broadcast_to(np.isinf(t).reshape(resh) & (t.reshape(resh) > 0), shape)
-    who = np.where(inf_count > 1, -1, who)
-    return who
+def _winners(ws, a0):
+    """Argmax alternative over utility arrays that broadcast together.
+
+    The outside option holds utility a0 and wins ties; -1 marks undecidable
+    entries, where more than one alternative sits at +inf.
+    """
+    best, who, n_top = a0, 0, 0
+    for j, w in enumerate(ws, start=1):
+        take = w > best
+        best = np.where(take, w, best)
+        who = np.where(take, j, who)
+        n_top = n_top + (w == np.inf)
+    return np.where(n_top > 1, -1, who)
 
 
 def _lerp_tables(lo, hi, frac):
@@ -117,51 +108,34 @@ def rationalized_choice_prob(
             f"density mass {total:.4f} outside {_MASS_WINDOW}"
         )
     tables = _cell_utility_table(utilities, density, a)
-    counts = np.zeros(J + 1)
-    skipped = 0.0
     if method == "grid_quadrature":
         # each cell's mass spread uniformly over refine^J subcells; the
         # winner is judged at subcell centers, shrinking the misallocated
         # band along indifference boundaries by the refinement factor
         refine = 4
-        sub = _subcell_tables(tables, refine)
-        who = _winners(sub, a[0])
-        sub_masses = masses / refine**J
+        ws = [
+            t.reshape([-1 if k == j else 1 for k in range(J)])
+            for j, t in enumerate(_subcell_tables(tables, refine))
+        ]
+        weights = masses / refine**J
         for d in range(J):
-            sub_masses = np.repeat(sub_masses, refine, axis=d)
-        for j in range(J + 1):
-            counts[j] = float(sub_masses[who == j].sum())
-        skipped = float(sub_masses[who == -1].sum())
+            weights = np.repeat(weights, refine, axis=d)
+        weights, unit = weights.ravel(), 1.0
     elif method == "monte_carlo":
         rng = np.random.default_rng(seed)
         flat = masses.ravel()
-        probs = flat / flat.sum()
-        draws = rng.choice(len(flat), size=n, p=probs)
-        cells = np.column_stack(np.unravel_index(draws, masses.shape))
+        draws = rng.choice(len(flat), size=n, p=flat / flat.sum())
+        cells = np.unravel_index(draws, masses.shape)
         u = rng.random((n, J))
-        v = np.empty((n, J))
-        for j in range(J):
-            ax = density.axes[j]
-            lo = ax[cells[:, j]]
-            hi = ax[cells[:, j] + 1]
-            v[:, j] = lo + u[:, j] * (hi - lo)
-        best = np.full(n, a[0])
-        who = np.zeros(n, dtype=int)
-        n_inf = np.zeros(n, dtype=int)
-        for j in range(J):
-            t = tables[j]
-            w = _lerp_tables(t[cells[:, j]], t[cells[:, j] + 1], u[:, j])
-            n_inf += (np.isinf(w) & (w > 0)).astype(int)
-            take = w > best
-            best = np.where(take, w, best)
-            who = np.where(take, j + 1, who)
-        who = np.where(n_inf > 1, -1, who)
-        per_draw = total / n
-        for j in range(J + 1):
-            counts[j] = float(np.sum(who == j)) * per_draw
-        skipped = float(np.sum(who == -1)) * per_draw
+        ws = [_lerp_tables(t[c], t[c + 1], uj) for t, c, uj in zip(tables, cells, u.T)]
+        weights, unit = None, total / n  # every draw carries total / n
     else:
         raise ValidationError(f"unknown method {method!r}")
+    # one winner rule and one tally for both integrators; bin 0 collects the
+    # undecidable mass
+    who = _winners(ws, a[0])
+    tally = np.bincount(who.ravel() + 1, weights, J + 2) * unit
+    skipped, counts = float(tally[0]), tally[1:]
     decided = counts.sum()
     leakage = 1.0 - decided
     q = counts / decided if decided > 0 else counts

@@ -357,6 +357,33 @@ class TestConvert:
         exact = model.choice_prob_closed_form(m, mid)
         assert np.max(np.abs(back.interpolate(mid) - exact)) <= 5e-3
 
+    def test_price_header_to_a_to_price_rejected(self, tmp_path):
+        src = tmp_path / "prices.csv"
+        self.make_price_csv(src)
+        code = run(
+            "convert", "--field", str(src), "--direction", "a_to_price",
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert not (tmp_path / "out" / "field_py.csv").exists()
+
+    @pytest.mark.parametrize("direction", ["price_to_a", "a_to_price"])
+    def test_rows_not_summing_to_one_rejected(self, tmp_path, direction):
+        src = tmp_path / "prices.csv"
+        self.make_price_csv(src)
+        if direction == "a_to_price":
+            run("convert", "--field", str(src), "--out", str(tmp_path))
+            src = tmp_path / "field_a.csv"
+        lines = src.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[-1] = repr(float(cells[-1]) + 0.1)  # this row's q now sums to 1.1
+        lines[3] = ",".join(cells)
+        src.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code = run("convert", "--field", str(src), "--direction", direction, "--out", str(out))
+        assert code == EXIT_INPUT_ERROR
+        assert not any(out.glob("field_*.csv"))
+
 
 class TestExitCodes:
     def test_module_entry_point_without_runtime_warning(self):

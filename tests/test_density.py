@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rumkit import characteristics, density, field, model, symmetry
-from rumkit.errors import SupportError, ValidationError
+from rumkit.errors import ExtrapolationError, SupportError, ValidationError
 
 from conftest import log_model, oracle_cdf, oracle_density
 
@@ -202,3 +202,181 @@ class TestNormalization:
         d.export_csv(path)
         header = path.read_text().splitlines()[0]
         assert header == "v_1,v_2,f,F,in_support"
+
+
+class TestDensityGridValidation:
+    @pytest.mark.parametrize("name", ["axis", "f_values", "F_values"])
+    def test_non_finite_rejected(self, name):
+        axes = [np.linspace(0.5, 1.5, 5), np.linspace(0.5, 1.5, 5)]
+        arrays = {"f_values": np.ones((5, 5)), "F_values": np.zeros((5, 5))}
+        if name == "axis":
+            axes[1][2] = np.inf
+        else:
+            arrays[name][2, 3] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            density.DensityGrid(
+                axes=tuple(axes), support_mask=np.ones((5, 5), dtype=bool), **arrays
+            )
+
+
+# -- the per-reference level map as it stood before the batched one ----------
+
+
+def reference_reconstruct_cdf(field_, omegas, v, a_0=None):
+    """Scalar loop: first three references whose mapped point reads in the hull."""
+    v = np.asarray(v, dtype=float)
+    if a_0 is not None:
+        candidates, want = [float(a_0)], 1
+    else:
+        candidates, _ = density._interior_a0_candidates(field_)
+        want = 3
+    vals = []
+    for a0 in candidates:
+        if len(vals) >= want:
+            break
+        point = [a0]
+        for vj, om in zip(v, omegas):
+            aj = om.invert_aj_many(np.array([vj]), a0)[0]
+            if np.isnan(aj):
+                break
+            point.append(aj)
+        else:
+            try:
+                vals.append(field_.interpolate(np.asarray(point))[0])
+            except ExtrapolationError:
+                pass
+    if not vals:
+        raise SupportError(f"v = {v.tolist()} has no level-attaining a-point")
+    return float(np.mean(vals))
+
+
+def reference_reconstruct_density(field_, omegas, v_grid, route="mixed", alt_k=1):
+    """One inversion and one stencil batch per candidate reference."""
+    J = len(omegas)
+    axes_a = field_.grid.axes()
+    spacing = field_.grid.spacing
+    candidates, node_mask = density._interior_a0_candidates(
+        field_, margin_steps=0 if route == "mixed" else 1
+    )
+
+    def axis_bounds(j):
+        steps = 0 if (route == "alt" and j + 1 == alt_k) else 1
+        return (
+            axes_a[j + 1][0] + steps * spacing[j + 1],
+            axes_a[j + 1][-1] - steps * spacing[j + 1],
+        )
+
+    inv = []
+    for j, om in enumerate(omegas):
+        lo, hi = axis_bounds(j)
+        per_cand = []
+        for a0 in candidates:
+            b = om.invert_aj_many(v_grid[j], float(a0))
+            per_cand.append(np.where((b >= lo) & (b <= hi), b, np.nan))
+        inv.append(np.asarray(per_cand))
+    shape = tuple(len(ax) for ax in v_grid)
+    f_raw = np.full(shape, np.nan)
+    F_vals = np.zeros(shape)
+    support = np.zeros(shape, dtype=bool)
+    score = np.full((len(candidates),) + shape, np.inf)
+    for j in range(J):
+        lo, hi = axis_bounds(j)
+        b = inv[j]
+        if density._axis_is_log(lo, hi):
+            m = np.minimum(np.log(b / lo), np.log(hi / b)) / np.log(hi / lo)
+        else:
+            m = np.minimum(b - lo, hi - b) / (hi - lo)
+        reshape = [len(candidates)] + [1] * J
+        reshape[1 + j] = shape[j]
+        score = np.minimum(score, np.where(np.isnan(m), -1.0, m).reshape(reshape))
+    bonus = np.where((score >= 0.0) & node_mask.reshape((-1,) + (1,) * J), 2.0, 0.0)
+    first = np.argmax(score + bonus, axis=0)
+    any_valid = np.max(score, axis=0) >= 0.0
+    for c, a0 in enumerate(candidates):
+        sel = any_valid & (first == c)
+        if not sel.any():
+            continue
+        idx = np.argwhere(sel)
+        pts = np.empty((len(idx), J + 1))
+        pts[:, 0] = a0
+        for j in range(J):
+            pts[:, j + 1] = inv[j][c][idx[:, j]]
+        if route == "mixed":
+            num = field_.fd_stencil(0, tuple(range(1, J + 1)), pts)
+            d_om = np.ones(len(idx))
+            for j in range(J):
+                d_om *= np.asarray(omegas[j].d_aj(pts[:, j + 1], a0))
+            f_node = num / d_om
+        else:
+            other = [j for j in range(1, J + 1) if j != alt_k]
+            num = field_.fd_stencil(alt_k, (0, *other), pts)
+            d_om = np.asarray(omegas[alt_k - 1].d_a0(pts[:, alt_k], a0))
+            for j in other:
+                d_om = d_om * np.asarray(omegas[j - 1].d_aj(pts[:, j], a0))
+            f_node = -num / d_om
+        f_raw[tuple(idx.T)] = f_node
+        F_vals[tuple(idx.T)] = field_.fd_stencil(0, (), pts)
+        support[tuple(idx.T)] = True
+    return dict(
+        f_values=np.where(support, np.clip(f_raw, 0.0, None), 0.0),
+        F_values=F_vals,
+        support_mask=support,
+        clipped_nodes=int(np.sum((f_raw < 0) & support)),
+        min_raw_density=float(np.nanmin(f_raw)),
+    )
+
+
+@pytest.fixture(scope="module")
+def j1_setup():
+    m = model.ChoiceModelSpec(
+        utilities=(model.UtilityPrimitive("log", (1.0,)), model.UtilityPrimitive("log", (2.0,))),
+        noise=model.NoiseSpec("gumbel_iid", 1.0),
+        domain=((1e-3, 200.0),) * 2,
+    )
+    f = model.tabulate(m, field.GridSpec((0.002, 0.04), (50.0, 12.0), (161, 121)))
+    t1 = symmetry.RatioFunction.from_callable(
+        lambda aj, a0: aj / (2.0 * a0), ((0.04, 12.0), (0.002, 50.0)), j=1, m=0
+    )
+    om = characteristics.build_omega(t1, ((0.04, 12.0), (0.002, 50.0)), a_ref=1.0,
+                                     resolution=81, j=1)
+    return f, [om], density.make_v_grid([om], n=101, bounds=[(0.01, 100.0)])
+
+
+class TestLevelMapEquivalence:
+    """The batched level map reproduces the per-reference loops bit for bit."""
+
+    def assert_same(self, f, omegas, v_grid, route):
+        got = density.reconstruct_density(f, omegas, v_grid, route=route)
+        want = reference_reconstruct_density(f, omegas, v_grid, route=route)
+        for name, arr in want.items():
+            assert np.array_equal(getattr(got, name), arr), name
+
+    @pytest.mark.parametrize("route", ["mixed", "alt"])
+    def test_density_j2(self, narrow_density, route):
+        f, omegas, d = narrow_density
+        self.assert_same(f, omegas, d.axes, route)
+        # a lattice reaching past the attained ranges masks part of the support
+        self.assert_same(f, omegas, (np.geomspace(0.2, 30.0, 41),) * 2, route)
+
+    @pytest.mark.parametrize("route", ["mixed", "alt"])
+    def test_density_j1(self, j1_setup, route):
+        self.assert_same(*j1_setup, route)
+
+    @pytest.mark.parametrize("v", [(1.0, 1.0), (0.6, 1.4), (1.3, 0.8)])
+    @pytest.mark.parametrize("a_0", [None, 1.5, 2.0, 3.0])
+    def test_cdf(self, cdf_setup, v, a_0):
+        f, omegas = cdf_setup
+        try:
+            want = reference_reconstruct_cdf(f, omegas, v, a_0=a_0)
+        except SupportError:
+            with pytest.raises(SupportError):
+                density.reconstruct_cdf(f, omegas, v, a_0=a_0)
+        else:
+            assert density.reconstruct_cdf(f, omegas, v, a_0=a_0) == want
+
+    @pytest.mark.parametrize("a_0", [None, 2.0, 99.0])
+    def test_cdf_unreachable(self, cdf_setup, a_0):
+        f, omegas = cdf_setup
+        for fn in (reference_reconstruct_cdf, density.reconstruct_cdf):
+            with pytest.raises(SupportError):
+                fn(f, omegas, (500.0, 500.0), a_0=a_0)

@@ -57,6 +57,17 @@ class TestNonFinite:
             field.read_field_csv(path)
 
 
+class TestContentHash:
+    def test_follows_content_and_is_computed_once(self):
+        f = half_field()
+        h = f.content_hash()
+        assert half_field().content_hash() == h
+        assert vars(f)["_content_digest"] == h  # memoised on the field
+        values = np.full((5, 5, 2), 0.5)
+        values[2, 3] = (0.25, 0.75)
+        assert field.ProbabilityField(grid=f.grid, values=values).content_hash() != h
+
+
 class TestInterpolate:
     def test_node_identity(self, lin_field):
         axes = lin_field.grid.axes()

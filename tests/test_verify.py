@@ -1,5 +1,7 @@
 """Round-trip integrators and the no-income-effects translation test."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -180,3 +182,120 @@ class TestTranslationInvariance:
         assert dz.passed
         rep = verify.translation_invariance_check(lin_field, (0.25,), tol=5e-3)
         assert rep["passed"]
+
+
+# -- the two winner rules as they stood before the shared kernel -------------
+
+
+def reference_winners(tables, a0):
+    """Grid-quadrature argmax over per-axis tables broadcast to the full shape."""
+    J = len(tables)
+    shape = tuple(len(t) for t in tables)
+    best = np.full(shape, float(a0))
+    who = np.zeros(shape, dtype=int)
+    inf_count = np.zeros(shape, dtype=int)
+    for j, t in enumerate(tables):
+        resh = [1] * J
+        resh[j] = len(t)
+        w_b = np.broadcast_to(t.reshape(resh), shape)
+        take = w_b > best
+        best = np.where(take, w_b, best)
+        who = np.where(take, j + 1, who)
+        inf_count = inf_count + (np.isinf(w_b) & (w_b > 0))
+    return np.where(inf_count > 1, -1, who)
+
+
+def reference_choice_prob(utilities, density_, a, method, n=100_000, seed=0):
+    """(q, skipped mass) with per-alternative masked sums, as before."""
+    a = np.asarray(a, dtype=float)
+    J = density_.n_dims
+    masses = density_.cell_masses()
+    total = float(masses.sum())
+    tables = verify._cell_utility_table(utilities, density_, a)
+    counts = np.zeros(J + 1)
+    if method == "grid_quadrature":
+        who = reference_winners(verify._subcell_tables(tables, 4), a[0])
+        sub_masses = masses / 4**J
+        for d in range(J):
+            sub_masses = np.repeat(sub_masses, 4, axis=d)
+        for j in range(J + 1):
+            counts[j] = float(sub_masses[who == j].sum())
+        skipped = float(sub_masses[who == -1].sum())
+    else:
+        rng = np.random.default_rng(seed)
+        flat = masses.ravel()
+        draws = rng.choice(len(flat), size=n, p=flat / flat.sum())
+        cells = np.column_stack(np.unravel_index(draws, masses.shape))
+        u = rng.random((n, J))
+        best = np.full(n, a[0])
+        who = np.zeros(n, dtype=int)
+        n_inf = np.zeros(n, dtype=int)
+        for j in range(J):
+            t = tables[j]
+            w = verify._lerp_tables(t[cells[:, j]], t[cells[:, j] + 1], u[:, j])
+            n_inf += (np.isinf(w) & (w > 0)).astype(int)
+            take = w > best
+            best = np.where(take, w, best)
+            who = np.where(take, j + 1, who)
+        who = np.where(n_inf > 1, -1, who)
+        for j in range(J + 1):
+            counts[j] = float(np.sum(who == j)) * total / n
+        skipped = float(np.sum(who == -1)) * total / n
+    return counts / counts.sum(), skipped
+
+
+class _CappedOmega:
+    """Level function whose utility is w = v up to level 1, unattained above."""
+
+    def invert_a0_many(self, a_j, v):
+        v = np.asarray(v, dtype=float)
+        return np.where(v <= 1.0, v, np.nan)
+
+    def value_range(self, a_j):
+        return 0.0, 1.0
+
+
+@pytest.fixture(scope="module")
+def capped_case():
+    """Uniform unit mass on [0.5, 1.5]^2: where both levels exceed 1 the two
+    inside alternatives sit at +inf together and the mass is undecidable."""
+    axes = (np.linspace(0.5, 1.5, 11), np.linspace(0.5, 1.5, 21))
+    d = density.DensityGrid(
+        axes=axes,
+        f_values=np.ones((11, 21)),
+        F_values=np.zeros((11, 21)),
+        support_mask=np.ones((11, 21), dtype=bool),
+    )
+    utilities = [SimpleNamespace(omega=_CappedOmega()) for _ in range(2)]
+    return utilities, d
+
+
+class TestWinnerRuleEquivalence:
+    """One argmax-and-tally kernel reproduces both old integrators."""
+
+    @pytest.mark.parametrize("method", ["grid_quadrature", "monte_carlo"])
+    def test_wide_points(self, wide_utilities, wide_density, method):
+        for a in [(2.0, 1.0, 4.0), (5.0, 2.0, 3.0), (0.5, 0.8, 0.3)]:
+            q, diag = verify.rationalized_choice_prob(
+                wide_utilities, wide_density, a, method=method, n=20_000, seed=5,
+                return_diagnostics=True,
+            )
+            q_ref, skipped_ref = reference_choice_prob(
+                wide_utilities, wide_density, a, method, n=20_000, seed=5
+            )
+            assert np.max(np.abs(q - q_ref)) <= 1e-12
+            assert diag["skipped_mass"] == pytest.approx(skipped_ref, abs=1e-12)
+
+    @pytest.mark.parametrize("method", ["grid_quadrature", "monte_carlo"])
+    def test_undecidable_mass_skipped(self, capped_case, method):
+        utilities, d = capped_case
+        a = (0.7, 1.0, 1.0)
+        q, diag = verify.rationalized_choice_prob(
+            utilities, d, a, method=method, n=20_000, seed=1, return_diagnostics=True
+        )
+        q_ref, skipped_ref = reference_choice_prob(
+            utilities, d, a, method, n=20_000, seed=1
+        )
+        assert diag["skipped_mass"] > 0.1
+        assert diag["skipped_mass"] == pytest.approx(skipped_ref, abs=1e-12)
+        assert np.max(np.abs(q - q_ref)) <= 1e-12
