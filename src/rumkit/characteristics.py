@@ -23,6 +23,7 @@ from .errors import (
     StepUnderflowError,
     ValidationError,
 )
+from .field import write_csv_table
 
 _SPAN_GUARD = 200.0  # max integration span, in units of the a_0 domain width
 _BOX_MARGIN = 0.2  # a_j box enlargement for the march, as a fraction of the a_j span
@@ -34,18 +35,16 @@ _INVERT_MAX_ITER = 100
 def _invert_monotone_vec(f, targets: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Vectorized bisection: solve f(x) = targets elementwise on a shared bracket.
 
-    f must map an array of abscissae to function values elementwise. Entries
-    whose target lies outside [f(lo), f(hi)] come back NaN; callers decide how
-    to treat them.
+    f must map an array of abscissae to function values elementwise, each entry
+    monotone in its own direction (one batch may mix rising and falling rows).
+    Entries whose target lies outside [f(lo), f(hi)] come back NaN; callers
+    decide how to treat them.
     """
     targets = np.asarray(targets, dtype=float)
     f_lo = f(np.full_like(targets, lo))
     f_hi = f(np.full_like(targets, hi))
-    increasing = bool(np.all(f_hi >= f_lo))
-    if increasing:
-        in_range = (targets >= f_lo) & (targets <= f_hi)
-    else:
-        in_range = (targets <= f_lo) & (targets >= f_hi)
+    increasing = f_hi >= f_lo
+    in_range = (targets >= np.minimum(f_lo, f_hi)) & (targets <= np.maximum(f_lo, f_hi))
     a = np.full_like(targets, lo)
     b = np.full_like(targets, hi)
     for _ in range(_INVERT_MAX_ITER):
@@ -53,7 +52,7 @@ def _invert_monotone_vec(f, targets: np.ndarray, lo: float, hi: float) -> np.nda
             break
         m = 0.5 * (a + b)
         fm = f(m)
-        go_right = (fm < targets) if increasing else (fm > targets)
+        go_right = np.where(increasing, fm < targets, fm > targets)
         a = np.where(go_right, m, a)
         b = np.where(go_right, b, m)
     out = 0.5 * (a + b)
@@ -322,8 +321,13 @@ class OmegaFunction:
         tv = np.asarray(self.ratio(AJ, A0), dtype=float)
         return np.abs(d0 + dj * tv)
 
-    def invert_a0_many(self, a_j: float, v: np.ndarray) -> np.ndarray:
-        """Vectorized inversion in a_0; NaN where v is outside the attained range."""
+    def invert_a0_many(self, a_j, v: np.ndarray) -> np.ndarray:
+        """Vectorized inversion in a_0; NaN where v is outside the attained range.
+
+        a_j is a scalar or an array that broadcasts to v's shape, e.g. v of
+        shape (n, m) against a_j of shape (n, 1) inverts one row of levels per
+        a_j in one call.
+        """
         _, (a0_lo, a0_hi) = self.domain
         return _invert_monotone_vec(
             lambda x: self._spline.ev(np.broadcast_to(a_j, np.shape(x)), x),
@@ -353,10 +357,7 @@ class OmegaFunction:
         a0 = np.linspace(a0_lo, a0_hi, n)
         AJ, A0 = np.meshgrid(aj, a0, indexing="ij")
         vals = self._spline.ev(AJ.ravel(), A0.ravel())
-        data = np.stack([AJ.ravel(), A0.ravel(), vals], axis=-1)
-        np.savetxt(
-            path, data, delimiter=",", header="a_j,a_0,omega", comments="", fmt="%.12g"
-        )
+        write_csv_table(path, ("a_j", "a_0", "omega"), (AJ.ravel(), A0.ravel(), vals))
 
 
 def build_omega(
@@ -470,30 +471,19 @@ class UtilityFunction:
     omega: OmegaFunction
 
     def eval(self, a_j: float, v: float) -> float:
-        w = float(self.eval_many(a_j, np.array([v], dtype=float))[0])
+        w = float(self.omega.invert_a0_many(a_j, np.array([v], dtype=float))[0])
         if np.isnan(w):
             raise LevelRangeError(f"level {v!r} not attained at a_j={a_j!r}")
         return w
 
-    def eval_many(self, a_j: float, v: np.ndarray) -> np.ndarray:
-        return self.omega.invert_a0_many(a_j, v)
-
     def export_csv(self, path, n: int = 101) -> None:
-        (aj_lo, aj_hi), _ = self.omega.domain
+        """n a_j rows, each of n levels spanning the range attained at that a_j."""
+        (aj_lo, aj_hi), (a0_lo, a0_hi) = self.omega.domain
         aj = np.linspace(aj_lo, aj_hi, n)
-        rows = []
-        for x in aj:
-            v_lo, v_hi = self.omega.value_range(x)
-            vs = np.linspace(v_lo, v_hi, n)
-            ws = self.eval_many(x, vs)
-            rows.append(np.stack([np.full(n, x), vs, ws], axis=-1))
-        np.savetxt(
-            path,
-            np.concatenate(rows),
-            delimiter=",",
-            header="a_j,v,w",
-            comments="",
-            fmt="%.12g",
+        vs = np.linspace(self.omega(aj, a0_lo), self.omega(aj, a0_hi), n, axis=1)
+        ws = self.omega.invert_a0_many(aj[:, None], vs)
+        write_csv_table(
+            path, ("a_j", "v", "w"), (np.repeat(aj, n), vs.ravel(), ws.ravel())
         )
 
 

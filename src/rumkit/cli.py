@@ -2,7 +2,8 @@
 
 Each subcommand is deterministic given its flags (seeds included) and writes
 artifacts into --out. identify stamps its outputs with a provenance hash of
-the field, anchoring, and pivot so verify can refuse mismatched runs.
+the field, its grid and every identification setting, so verify can refuse
+mismatched runs and rebuilds with exactly the settings identify used.
 
 Exit codes: 0 pass, 1 check failed, 2 input error, 3 numerical failure.
 """
@@ -13,7 +14,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
@@ -26,42 +26,6 @@ EXIT_PASS = 0
 EXIT_CHECK_FAIL = 1
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL = 3
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: command, paths, grid, tolerances, seeds, output dir."""
-
-    command: str
-    model_path: str | None = None
-    field_path: str | None = None
-    grid: list = dc_field(default_factory=list)  # (lo, hi, n) per axis
-    pivot: int = 0
-    a_ref: float | None = None
-    basis: str = "polynomial"
-    degree: int = 1
-    tol_symmetry: float = 0.01
-    tol_condition_a: float = 5e-3
-    tol_round_trip: float = 0.02
-    seed: int = 0
-    draws: int = 100_000
-    method: str = "closed_form"
-    integrator: str = "grid_quadrature"
-    out: str = "."
-    force: bool = False
-    resample: bool = False
-    direction: str = "price_to_a"
-    resolution: int = 201
-    v_nodes: int = 121
-
-    def __post_init__(self):
-        for name in ("tol_symmetry", "tol_condition_a", "tol_round_trip"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be > 0")
-        if self.model_path is not None and not Path(self.model_path).exists():
-            raise ValidationError(f"model file not found: {self.model_path}")
-        if self.field_path is not None and not Path(self.field_path).exists():
-            raise ValidationError(f"field file not found: {self.field_path}")
 
 
 def _parse_grid(specs) -> field_mod.GridSpec:
@@ -81,23 +45,26 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _provenance_hash(field_hash: str, a_ref, pivot: int, grid) -> str:
+def _grid_record(grid: field_mod.GridSpec) -> dict:
+    return {
+        "lower": list(grid.lower),
+        "upper": list(grid.upper),
+        "counts": list(grid.counts),
+    }
+
+
+def _provenance_hash(record: dict) -> str:
+    """Stamp of an identify_meta.json record: every key except the stamp itself."""
     payload = json.dumps(
-        {
-            "field": field_hash,
-            "a_ref": a_ref,
-            "pivot": pivot,
-            "grid": grid,
-        },
-        sort_keys=True,
+        {k: v for k, v in record.items() if k != "provenance"}, sort_keys=True
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    model = model_mod.ChoiceModelSpec.from_json(cfg.model_path)
-    if cfg.grid:
-        grid = _parse_grid(cfg.grid)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    model = model_mod.ChoiceModelSpec.from_json(args.model_path)
+    if args.grid:
+        grid = _parse_grid(args.grid)
     else:
         grid = field_mod.GridSpec(
             tuple(lo for lo, _ in model.domain),
@@ -109,9 +76,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
             f"grid has {grid.dims} axes but model has {model.n_alternatives} alternatives"
         )
     field = model_mod.tabulate(
-        model, grid, method=cfg.method, n=cfg.draws, seed=cfg.seed
+        model, grid, method=args.method, n=args.draws, seed=args.seed
     )
-    out = Path(cfg.out)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     field_mod.write_field_csv(field, out / "field.csv")
     _write_json(
@@ -119,28 +86,24 @@ def cmd_simulate(cfg: RunConfig) -> int:
         {
             "model_hash": model_mod.model_hash(model),
             "field_hash": field.content_hash(),
-            "grid": {
-                "lower": list(grid.lower),
-                "upper": list(grid.upper),
-                "counts": list(grid.counts),
-            },
-            "method": cfg.method,
-            "seed": cfg.seed,
-            "draws": cfg.draws if cfg.method == "monte_carlo" else None,
+            "grid": _grid_record(grid),
+            "method": args.method,
+            "seed": args.seed,
+            "draws": args.draws if args.method == "monte_carlo" else None,
         },
     )
     return EXIT_PASS
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    field = field_mod.read_field_csv(cfg.field_path)
-    out = Path(cfg.out)
+def cmd_check(args: argparse.Namespace) -> int:
+    field = field_mod.read_field_csv(args.field_path)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     shape = field_mod.check_shape(field)
     _write_json(out / "shape_report.json", shape.to_dict())
-    dz = symmetry.test_daly_zachary(field, tol=cfg.tol_symmetry)
+    dz = symmetry.test_daly_zachary(field, tol=args.tol_symmetry)
     _write_json(out / "symmetry_report.json", dz.to_dict())
-    cond_a = symmetry.test_condition_A(field, m=cfg.pivot, tol=cfg.tol_condition_a)
+    cond_a = symmetry.test_condition_A(field, m=args.pivot, tol=args.tol_condition_a)
     _write_json(out / "condition_a_report.json", cond_a.to_dict())
     if cond_a.inconclusive:
         print("condition (A) check inconclusive: too few usable families")
@@ -155,13 +118,15 @@ def cmd_check(cfg: RunConfig) -> int:
     return EXIT_PASS if ok else EXIT_CHECK_FAIL
 
 
-def _identify_pipeline(cfg: RunConfig, field, a_refs):
+def _identify_pipeline(field, settings: dict):
     """Shared by identify and verify: sieve fits, omegas, utilities, density.
 
-    a_refs holds one anchoring per inside alternative; None picks the default.
+    settings is identify's record: pivot, basis, degree, resolution, v_nodes
+    and a_ref, one anchoring per inside alternative (None picks the default).
     """
     J = field.grid.dims - 1
     axes = field.grid.axes()
+    pivot = settings["pivot"]
     sieve_field = field
     if field.grid.n_nodes > 500_000:
         # node-wise gradient caches on huge fields cost dims^2 copies of the
@@ -174,38 +139,44 @@ def _identify_pipeline(cfg: RunConfig, field, a_refs):
     utilities = []
     for j in range(1, J + 1):
         t = symmetry.fit_ratio_sieve(
-            sieve_field, j, cfg.pivot, basis=cfg.basis, degree=cfg.degree
+            sieve_field, j, pivot, basis=settings["basis"], degree=settings["degree"]
         )
         ratios.append(t)
         om = characteristics.build_omega(
             t,
-            ((axes[j][0], axes[j][-1]), (axes[cfg.pivot][0], axes[cfg.pivot][-1])),
-            a_ref=a_refs[j - 1],
-            resolution=cfg.resolution,
+            ((axes[j][0], axes[j][-1]), (axes[pivot][0], axes[pivot][-1])),
+            a_ref=settings["a_ref"][j - 1],
+            resolution=settings["resolution"],
             j=j,
         )
         omegas.append(om)
         utilities.append(characteristics.UtilityFunction(j=j, omega=om))
-    v_grid = density_mod.make_v_grid(omegas, n=cfg.v_nodes)
+    v_grid = density_mod.make_v_grid(omegas, n=settings["v_nodes"])
     dens = density_mod.reconstruct_density(field, omegas, v_grid)
     return ratios, omegas, utilities, dens
 
 
-def cmd_identify(cfg: RunConfig) -> int:
-    field = field_mod.read_field_csv(cfg.field_path)
-    out = Path(cfg.out)
+def cmd_identify(args: argparse.Namespace) -> int:
+    field = field_mod.read_field_csv(args.field_path)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cond_a = symmetry.test_condition_A(field, m=cfg.pivot, tol=cfg.tol_condition_a)
-    if not cond_a.passed and not cfg.force:
+    cond_a = symmetry.test_condition_A(field, m=args.pivot, tol=args.tol_condition_a)
+    if not cond_a.passed and not args.force:
         _write_json(out / "condition_a_report.json", cond_a.to_dict())
         print(
             "condition (A) check failed; see condition_a_report.json "
             "(rerun with --force to identify anyway)"
         )
         return EXIT_CHECK_FAIL
-    ratios, omegas, utilities, dens = _identify_pipeline(
-        cfg, field, [cfg.a_ref] * (field.grid.dims - 1)
-    )
+    settings = {
+        "pivot": args.pivot,
+        "basis": args.basis,
+        "degree": args.degree,
+        "resolution": args.resolution,
+        "v_nodes": args.v_nodes,
+        "a_ref": [args.a_ref] * (field.grid.dims - 1),
+    }
+    ratios, omegas, utilities, dens = _identify_pipeline(field, settings)
     for t, om, w in zip(ratios, omegas, utilities):
         _write_json(out / f"ratio_{t.j}.json", t.to_dict())
         om.export_csv(out / f"omega_{om.j}.csv")
@@ -213,55 +184,33 @@ def cmd_identify(cfg: RunConfig) -> int:
     dens.export_csv(out / "density.csv")
     mass = density_mod.check_normalization(dens)
     _write_json(out / "mass_report.json", mass.to_dict())
-    grid_meta = {
-        "lower": list(field.grid.lower),
-        "upper": list(field.grid.upper),
-        "counts": list(field.grid.counts),
+    meta = {
+        **settings,
+        "a_ref": [om.a_ref for om in omegas],  # defaults resolved
+        "field_hash": field.content_hash(),
+        "grid": _grid_record(field.grid),
     }
-    a_refs = [om.a_ref for om in omegas]
-    _write_json(
-        out / "identify_meta.json",
-        {
-            "field_hash": field.content_hash(),
-            "a_ref": a_refs,
-            "pivot": cfg.pivot,
-            "grid": grid_meta,
-            "basis": cfg.basis,
-            "degree": cfg.degree,
-            "resolution": cfg.resolution,
-            "v_nodes": cfg.v_nodes,
-            "provenance": _provenance_hash(
-                field.content_hash(), a_refs, cfg.pivot, grid_meta
-            ),
-        },
-    )
+    meta["provenance"] = _provenance_hash(meta)
+    _write_json(out / "identify_meta.json", meta)
     print(f"density mass: {mass.mass:.4f} (corner CDF {mass.corner_cdf:.4f})")
     return EXIT_PASS
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    field = field_mod.read_field_csv(cfg.field_path)
-    out = Path(cfg.out)
+def cmd_verify(args: argparse.Namespace) -> int:
+    field = field_mod.read_field_csv(args.field_path)
+    out = Path(args.out)
     meta_path = out / "identify_meta.json"
     if not meta_path.exists():
         raise ValidationError(f"identify artifacts not found in {out}")
     meta = json.loads(meta_path.read_text())
-    expected = _provenance_hash(
-        meta["field_hash"], meta["a_ref"], meta["pivot"], meta["grid"]
-    )
-    if meta.get("provenance") != expected:
+    if meta.get("provenance") != _provenance_hash(meta):
         raise ProvenanceError("identify_meta.json provenance hash mismatch")
     if meta["field_hash"] != field.content_hash():
         raise ProvenanceError(
             "field does not match the one used by identify (hash mismatch)"
         )
-    cfg.pivot = meta["pivot"]
-    cfg.basis = meta["basis"]
-    cfg.degree = meta["degree"]
-    cfg.resolution = meta["resolution"]
-    cfg.v_nodes = meta["v_nodes"]
-    _, _, utilities, dens = _identify_pipeline(cfg, field, meta["a_ref"])
-    rng = np.random.default_rng(cfg.seed)
+    _, _, utilities, dens = _identify_pipeline(field, meta)
+    rng = np.random.default_rng(args.seed)
     lo = np.asarray(field.grid.lower)
     hi = np.asarray(field.grid.upper)
     span = hi - lo
@@ -271,10 +220,10 @@ def cmd_verify(cfg: RunConfig) -> int:
         utilities,
         dens,
         pts,
-        tol=cfg.tol_round_trip,
-        method=cfg.integrator,
-        n=cfg.draws,
-        seed=cfg.seed,
+        tol=args.tol_round_trip,
+        method=args.integrator,
+        n=args.draws,
+        seed=args.seed,
     )
     _write_json(out / "verify_report.json", report.to_dict())
     print(
@@ -284,78 +233,64 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_PASS if report.passed else EXIT_CHECK_FAIL
 
 
-def cmd_convert(cfg: RunConfig) -> int:
+# direction: (input coordinate prefix, input base column, output coordinate
+# prefix, output base name, whether the base leads the output, output file)
+_DIRECTIONS = {
+    "price_to_a": ("p", "y", "a", "a_0", True, "field_a.csv"),
+    "a_to_price": ("a", "a_0", "p", "y", False, "field_py.csv"),
+}
+
+
+def cmd_convert(args: argparse.Namespace) -> int:
     """Translate between price-income rows (p_1..p_J, y, q_*) and a-rows.
 
-    a_0 = y and a_j = y - p_j. A shared y across price rows makes the a-image
+    Each output coordinate is the base column minus one input column:
+    a_j = y - p_j one way, p_j = a_0 - a_j the other, and the base itself
+    carries over as a_0 = y. A shared y across price rows makes the a-image
     a non-lattice scatter, so --resample interpolates the probabilities back
     onto a rectangular a-lattice through the exact inverse map.
     """
-    header, data = field_mod.read_csv_table(cfg.field_path)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if "p_0" in header:
-        idx = header.index("p_0")
-        if np.any(data[:, idx] != 0.0):
+    src, base, dst, dst_base, base_first, file_name = _DIRECTIONS[args.direction]
+    header, data = field_mod.read_csv_table(args.field_path)
+    if "p_0" in header and np.any(data[:, header.index("p_0")] != 0.0):
+        raise ValidationError(
+            "p_0 column must be identically 0: the outside option has no price"
+        )
+    if header.count(base) != 1:
+        raise ValidationError(f"{args.direction} input needs exactly one {base} column")
+    cols = [i for i, h in enumerate(header) if h.startswith(f"{src}_") and h != f"{src}_0"]
+    q_cols = [i for i, h in enumerate(header) if h.startswith("q_")]
+    J = len(cols)
+    for found, expected in (
+        (cols, [f"{src}_{j}" for j in range(1, J + 1)]),
+        (q_cols, [f"q_{j}" for j in range(J + 1)]),
+    ):
+        if [header[i] for i in found] != expected:
             raise ValidationError(
-                "p_0 column must be identically 0: the outside option has no price"
+                f"expected columns {','.join(expected)} in this order, "
+                f"got {','.join(header[i] for i in found)}"
             )
-    if cfg.direction == "price_to_a":
-        p_cols = [i for i, h in enumerate(header) if h.startswith("p_") and h != "p_0"]
-        if "y" not in header:
-            raise ValidationError("price input needs a y column")
-        y_col = header.index("y")
-        J = len(p_cols)
-        q_cols = _probability_columns(header, data, J + 1)
-        y = data[:, y_col]
-        a = np.empty((len(data), J + 1))
-        a[:, 0] = y
-        for j, c in enumerate(p_cols, start=1):
-            a[:, j] = y - data[:, c]
-        rows = np.concatenate([a, data[:, q_cols]], axis=1)
-        new_header = ",".join(
-            [f"a_{j}" for j in range(J + 1)] + [f"q_{j}" for j in range(J + 1)]
-        )
-        np.savetxt(
-            out / "field_a.csv", rows, delimiter=",", header=new_header,
-            comments="", fmt="%.12g",
-        )
-        if cfg.resample:
-            _resample_to_lattice(header, data, p_cols, y_col, q_cols, cfg, out)
-    elif cfg.direction == "a_to_price":
-        if "a_0" not in header:
-            raise ValidationError("a-coordinate input needs an a_0 column")
-        y_col = header.index("a_0")
-        a_cols = [i for i, h in enumerate(header) if h.startswith("a_") and h != "a_0"]
-        J = len(a_cols)
-        q_cols = _probability_columns(header, data, J + 1)
-        y = data[:, y_col]
-        p = np.empty((len(data), J))
-        for j, c in enumerate(a_cols):
-            p[:, j] = y - data[:, c]
-        rows = np.concatenate([p, y[:, None], data[:, q_cols]], axis=1)
-        new_header = ",".join(
-            [f"p_{j + 1}" for j in range(J)] + ["y"] + [f"q_{j}" for j in range(J + 1)]
-        )
-        np.savetxt(
-            out / "field_py.csv", rows, delimiter=",", header=new_header,
-            comments="", fmt="%.12g",
-        )
-    else:
-        raise ValidationError(f"unknown direction {cfg.direction!r}")
+    field_mod.check_probability_rows(data[:, q_cols])
+    y_col = header.index(base)
+    y = data[:, y_col]
+    coords = list((y[:, None] - data[:, cols]).T)
+    names = [f"{dst}_{j}" for j in range(1, J + 1)]
+    at = 0 if base_first else J
+    coords.insert(at, y)
+    names.insert(at, dst_base)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    field_mod.write_csv_table(
+        out / file_name,
+        names + [header[i] for i in q_cols],
+        coords + list(data[:, q_cols].T),
+    )
+    if args.resample and src == "p":
+        _resample_to_lattice(data, cols, y_col, q_cols, args.grid, out)
     return EXIT_PASS
 
 
-def _probability_columns(header, data, n_alt: int) -> list[int]:
-    """Indices of the q_* columns; n_alt of them, holding probability rows."""
-    q_cols = [i for i, h in enumerate(header) if h.startswith("q_")]
-    if len(q_cols) != n_alt:
-        raise ValidationError(f"expected {n_alt} q columns, found {len(q_cols)}")
-    field_mod.check_probability_rows(data[:, q_cols])
-    return q_cols
-
-
-def _resample_to_lattice(header, data, p_cols, y_col, q_cols, cfg, out: Path):
+def _resample_to_lattice(data, p_cols, y_col, q_cols, grid_specs, out: Path):
     """Interpolate probabilities onto a rectangular a-lattice.
 
     Treats the input as a lattice in (y, p_1, ..., p_J), interpolates q there,
@@ -376,8 +311,8 @@ def _resample_to_lattice(header, data, p_cols, y_col, q_cols, cfg, out: Path):
     )
     q = data[order][:, q_cols].reshape(shape + (J + 1,))
     interp = RegularGridInterpolator((y_vals,) + tuple(p_axes), q)
-    if cfg.grid:
-        grid = _parse_grid(cfg.grid)
+    if grid_specs:
+        grid = _parse_grid(grid_specs)
     else:
         # every a_0 = y node must keep p_j = y - a_j inside the source p-range
         # for every j, so the a_0 span must be narrower than each p-span
@@ -392,11 +327,7 @@ def _resample_to_lattice(header, data, p_cols, y_col, q_cols, cfg, out: Path):
     axes = grid.axes()
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    pre = np.empty_like(pts)
-    pre[:, 0] = pts[:, 0]
-    for j in range(1, J + 1):
-        pre[:, j] = pts[:, 0] - pts[:, j]
-    vals = interp(pre)
+    vals = interp(np.column_stack([pts[:, 0], pts[:, :1] - pts[:, 1:]]))
     vals = np.clip(vals, 0.0, 1.0)
     vals = vals / vals.sum(axis=-1, keepdims=True)
     field = field_mod.ProbabilityField(
@@ -463,10 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args) -> RunConfig:
-    return RunConfig(**vars(args))
-
-
 _COMMANDS = {
     "simulate": cmd_simulate,
     "check": cmd_check,
@@ -477,11 +404,14 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        for name, value in vars(args).items():
+            if name.startswith("tol_") and value <= 0:
+                raise ValidationError(f"{name} must be > 0")
+            if name.endswith("_path") and not Path(value).exists():
+                raise ValidationError(f"{name[:-5]} file not found: {value}")
+        return _COMMANDS[args.command](args)
     except (ValidationError, ProvenanceError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 import numpy as np
 
 from .errors import NegativeDensityError, SupportError, ValidationError
-from .field import ProbabilityField
+from .field import ProbabilityField, write_csv_table
 
 
 @dataclass(frozen=True)
@@ -96,22 +96,11 @@ class DensityGrid:
 
     def export_csv(self, path) -> None:
         mesh = np.meshgrid(*self.axes, indexing="ij")
-        cols = [m.ravel() for m in mesh]
-        cols += [
-            self.f_values.ravel(),
-            self.F_values.ravel(),
-            self.support_mask.ravel().astype(int),
-        ]
-        header = ",".join(
-            [f"v_{j + 1}" for j in range(self.n_dims)] + ["f", "F", "in_support"]
-        )
-        np.savetxt(
+        write_csv_table(
             path,
-            np.stack(cols, axis=-1),
-            delimiter=",",
-            header=header,
-            comments="",
-            fmt="%.12g",
+            [f"v_{j + 1}" for j in range(self.n_dims)] + ["f", "F", "in_support"],
+            [m.ravel() for m in mesh]
+            + [self.f_values.ravel(), self.F_values.ravel(), self.support_mask.ravel()],
         )
 
 

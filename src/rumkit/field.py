@@ -362,6 +362,16 @@ def write_field_csv(field: ProbabilityField, path) -> None:
             fh.write("\r\n".join(rows) + "\r\n")
 
 
+def write_csv_table(path, names, columns) -> None:
+    """Write equal-length columns under a header of names, each number as %.12g."""
+    if len(names) != len(columns):
+        raise ValueError(f"{len(names)} header names for {len(columns)} columns")
+    np.savetxt(
+        path, np.column_stack(columns), delimiter=",", header=",".join(names),
+        comments="", fmt="%.12g",
+    )
+
+
 def read_csv_table(path) -> tuple[list[str], np.ndarray]:
     """Header names and float body of a comma-separated table.
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rumkit import characteristics, symmetry
+from rumkit import characteristics, field, symmetry
 from rumkit.errors import CoverageError, LevelRangeError, NumericalFailure, ValidationError
 
 BOX = ((1.0, 4.0), (1.0, 4.0))
@@ -283,11 +283,43 @@ class TestUtilityInversion:
         with pytest.raises(LevelRangeError):
             w1.eval(2.0, 1e-4)
 
+    def test_export_matches_per_row_inversion(self, w1, tmp_path):
+        # reference: one value_range and one inversion per a_j row
+        n = 11
+        (aj_lo, aj_hi), _ = w1.omega.domain
+        rows = []
+        for x in np.linspace(aj_lo, aj_hi, n):
+            vs = np.linspace(*w1.omega.value_range(x), n)
+            ws = w1.omega.invert_a0_many(x, vs)
+            rows.append(np.stack([np.full(n, x), vs, ws], axis=-1))
+        ref = tmp_path / "ref.csv"
+        field.write_csv_table(ref, ("a_j", "v", "w"), np.concatenate(rows).T)
+        path = tmp_path / "w.csv"
+        w1.export_csv(path, n=n)
+        assert path.read_bytes() == ref.read_bytes()
+
     @given(st.floats(1.1, 3.9), st.floats(1.1, 3.9))
     @settings(max_examples=25, deadline=None)
     def test_round_trip_property(self, w1, aj, a0):
         v = w1.omega(aj, a0)
         assert abs(w1.eval(aj, v) - a0) <= 1e-6
+
+
+class TestInvertMonotone:
+    def test_mixed_directions_match_single_rows(self):
+        # one batch, row 0 rising (f = x) and row 1 falling (f = 1 - x): each
+        # row must be solved in its own direction, as a single-row call does
+        rising = np.array([[True], [False]])
+        targets = np.array([[0.5, 0.25], [0.5, 0.25]])
+        batch = characteristics._invert_monotone_vec(
+            lambda x: np.where(rising, x, 1.0 - x), targets, 0.0, 1.0
+        )
+        rows = [
+            characteristics._invert_monotone_vec(f, targets[i], 0.0, 1.0)
+            for i, f in enumerate((lambda x: x, lambda x: 1.0 - x))
+        ]
+        assert np.array_equal(batch, np.stack(rows))
+        assert np.allclose(batch, [[0.5, 0.25], [0.5, 0.75]], atol=1e-8)
 
 
 class TestLipschitz:

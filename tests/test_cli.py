@@ -247,6 +247,22 @@ class TestVerify:
         code = run("verify", "--field", log_field_csv, "--out", str(tmp_path))
         assert code == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("basis", "log_polynomial"), ("degree", 2), ("resolution", 31), ("v_nodes", 31)],
+    )
+    def test_edited_setting_rejected(self, lin_run, tmp_path, key, value):
+        # verify rebuilds with every setting in identify_meta.json, so the
+        # provenance hash must cover each of them
+        meta = json.loads((lin_run / "identify_meta.json").read_text())
+        meta[key] = value
+        (tmp_path / "identify_meta.json").write_text(json.dumps(meta))
+        code = run(
+            "verify", "--field", str(lin_run / "field.csv"), "--out", str(tmp_path),
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert not (tmp_path / "verify_report.json").exists()
+
     def test_explicit_a_ref_round_trips(self, tmp_path, lin_model_json):
         # verify must rebuild the omegas at identify's stored anchoring, not
         # at the default one
@@ -329,6 +345,22 @@ class TestConvert:
         code = run("convert", "--field", str(src), "--out", str(tmp_path / "out"))
         assert code == EXIT_INPUT_ERROR
         assert not (tmp_path / "out" / "field_a.csv").exists()
+
+    @pytest.mark.parametrize(
+        "header",
+        ["p_2,p_1,y,q_0,q_1,q_2", "p_1,p_1,y,q_0,q_1,q_2", "p_1,p_2,y,q_1,q_0,q_2"],
+        ids=["reordered", "duplicated", "q_reordered"],
+    )
+    def test_header_names_and_order_enforced(self, tmp_path, header):
+        # coordinates are read by name: p_1..p_J and q_0..q_J, left to right
+        src = tmp_path / "prices.csv"
+        self.make_price_csv(src)
+        lines = src.read_text().splitlines()
+        src.write_text("\n".join([header] + lines[1:]) + "\n")
+        out = tmp_path / "out"
+        code = run("convert", "--field", str(src), "--out", str(out))
+        assert code == EXIT_INPUT_ERROR
+        assert not any(out.glob("field_*.csv"))
 
     def test_resample_emits_lattice(self, tmp_path):
         # a genuine (y, p) lattice: probabilities from the linear model at the
