@@ -37,14 +37,16 @@ def _invert_monotone_vec(f, targets: np.ndarray, lo: float, hi: float) -> np.nda
 
     f must map an array of abscissae to function values elementwise, each entry
     monotone in its own direction (one batch may mix rising and falling rows).
-    Entries whose target lies outside [f(lo), f(hi)] come back NaN; callers
-    decide how to treat them.
+    A target below both f(lo) and f(hi) comes back -inf, one above both +inf:
+    the sign says on which side of the attained range the level misses. A NaN
+    target stays NaN.
     """
     targets = np.asarray(targets, dtype=float)
     f_lo = f(np.full_like(targets, lo))
     f_hi = f(np.full_like(targets, hi))
     increasing = f_hi >= f_lo
-    in_range = (targets >= np.minimum(f_lo, f_hi)) & (targets <= np.maximum(f_lo, f_hi))
+    below = targets < np.minimum(f_lo, f_hi)
+    above = targets > np.maximum(f_lo, f_hi)
     a = np.full_like(targets, lo)
     b = np.full_like(targets, hi)
     for _ in range(_INVERT_MAX_ITER):
@@ -55,8 +57,7 @@ def _invert_monotone_vec(f, targets: np.ndarray, lo: float, hi: float) -> np.nda
         go_right = np.where(increasing, fm < targets, fm > targets)
         a = np.where(go_right, m, a)
         b = np.where(go_right, b, m)
-    out = 0.5 * (a + b)
-    return np.where(in_range, out, np.nan)
+    return np.select([below, above, np.isnan(targets)], [-np.inf, np.inf, np.nan], 0.5 * (a + b))
 
 
 def _slope(t, a0, aj):
@@ -296,14 +297,6 @@ class OmegaFunction:
         dn = np.maximum(a_0 - d, a0_lo)
         return (self._spline.ev(a_j, up) - self._spline.ev(a_j, dn)) / (up - dn)
 
-    def value_range(self, a_j) -> tuple[float, float]:
-        """Attained omega range at fixed a_j over the a_0 domain."""
-        _, (a0_lo, a0_hi) = self.domain
-        return (
-            float(self._spline.ev(a_j, a0_lo)),
-            float(self._spline.ev(a_j, a0_hi)),
-        )
-
     def pde_residual(self, n: int = 41, delta: float | None = None) -> np.ndarray:
         """|d_omega/d_a0 + t * d_omega/d_aj| on an inset validation lattice."""
         (aj_lo, aj_hi), (a0_lo, a0_hi) = self.domain
@@ -322,7 +315,7 @@ class OmegaFunction:
         return np.abs(d0 + dj * tv)
 
     def invert_a0_many(self, a_j, v: np.ndarray) -> np.ndarray:
-        """Vectorized inversion in a_0; NaN where v is outside the attained range.
+        """Vectorized inversion in a_0; -inf/+inf where v is below/above the range.
 
         a_j is a scalar or an array that broadcasts to v's shape, e.g. v of
         shape (n, m) against a_j of shape (n, 1) inverts one row of levels per
@@ -337,11 +330,12 @@ class OmegaFunction:
         )
 
     def invert_aj_many(self, v: np.ndarray, a_0) -> np.ndarray:
-        """Vectorized b(v, a_0): a_j with omega(a_j, a_0) = v; NaN out of range.
+        """Vectorized b(v, a_0): a_j with omega(a_j, a_0) = v; +/-inf out of range.
 
-        a_0 is a scalar or an array that broadcasts to v's shape, e.g. v of
-        shape (n_ref, n_v) against a_0 of shape (n_ref, 1) inverts every level
-        at every reference in one call.
+        The sign is in level terms, not a_j: -inf where v is below the range
+        attained at a_0, +inf above it. a_0 is a scalar or an array that
+        broadcasts to v's shape, e.g. v of shape (n_ref, n_v) against a_0 of
+        shape (n_ref, 1) inverts every level at every reference in one call.
         """
         (aj_lo, aj_hi), _ = self.domain
         return _invert_monotone_vec(
@@ -472,7 +466,7 @@ class UtilityFunction:
 
     def eval(self, a_j: float, v: float) -> float:
         w = float(self.omega.invert_a0_many(a_j, np.array([v], dtype=float))[0])
-        if np.isnan(w):
+        if not np.isfinite(w):
             raise LevelRangeError(f"level {v!r} not attained at a_j={a_j!r}")
         return w
 

@@ -27,6 +27,9 @@ EXIT_CHECK_FAIL = 1
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL = 3
 
+# identify's settings record: written into identify_meta.json, read back by verify
+_SETTINGS = ("pivot", "basis", "degree", "resolution", "v_nodes", "a_ref")
+
 
 def _parse_grid(specs) -> field_mod.GridSpec:
     lower, upper, counts = [], [], []
@@ -168,14 +171,8 @@ def cmd_identify(args: argparse.Namespace) -> int:
             "(rerun with --force to identify anyway)"
         )
         return EXIT_CHECK_FAIL
-    settings = {
-        "pivot": args.pivot,
-        "basis": args.basis,
-        "degree": args.degree,
-        "resolution": args.resolution,
-        "v_nodes": args.v_nodes,
-        "a_ref": [args.a_ref] * (field.grid.dims - 1),
-    }
+    settings = {k: getattr(args, k) for k in _SETTINGS}
+    settings["a_ref"] = [args.a_ref] * (field.grid.dims - 1)
     ratios, omegas, utilities, dens = _identify_pipeline(field, settings)
     for t, om, w in zip(ratios, omegas, utilities):
         _write_json(out / f"ratio_{t.j}.json", t.to_dict())
@@ -202,9 +199,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     meta_path = out / "identify_meta.json"
     if not meta_path.exists():
         raise ValidationError(f"identify artifacts not found in {out}")
-    meta = json.loads(meta_path.read_text())
-    if meta.get("provenance") != _provenance_hash(meta):
+    try:
+        meta = json.loads(meta_path.read_text())
+    except ValueError as exc:
+        raise ProvenanceError(f"identify_meta.json is not valid JSON: {exc}") from None
+    if not isinstance(meta, dict) or meta.get("provenance") != _provenance_hash(meta):
         raise ProvenanceError("identify_meta.json provenance hash mismatch")
+    missing = [k for k in _SETTINGS + ("field_hash",) if k not in meta]
+    if missing:
+        raise ProvenanceError(f"identify_meta.json lacks {', '.join(missing)}")
     if meta["field_hash"] != field.content_hash():
         raise ProvenanceError(
             "field does not match the one used by identify (hash mismatch)"
@@ -295,8 +298,9 @@ def _resample_to_lattice(data, p_cols, y_col, q_cols, grid_specs, out: Path):
 
     Treats the input as a lattice in (y, p_1, ..., p_J), interpolates q there,
     and samples it at the exact preimage (y, y - a_1, ..., y - a_J) of each
-    target a-node. Target hull shrinks to offers whose preimage stays inside
-    the source lattice, so interpolation never extrapolates.
+    target a-node. The default target hull keeps every preimage inside the
+    source lattice; an explicit --grid whose preimages leave it is rejected,
+    so interpolation never extrapolates.
     """
     from scipy.interpolate import RegularGridInterpolator
 
@@ -310,7 +314,8 @@ def _resample_to_lattice(data, p_cols, y_col, q_cols, grid_specs, out: Path):
         tuple(data[:, c] for c in reversed(p_cols)) + (data[:, y_col],)
     )
     q = data[order][:, q_cols].reshape(shape + (J + 1,))
-    interp = RegularGridInterpolator((y_vals,) + tuple(p_axes), q)
+    src = (y_vals, *p_axes)
+    interp = RegularGridInterpolator(src, q)
     if grid_specs:
         grid = _parse_grid(grid_specs)
     else:
@@ -327,7 +332,11 @@ def _resample_to_lattice(data, p_cols, y_col, q_cols, grid_specs, out: Path):
     axes = grid.axes()
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    vals = interp(np.column_stack([pts[:, 0], pts[:, :1] - pts[:, 1:]]))
+    pre = np.column_stack([pts[:, 0], pts[:, :1] - pts[:, 1:]])
+    lo, hi = [ax[0] for ax in src], [ax[-1] for ax in src]
+    if pre.shape[1] != J + 1 or np.any((pre < lo) | (pre > hi)):
+        raise ValidationError(f"--grid needs {J + 1} axes that map inside the source lattice")
+    vals = interp(pre)
     vals = np.clip(vals, 0.0, 1.0)
     vals = vals / vals.sum(axis=-1, keepdims=True)
     field = field_mod.ProbabilityField(
@@ -407,7 +416,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         for name, value in vars(args).items():
-            if name.startswith("tol_") and value <= 0:
+            if name.startswith("tol_") and not value > 0:
                 raise ValidationError(f"{name} must be > 0")
             if name.endswith("_path") and not Path(value).exists():
                 raise ValidationError(f"{name[:-5]} file not found: {value}")

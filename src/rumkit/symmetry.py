@@ -165,50 +165,41 @@ def test_condition_A(
     for j in range(nalt):
         if j == m:
             continue
-        num = grads[j, m]
-        den = grads[m, j]
-        pair_idx = [
-            (ij, im)
-            for ij in interior[j]
-            for im in interior[m]
-        ]
-        if len(pair_idx) > _MAX_FAMILIES:
-            sel = rng.choice(len(pair_idx), size=_MAX_FAMILIES, replace=False)
-            pair_idx = [pair_idx[i] for i in sel]
+        pairs = np.meshgrid(interior[j], interior[m], indexing="ij")
+        pair_ij, pair_im = pairs[0].ravel(), pairs[1].ravel()
+        if len(pair_ij) > _MAX_FAMILIES:
+            sel = rng.choice(len(pair_ij), size=_MAX_FAMILIES, replace=False)
+            pair_ij, pair_im = pair_ij[sel], pair_im[sel]
         off_axes = [k for k in range(nalt) if k not in (j, m)]
         off_grids = np.meshgrid(*[interior[k] for k in off_axes], indexing="ij")
         off_combos = np.stack([g.ravel() for g in off_grids], axis=-1)
         if off_combos.shape[0] > _MAX_FAMILY_SIZE:
             sel = rng.choice(off_combos.shape[0], size=_MAX_FAMILY_SIZE, replace=False)
             off_combos = off_combos[sel]
-        max_spread = -1.0
-        loc = None
-        n_inconclusive = 0
-        for ij, im in pair_idx:
-            idx = np.empty((off_combos.shape[0], nalt), dtype=int)
-            idx[:, j] = ij
-            idx[:, m] = im
-            for col, k in enumerate(off_axes):
-                idx[:, k] = off_combos[:, col]
-            flat = tuple(idx[:, k] for k in range(nalt))
-            nums = num[flat]
-            dens = den[flat]
-            ok = np.abs(dens) >= eps_denom
-            if ok.sum() < max(2, 0.5 * len(ok)):
-                n_inconclusive += 1
-                continue
-            ratios = nums[ok] / dens[ok]
-            spread = float(ratios.max() - ratios.min())
-            if spread > max_spread:
-                max_spread = spread
-                loc = [int(ij), int(im)]
+        # one gather per pair: rows are families (a_j, a_m), columns members
+        idx = [None] * nalt
+        idx[j], idx[m] = pair_ij[:, None], pair_im[:, None]
+        for col, k in enumerate(off_axes):
+            idx[k] = off_combos[None, :, col]
+        nums, dens = grads[j, m][tuple(idx)], grads[m, j][tuple(idx)]
+        ok = np.abs(dens) >= eps_denom
+        usable = ok.sum(axis=1) >= max(2, 0.5 * ok.shape[1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = nums / dens
+        spread = np.where(
+            usable,
+            np.max(ratios, axis=1, where=ok, initial=-np.inf)
+            - np.min(ratios, axis=1, where=ok, initial=np.inf),
+            -np.inf,
+        )
+        i = int(np.argmax(spread)) if usable.any() else None  # first of equal maxima
         stats[f"{j},{m}"] = {
-            "statistic": max_spread if max_spread >= 0 else None,
-            "location": loc,
-            "n_used": len(pair_idx) - n_inconclusive,
-            "inconclusive": n_inconclusive > 0.5 * len(pair_idx),
+            "statistic": float(spread[i]) if i is not None else None,
+            "location": [int(pair_ij[i]), int(pair_im[i])] if i is not None else None,
+            "n_used": int(usable.sum()),
+            "inconclusive": int((~usable).sum()) > 0.5 * len(pair_ij),
         }
-    return SymmetryReport("condition_a", tol, stats, len(pair_idx))
+    return SymmetryReport("condition_a", tol, stats, len(pair_ij))
 
 
 def recommend_pivot(field: ProbabilityField, eps_denom: float | None = None) -> int:

@@ -21,29 +21,18 @@ from .field import ProbabilityField
 _MASS_WINDOW = (0.95, 1.05)
 
 
-def _cell_utility_table(utilities, density: DensityGrid, a):
-    """w_j at every v-axis value for offer a; +/-inf encode out-of-range levels.
+def _utility_tables(utilities, density: DensityGrid, offers):
+    """w_j on v-axis j for every offer: one (n_offers, n_v) table per axis.
 
-    A level below the attained omega range at a_j means the alternative's
-    utility there is below everything representable (loses every comparison);
-    above the range it wins them. Cells where two alternatives are both
-    above-range are undecidable and get skipped by the integrators.
+    One batched inversion per axis, a_j as an (n_offers, 1) column. A level
+    below the range omega attains at a_j gives -inf (the alternative loses
+    every comparison), one above it +inf (it wins them); cells where two
+    alternatives sit at +inf are undecidable and the integrators skip them.
     """
-    J = density.n_dims
-    tables = []
-    for j in range(J):
-        om = utilities[j].omega
-        vals = np.asarray(density.axes[j], dtype=float)
-        w = om.invert_a0_many(float(a[j + 1]), vals)
-        lo, hi = om.value_range(float(a[j + 1]))
-        v_lo, v_hi = min(lo, hi), max(lo, hi)
-        below = vals < v_lo
-        above = vals > v_hi
-        missing = np.isnan(w)
-        w = np.where(missing & below, -np.inf, w)
-        w = np.where(missing & above, np.inf, w)
-        tables.append(w)
-    return tables
+    return [
+        u.omega.invert_a0_many(offers[:, j, None], np.broadcast_to(v, (len(offers), len(v))))
+        for j, (u, v) in enumerate(zip(utilities, density.axes), start=1)
+    ]
 
 
 def _winners(ws, a0):
@@ -75,9 +64,9 @@ def _lerp_tables(lo, hi, frac):
 
 
 def _subcell_tables(tables, refine):
-    """Utility at refine sub-centers per cell, linearly interpolated per axis."""
+    """Utility at refine sub-centers of each cell along the last axis: (..., n_cells, refine)."""
     frac = (np.arange(refine) + 0.5) / refine
-    return [_lerp_tables(t[:-1, None], t[1:, None], frac).ravel() for t in tables]
+    return [_lerp_tables(t[..., :-1, None], t[..., 1:, None], frac) for t in tables]
 
 
 def rationalized_choice_prob(
@@ -89,32 +78,35 @@ def rationalized_choice_prob(
     seed: int = 0,
     return_diagnostics: bool = False,
 ):
-    """Choice probabilities at offer vector a implied by (utilities, density).
+    """Choice probabilities implied by (utilities, density) at one offer or a batch.
 
-    grid_quadrature assigns each v-cell's trapezoid mass to the winner at the
-    cell center; monte_carlo draws cells by mass (inverse CDF), jitters
-    uniformly within the cell, and judges the argmax at the jittered point
-    using linearly interpolated w. Skipped (undecidable) mass is reported in
-    the diagnostics; the returned vector is renormalized over decided mass.
+    a is one offer (J+1,) or a batch (n_offers, J+1), like
+    ProbabilityField.interpolate; q and the skipped-mass and leakage
+    diagnostics take its leading shape. grid_quadrature assigns each v-cell's
+    trapezoid mass to the winner at the cell center; monte_carlo draws cells by
+    mass (inverse CDF) with seed + i for offer i, jitters uniformly within the
+    cell, and judges the argmax at the jittered point using linearly
+    interpolated w. Each q is renormalized over decided mass.
     """
     a = np.asarray(a, dtype=float)
     J = density.n_dims
-    if len(a) != J + 1:
+    if a.ndim not in (1, 2) or a.shape[-1] != J + 1:
         raise ValidationError("offer vector length must be J + 1")
+    offers = np.atleast_2d(a)
     masses = density.cell_masses()
     total = float(masses.sum())
     if not _MASS_WINDOW[0] <= total <= _MASS_WINDOW[1]:
         raise UnnormalizedDensityError(
             f"density mass {total:.4f} outside {_MASS_WINDOW}"
         )
-    tables = _cell_utility_table(utilities, density, a)
+    tables = _utility_tables(utilities, density, offers)
     if method == "grid_quadrature":
         # each cell's mass spread uniformly over refine^J subcells; the
         # winner is judged at subcell centers, shrinking the misallocated
         # band along indifference boundaries by the refinement factor
         refine = 4
-        ws = [
-            t.reshape([-1 if k == j else 1 for k in range(J)])
+        tables = [
+            t.reshape([len(offers)] + [-1 if k == j else 1 for k in range(J)])
             for j, t in enumerate(_subcell_tables(tables, refine))
         ]
         weights = masses / refine**J
@@ -122,25 +114,29 @@ def rationalized_choice_prob(
             weights = np.repeat(weights, refine, axis=d)
         weights, unit = weights.ravel(), 1.0
     elif method == "monte_carlo":
-        rng = np.random.default_rng(seed)
         flat = masses.ravel()
-        draws = rng.choice(len(flat), size=n, p=flat / flat.sum())
-        cells = np.unravel_index(draws, masses.shape)
-        u = rng.random((n, J))
-        ws = [_lerp_tables(t[c], t[c + 1], uj) for t, c, uj in zip(tables, cells, u.T)]
+        p = flat / flat.sum()
         weights, unit = None, total / n  # every draw carries total / n
     else:
         raise ValidationError(f"unknown method {method!r}")
-    # one winner rule and one tally for both integrators; bin 0 collects the
-    # undecidable mass
-    who = _winners(ws, a[0])
-    tally = np.bincount(who.ravel() + 1, weights, J + 2) * unit
-    skipped, counts = float(tally[0]), tally[1:]
-    decided = counts.sum()
-    leakage = 1.0 - decided
-    q = counts / decided if decided > 0 else counts
+    # one winner rule and one tally for both integrators, offer by offer; bin
+    # 0 collects the undecidable mass
+    tally = np.empty((len(offers), J + 2))
+    for i, offer in enumerate(offers):
+        ws = [t[i] for t in tables]
+        if method == "monte_carlo":
+            rng = np.random.default_rng(seed + i)
+            cells = np.unravel_index(rng.choice(len(flat), size=n, p=p), masses.shape)
+            u = rng.random((n, J))
+            ws = [_lerp_tables(w[c], w[c + 1], uj) for w, c, uj in zip(ws, cells, u.T)]
+        tally[i] = np.bincount(_winners(ws, offer[0]).ravel() + 1, weights, J + 2) * unit
+    skipped, counts = tally[:, 0], tally[:, 1:]
+    decided = counts.sum(axis=1)
+    q = counts / np.where(decided > 0, decided, 1.0)[:, None]
+    if a.ndim == 1:
+        q, skipped, decided = q[0], float(skipped[0]), decided[0]
     if return_diagnostics:
-        return q, {"skipped_mass": skipped, "leakage": leakage, "mass": total}
+        return q, {"skipped_mass": skipped, "leakage": 1.0 - decided, "mass": total}
     return q
 
 
@@ -186,15 +182,11 @@ def round_trip_report(
 ) -> VerifyReport:
     """Compare rationalized probabilities against the field at test points."""
     test_points = np.atleast_2d(np.asarray(test_points, dtype=float))
-    J = density.n_dims
-    errs = np.zeros((len(test_points), J + 1))
+    q_rec = rationalized_choice_prob(
+        utilities, density, test_points, method=method, n=n, seed=seed
+    )
+    errs = np.abs(q_rec - field.interpolate(test_points))
     mass = float(density.cell_masses().sum())
-    for i, a in enumerate(test_points):
-        q_rec = rationalized_choice_prob(
-            utilities, density, a, method=method, n=n, seed=seed + i
-        )
-        q_in = field.interpolate(a)
-        errs[i] = np.abs(q_rec - q_in)
     worst_i = int(np.argmax(errs.max(axis=1)))
     return VerifyReport(
         max_abs_error=errs.max(axis=0),
@@ -225,19 +217,13 @@ def translation_invariance_check(
     upper = np.asarray(field.grid.upper)
     shifts = [float(c) for c in shifts]
     c_max = max((abs(c) for c in shifts), default=0.0)
-    span = upper - lower
-    if np.any(2 * c_max >= span):
+    if np.any(2 * c_max >= upper - lower):
         raise ValidationError("shifts too large for the field hull")
-    lo = lower + max(c_max, 0.0)
-    hi = upper - max(c_max, 0.0)
+    lo, hi = lower + c_max, upper - c_max
     pts = lo + rng.random((n_points, field.grid.dims)) * (hi - lo)
     base = field.interpolate(pts)
-    per_shift = {}
-    worst = 0.0
-    for c in shifts:
-        d = float(np.max(np.abs(field.interpolate(pts + c) - base)))
-        per_shift[c] = d
-        worst = max(worst, d)
+    per_shift = {c: float(np.max(np.abs(field.interpolate(pts + c) - base))) for c in shifts}
+    worst = max(per_shift.values(), default=0.0)
     return {
         "per_shift_max_deviation": per_shift,
         "max_deviation": worst,

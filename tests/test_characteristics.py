@@ -284,12 +284,13 @@ class TestUtilityInversion:
             w1.eval(2.0, 1e-4)
 
     def test_export_matches_per_row_inversion(self, w1, tmp_path):
-        # reference: one value_range and one inversion per a_j row
+        # reference: the row's level range from omega at the a_0 domain ends,
+        # then one inversion per a_j row
         n = 11
-        (aj_lo, aj_hi), _ = w1.omega.domain
+        (aj_lo, aj_hi), (a0_lo, a0_hi) = w1.omega.domain
         rows = []
         for x in np.linspace(aj_lo, aj_hi, n):
-            vs = np.linspace(*w1.omega.value_range(x), n)
+            vs = np.linspace(w1.omega(x, a0_lo), w1.omega(x, a0_hi), n)
             ws = w1.omega.invert_a0_many(x, vs)
             rows.append(np.stack([np.full(n, x), vs, ws], axis=-1))
         ref = tmp_path / "ref.csv"
@@ -306,11 +307,21 @@ class TestUtilityInversion:
 
 
 class TestInvertMonotone:
-    def test_mixed_directions_match_single_rows(self):
+    @pytest.mark.parametrize(
+        "targets, expected",
+        [
+            ([0.5, 0.25], [[0.5, 0.25], [0.5, 0.75]]),
+            # a miss reports its side in level terms, whatever the direction;
+            # a NaN target stays NaN
+            ([-0.5, 1.5, np.nan], [[-np.inf, np.inf, np.nan]] * 2),
+        ],
+        ids=["inside", "outside"],
+    )
+    def test_mixed_directions_match_single_rows(self, targets, expected):
         # one batch, row 0 rising (f = x) and row 1 falling (f = 1 - x): each
         # row must be solved in its own direction, as a single-row call does
         rising = np.array([[True], [False]])
-        targets = np.array([[0.5, 0.25], [0.5, 0.25]])
+        targets = np.array([targets, targets])
         batch = characteristics._invert_monotone_vec(
             lambda x: np.where(rising, x, 1.0 - x), targets, 0.0, 1.0
         )
@@ -318,8 +329,8 @@ class TestInvertMonotone:
             characteristics._invert_monotone_vec(f, targets[i], 0.0, 1.0)
             for i, f in enumerate((lambda x: x, lambda x: 1.0 - x))
         ]
-        assert np.array_equal(batch, np.stack(rows))
-        assert np.allclose(batch, [[0.5, 0.25], [0.5, 0.75]], atol=1e-8)
+        assert np.array_equal(batch, np.stack(rows), equal_nan=True)
+        assert np.allclose(batch, expected, atol=1e-8, equal_nan=True)
 
 
 class TestLipschitz:

@@ -263,6 +263,27 @@ class TestVerify:
         assert code == EXIT_INPUT_ERROR
         assert not (tmp_path / "verify_report.json").exists()
 
+    def test_unparsable_meta_rejected(self, lin_run, tmp_path):
+        (tmp_path / "identify_meta.json").write_text("{")
+        code = run(
+            "verify", "--field", str(lin_run / "field.csv"), "--out", str(tmp_path),
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert not (tmp_path / "verify_report.json").exists()
+
+    @pytest.mark.parametrize("key", ["pivot", "field_hash"])
+    def test_missing_setting_rejected(self, lin_run, tmp_path, key):
+        # the stamp matches the edited record, so only the missing key is wrong
+        meta = json.loads((lin_run / "identify_meta.json").read_text())
+        del meta[key]
+        meta["provenance"] = cli._provenance_hash(meta)
+        (tmp_path / "identify_meta.json").write_text(json.dumps(meta))
+        code = run(
+            "verify", "--field", str(lin_run / "field.csv"), "--out", str(tmp_path),
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert not (tmp_path / "verify_report.json").exists()
+
     def test_explicit_a_ref_round_trips(self, tmp_path, lin_model_json):
         # verify must rebuild the omegas at identify's stored anchoring, not
         # at the default one
@@ -362,9 +383,9 @@ class TestConvert:
         assert code == EXIT_INPUT_ERROR
         assert not any(out.glob("field_*.csv"))
 
-    def test_resample_emits_lattice(self, tmp_path):
-        # a genuine (y, p) lattice: probabilities from the linear model at the
-        # a-space preimage of each (y, p) node
+    def make_price_lattice(self, path):
+        """A genuine (y, p) lattice, y in [-2, 2] and p in [-1, 1]: probabilities
+        from the linear model at the a-space preimage of each (y, p) node."""
         m = lin_model()
         ys = np.linspace(-2.0, 2.0, 11)
         ps = np.linspace(-1.0, 1.0, 11)
@@ -376,8 +397,12 @@ class TestConvert:
                     lines.append(
                         ",".join(f"{x:.12g}" for x in (p1, p2, y, *q))
                     )
+        path.write_text("\n".join(lines) + "\n")
+        return m
+
+    def test_resample_emits_lattice(self, tmp_path):
         src = tmp_path / "prices.csv"
-        src.write_text("\n".join(lines) + "\n")
+        m = self.make_price_lattice(src)
         code = run(
             "convert", "--field", str(src), "--resample", "--out", str(tmp_path),
         )
@@ -388,6 +413,18 @@ class TestConvert:
         )
         exact = model.choice_prob_closed_form(m, mid)
         assert np.max(np.abs(back.interpolate(mid) - exact)) <= 5e-3
+
+    def test_resample_grid_outside_source_rejected(self, tmp_path):
+        # a_0 = y = 1 with a_1 = -0.5 maps back to p_1 = 1.5, past p <= 1
+        src = tmp_path / "prices.csv"
+        self.make_price_lattice(src)
+        out = tmp_path / "out"
+        code = run(
+            "convert", "--field", str(src), "--resample", "--out", str(out),
+            "--grid=0:1:5", "--grid=-0.5:0.5:6", "--grid=-0.6:0.4:7",
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert not (out / "field_resampled.csv").exists()
 
     def test_price_header_to_a_to_price_rejected(self, tmp_path):
         src = tmp_path / "prices.csv"
@@ -430,9 +467,10 @@ class TestExitCodes:
         )
         assert proc.returncode == 0, proc.stderr
 
-    def test_tolerances_must_be_positive(self, tmp_path, log_field_csv):
+    @pytest.mark.parametrize("tol", ["-0.5", "nan"])
+    def test_tolerances_must_be_positive(self, tmp_path, log_field_csv, tol):
         code = run(
             "check", "--field", log_field_csv, "--out", str(tmp_path),
-            "--tol-symmetry", "-0.5",
+            "--tol-symmetry", tol,
         )
         assert code == EXIT_INPUT_ERROR

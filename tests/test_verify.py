@@ -154,6 +154,69 @@ class TestRoundTrip:
         assert set(doc) >= {"max_abs_error", "passed", "tol", "method", "mass"}
 
 
+class TestBatchedOffers:
+    """One call over many offers equals one call per offer, bit for bit."""
+
+    @pytest.mark.parametrize("method", ["grid_quadrature", "monte_carlo"])
+    def test_batch_equals_stacked_single_offers(self, wide_utilities, wide_density, method):
+        # the second offer sends levels past both ends of the omega ranges
+        offers = np.array([(2.0, 1.0, 4.0), (49.0, 0.06, 0.1), (0.5, 0.8, 0.3)])
+        q, diag = verify.rationalized_choice_prob(
+            wide_utilities, wide_density, offers, method=method, n=20_000, seed=3,
+            return_diagnostics=True,
+        )
+        singles = [
+            verify.rationalized_choice_prob(
+                wide_utilities, wide_density, a, method=method, n=20_000, seed=3 + i,
+                return_diagnostics=True,
+            )
+            for i, a in enumerate(offers)
+        ]
+        assert q.shape == offers.shape
+        assert np.array_equal(q, np.stack([q_i for q_i, _ in singles]))
+        for key in ("skipped_mass", "leakage"):
+            assert diag[key].shape == (len(offers),)
+            assert np.array_equal(diag[key], [d[key] for _, d in singles])
+        assert diag["mass"] == singles[0][1]["mass"]
+
+    @pytest.mark.parametrize("method", ["grid_quadrature", "monte_carlo"])
+    def test_report_matches_per_point_loop(
+        self, monkeypatch, wide_field, wide_utilities, wide_density, method
+    ):
+        rng = np.random.default_rng(11)
+        lo = np.asarray(wide_field.grid.lower)
+        span = np.asarray(wide_field.grid.upper) - lo
+        pts = lo + 0.15 * span + rng.random((6, 3)) * 0.7 * span
+        # reference: one single-offer call and one interpolation per point
+        errs = np.array([
+            np.abs(
+                verify.rationalized_choice_prob(
+                    wide_utilities, wide_density, a, method=method, n=20_000, seed=2 + i
+                )
+                - wide_field.interpolate(a)
+            )
+            for i, a in enumerate(pts)
+        ])
+        calls = []
+        prob, interp = verify.rationalized_choice_prob, field.ProbabilityField.interpolate
+        monkeypatch.setattr(
+            verify, "rationalized_choice_prob",
+            lambda *args, **kw: calls.append("prob") or prob(*args, **kw),
+        )
+        monkeypatch.setattr(
+            field.ProbabilityField, "interpolate",
+            lambda self, a: calls.append("interpolate") or interp(self, a),
+        )
+        rep = verify.round_trip_report(
+            wide_field, wide_utilities, wide_density, pts, method=method, n=20_000, seed=2
+        )
+        assert sorted(calls) == ["interpolate", "prob"]
+        assert np.array_equal(rep.max_abs_error, errs.max(axis=0))
+        assert np.array_equal(rep.mean_abs_error, errs.mean(axis=0))
+        assert rep.worst_point == tuple(pts[int(np.argmax(errs.max(axis=1)))])
+        assert rep.passed == bool(errs.max() <= rep.tol)
+
+
 class TestTranslationInvariance:
     def test_linear_model_passes(self, lin_field):
         rep = verify.translation_invariance_check(lin_field, (0.25, 0.5), tol=5e-3)
@@ -211,10 +274,10 @@ def reference_choice_prob(utilities, density_, a, method, n=100_000, seed=0):
     J = density_.n_dims
     masses = density_.cell_masses()
     total = float(masses.sum())
-    tables = verify._cell_utility_table(utilities, density_, a)
+    tables = [t[0] for t in verify._utility_tables(utilities, density_, a[None])]
     counts = np.zeros(J + 1)
     if method == "grid_quadrature":
-        who = reference_winners(verify._subcell_tables(tables, 4), a[0])
+        who = reference_winners([t.ravel() for t in verify._subcell_tables(tables, 4)], a[0])
         sub_masses = masses / 4**J
         for d in range(J):
             sub_masses = np.repeat(sub_masses, 4, axis=d)
@@ -245,14 +308,11 @@ def reference_choice_prob(utilities, density_, a, method, n=100_000, seed=0):
 
 
 class _CappedOmega:
-    """Level function whose utility is w = v up to level 1, unattained above."""
+    """Level function whose utility is w = v up to level 1, +inf above."""
 
     def invert_a0_many(self, a_j, v):
         v = np.asarray(v, dtype=float)
-        return np.where(v <= 1.0, v, np.nan)
-
-    def value_range(self, a_j):
-        return 0.0, 1.0
+        return np.where(v <= 1.0, v, np.inf)
 
 
 @pytest.fixture(scope="module")
