@@ -297,17 +297,17 @@ class OmegaFunction:
         dn = np.maximum(a_0 - d, a0_lo)
         return (self._spline.ev(a_j, up) - self._spline.ev(a_j, dn)) / (up - dn)
 
-    def pde_residual(self, n: int = 41, delta: float | None = None) -> np.ndarray:
-        """|d_omega/d_a0 + t * d_omega/d_aj| on an inset validation lattice."""
+    def pde_residual(self) -> np.ndarray:
+        """|d_omega/d_a0 + t * d_omega/d_aj| on an inset 41 x 41 validation lattice."""
         (aj_lo, aj_hi), (a0_lo, a0_hi) = self.domain
         if self.log_axes:
-            aj = np.geomspace(aj_lo * 1.02, aj_hi / 1.02, n)
-            a0 = np.geomspace(a0_lo * 1.02, a0_hi / 1.02, n)
+            delta = None  # proportional FD half-steps
+            aj = np.geomspace(aj_lo * 1.02, aj_hi / 1.02, 41)
+            a0 = np.geomspace(a0_lo * 1.02, a0_hi / 1.02, 41)
         else:
-            if delta is None:
-                delta = self.step
-            aj = np.linspace(aj_lo + delta, aj_hi - delta, n)
-            a0 = np.linspace(a0_lo + delta, a0_hi - delta, n)
+            delta = self.step  # inset by, and difference with, one RK4 step
+            aj = np.linspace(aj_lo + delta, aj_hi - delta, 41)
+            a0 = np.linspace(a0_lo + delta, a0_hi - delta, 41)
         AJ, A0 = np.meshgrid(aj, a0, indexing="ij")
         d0 = self.d_a0(AJ.ravel(), A0.ravel(), delta).reshape(AJ.shape)
         dj = self.d_aj(AJ.ravel(), A0.ravel(), delta).reshape(AJ.shape)
@@ -361,7 +361,6 @@ def build_omega(
     resolution: int = 201,
     step: float | None = None,
     j: int | None = None,
-    scale: str = "auto",
 ) -> OmegaFunction:
     """Construct omega for one alternative from its ratio surface.
 
@@ -371,19 +370,14 @@ def build_omega(
     domain rectangle on their way to the anchor line: integration runs on an
     a_j box enlarged by _BOX_MARGIN and an automatically extended a_0 span.
 
-    scale: "linear" steps uniformly in a_0, "log" in ln a_0 with log-spaced
-    lattices (the right parametrization when the domain spans decades), "auto"
-    picks log for positive domains wider than a factor 20 in a_0.
+    The domain picks the march: positive domains wider than a factor 20 in a_0
+    step in ln a_0 with log-spaced lattices (the right parametrization when
+    the domain spans decades), all others uniformly in a_0.
     """
     (aj_lo, aj_hi), (a0_lo, a0_hi) = domain
-    if scale == "auto":
-        use_log = a0_lo > 0 and aj_lo > 0 and a0_hi / a0_lo > 20.0
-    elif scale in ("linear", "log"):
-        use_log = scale == "log"
-        if use_log and (a0_lo <= 0 or aj_lo <= 0):
-            raise ValidationError("log scale needs a strictly positive domain")
-    else:
-        raise ValidationError(f"unknown scale {scale!r}")
+    if resolution < 4:
+        raise ValidationError(f"resolution {resolution} < 4: the omega spline is bicubic")
+    use_log = a0_lo > 0 and aj_lo > 0 and a0_hi / a0_lo > 20.0
     if a_ref is None:
         a_ref = np.sqrt(aj_lo * aj_hi) if use_log else 0.5 * (aj_lo + aj_hi)
     if not aj_lo <= a_ref <= aj_hi:
@@ -481,11 +475,11 @@ class UtilityFunction:
         )
 
 
-def lipschitz_diagnostic(t, domain, n: int = 201) -> float:
-    """Empirical max |dt/da_j| over a dense lattice: the Picard-Lindelof constant."""
+def lipschitz_diagnostic(t, domain) -> float:
+    """Empirical max |dt/da_j| over a 201 x 201 lattice: the Picard-Lindelof constant."""
     (aj_lo, aj_hi), (a0_lo, a0_hi) = domain
-    aj = np.linspace(aj_lo, aj_hi, n)
-    a0 = np.linspace(a0_lo, a0_hi, n)
+    aj = np.linspace(aj_lo, aj_hi, 201)
+    a0 = np.linspace(a0_lo, a0_hi, 201)
     AJ, A0 = np.meshgrid(aj, a0, indexing="ij")
     vals = np.asarray(t(AJ, A0), dtype=float)
     d = np.gradient(vals, aj, axis=0, edge_order=2)

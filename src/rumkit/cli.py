@@ -100,13 +100,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     field = field_mod.read_field_csv(args.field_path)
+    shape = field_mod.check_shape(field)
+    dz = symmetry.test_daly_zachary(field, tol=args.tol_symmetry)
+    cond_a = symmetry.test_condition_A(field, m=args.pivot, tol=args.tol_condition_a)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    shape = field_mod.check_shape(field)
     _write_json(out / "shape_report.json", shape.to_dict())
-    dz = symmetry.test_daly_zachary(field, tol=args.tol_symmetry)
     _write_json(out / "symmetry_report.json", dz.to_dict())
-    cond_a = symmetry.test_condition_A(field, m=args.pivot, tol=args.tol_condition_a)
     _write_json(out / "condition_a_report.json", cond_a.to_dict())
     if cond_a.inconclusive:
         print("condition (A) check inconclusive: too few usable families")
@@ -208,6 +208,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     missing = [k for k in _SETTINGS + ("field_hash",) if k not in meta]
     if missing:
         raise ProvenanceError(f"identify_meta.json lacks {', '.join(missing)}")
+    # every setting must have the type identify writes (bool is not an int here)
+    a_ref = meta["a_ref"]
+    typed = {k: type(meta[k]) is int for k in ("pivot", "degree", "resolution", "v_nodes")}
+    typed["basis"] = isinstance(meta["basis"], str)
+    typed["a_ref"] = (
+        isinstance(a_ref, list) and len(a_ref) == field.grid.dims - 1
+        and all(type(x) in (int, float) for x in a_ref)
+    )
+    wrong = [k for k, ok in typed.items() if not ok]
+    if wrong:
+        raise ProvenanceError(f"identify_meta.json settings of the wrong type: {', '.join(wrong)}")
     if meta["field_hash"] != field.content_hash():
         raise ProvenanceError(
             "field does not match the one used by identify (hash mismatch)"
@@ -281,6 +292,9 @@ def cmd_convert(args: argparse.Namespace) -> int:
     at = 0 if base_first else J
     coords.insert(at, y)
     names.insert(at, dst_base)
+    resampled = None
+    if args.resample and src == "p":
+        resampled = _resample_to_lattice(data, cols, y_col, q_cols, args.grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     field_mod.write_csv_table(
@@ -288,13 +302,13 @@ def cmd_convert(args: argparse.Namespace) -> int:
         names + [header[i] for i in q_cols],
         coords + list(data[:, q_cols].T),
     )
-    if args.resample and src == "p":
-        _resample_to_lattice(data, cols, y_col, q_cols, args.grid, out)
+    if resampled is not None:
+        field_mod.write_field_csv(resampled, out / "field_resampled.csv")
     return EXIT_PASS
 
 
-def _resample_to_lattice(data, p_cols, y_col, q_cols, grid_specs, out: Path):
-    """Interpolate probabilities onto a rectangular a-lattice.
+def _resample_to_lattice(data, p_cols, y_col, q_cols, grid_specs) -> field_mod.ProbabilityField:
+    """Probabilities interpolated onto a rectangular a-lattice.
 
     Treats the input as a lattice in (y, p_1, ..., p_J), interpolates q there,
     and samples it at the exact preimage (y, y - a_1, ..., y - a_J) of each
@@ -339,10 +353,9 @@ def _resample_to_lattice(data, p_cols, y_col, q_cols, grid_specs, out: Path):
     vals = interp(pre)
     vals = np.clip(vals, 0.0, 1.0)
     vals = vals / vals.sum(axis=-1, keepdims=True)
-    field = field_mod.ProbabilityField(
+    return field_mod.ProbabilityField(
         grid, vals.reshape(grid.counts + (J + 1,)), provenance="convert:resampled"
     )
-    field_mod.write_field_csv(field, out / "field_resampled.csv")
 
 
 def build_parser() -> argparse.ArgumentParser:

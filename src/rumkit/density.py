@@ -2,11 +2,11 @@
 
 The distribution of the recovered taste variables v = (v_1, ..., v_J) is read
 off the field: the CDF is F(v) = q_0 evaluated at the a-point where every
-omega_j attains level v_j, and the density is the ratio of the J-th mixed
-partial of q_0 to the product of the omega slopes, evaluated at the same
-point. An alternative route differentiates q_k (one inside alternative) with
-respect to a_0 and the other offer coordinates instead; both quotients must
-agree, which makes the pair a strong internal consistency check.
+omega_j attains level v_j, and the density is one quotient at the same point:
+the J-th partial of one choice probability q_via over every offer coordinate
+but a_via, divided by the product of the matching omega slopes. Every choice
+of via must give the same density, which makes the quotients a strong
+internal consistency check.
 """
 
 from __future__ import annotations
@@ -111,6 +111,8 @@ def make_v_grid(omegas, n: int = 101, bounds=None) -> tuple:
     than a decade, linear otherwise. Explicit bounds (list of (lo, hi) per
     axis) override the attained ranges.
     """
+    if n < 2:
+        raise ValidationError(f"a v axis needs at least 2 nodes, got {n}")
     axes = []
     for j, om in enumerate(omegas):
         if bounds is not None and bounds[j] is not None:
@@ -211,18 +213,13 @@ def reconstruct_cdf(field: ProbabilityField, omegas, v, a_0=None) -> float:
     return float(np.mean(field.interpolate(pts[ok][:want])[:, 0]))
 
 
-def reconstruct_density(
-    field: ProbabilityField,
-    omegas,
-    v_grid,
-    route: str = "mixed",
-    alt_k: int = 1,
-) -> DensityGrid:
+def reconstruct_density(field: ProbabilityField, omegas, v_grid, via: int = 0) -> DensityGrid:
     """Density grid over v_grid (tuple of axes) from the field and omega maps.
 
-    route "mixed": f = [mixed partial of q_0 over a_1..a_J] / prod_j d_omega_j/d_a_j.
-    route "alt":   f = -[partial over a_0 and a_{j != alt_k} of q_{alt_k}]
-                       / [d_omega_k/d_a_0 * prod_{j != k} d_omega_j/d_a_j].
+    f = sign * [partial of q_via over every a_i with i != via]
+            / prod_{j=1..J} (d omega_j/d a_0 if j == via else d omega_j/d a_j),
+
+    with sign -1 when via > 0; via = 0 differentiates q_0 over a_1..a_J.
     Each v-node is mapped to a-space at the innermost reference a_0 where
     every inversion lands clear of the FD stencil margin, preferring exact
     grid nodes over off-node references whenever one is usable;
@@ -233,26 +230,15 @@ def reconstruct_density(
     J = len(omegas)
     if field.grid.dims != J + 1:
         raise ValidationError("field dimensionality must be J + 1")
-    if route not in ("mixed", "alt"):
-        raise ValidationError(f"unknown route {route!r}")
-    if route == "alt" and not 1 <= alt_k <= J:
-        raise ValidationError("alt_k must name an inside alternative")
+    if not 0 <= via <= J:
+        raise ValidationError(f"via must name an alternative 0..{J}, got {via!r}")
     axes_a = field.grid.axes()
     spacing = field.grid.spacing
-    candidates, node_mask = _interior_a0_candidates(
-        field, margin_steps=0 if route == "mixed" else 1
-    )
-
-    def axis_bounds(j):
-        # one grid step of clearance per differentiated axis; a_k is only
-        # interpolated on the alt route, a_0 only on the mixed route
-        steps = 0 if (route == "alt" and j + 1 == alt_k) else 1
-        return (
-            axes_a[j + 1][0] + steps * spacing[j + 1],
-            axes_a[j + 1][-1] - steps * spacing[j + 1],
-        )
-
-    bounds = [axis_bounds(j) for j in range(J)]
+    candidates, node_mask = _interior_a0_candidates(field, margin_steps=int(via > 0))
+    # one grid step of clearance on every differentiated axis; a_via is only
+    # interpolated
+    steps = [int(j != via) * spacing[j] for j in range(J + 1)]
+    bounds = [(axes_a[j][0] + steps[j], axes_a[j][-1] - steps[j]) for j in range(1, J + 1)]
     inv = _level_map(omegas, v_grid, candidates, bounds)  # inv[j]: (n_cand, n_v_j)
     shape = tuple(len(ax) for ax in v_grid)
 
@@ -283,20 +269,12 @@ def reconstruct_density(
     ref = first[support]
     a0 = candidates[ref]
     pts = np.column_stack([a0] + [inv[j][ref, nodes[j]] for j in range(J)])
-    if route == "mixed":
-        num = field.fd_stencil(0, tuple(range(1, J + 1)), pts)
-        d_om = np.ones(len(pts))
-        for j in range(J):
-            d_om *= np.asarray(omegas[j].d_aj(pts[:, j + 1], a0))
-        f_node = num / d_om
-    else:
-        k = alt_k
-        other = [j for j in range(1, J + 1) if j != k]
-        num = field.fd_stencil(k, (0, *other), pts)
-        d_om = np.asarray(omegas[k - 1].d_a0(pts[:, k], a0))
-        for j in other:
-            d_om = d_om * np.asarray(omegas[j - 1].d_aj(pts[:, j], a0))
-        f_node = -num / d_om
+    num = field.fd_stencil(via, tuple(i for i in range(J + 1) if i != via), pts)
+    d_om = np.ones(len(pts))
+    for j, om in enumerate(omegas, start=1):
+        slope = om.d_a0 if j == via else om.d_aj
+        d_om *= np.asarray(slope(pts[:, j], a0))
+    f_node = (-num if via else num) / d_om
 
     tol_neg = _TOL_NEG_REL * max(float(np.nanmax(f_node)), 0.0)
     min_raw = float(np.nanmin(f_node))
@@ -317,7 +295,7 @@ def reconstruct_density(
         clipped_nodes=int(np.sum(f_node < 0)),
         min_raw_density=min_raw,
         a_ref=tuple(om.a_ref for om in omegas),
-        provenance={"route": route, "field_hash": field.content_hash()},
+        provenance={"via": via, "field_hash": field.content_hash()},
     )
 
 

@@ -69,18 +69,6 @@ class UtilityPrimitive:
             return p[0] * np.power(a, p[1])
         return np.polynomial.polynomial.polyval(a, np.array(p))
 
-    def derivative(self, a):
-        a = np.asarray(a, dtype=float)
-        p = self.params
-        if self.kind == "linear":
-            return np.full_like(a, p[1])
-        if self.kind == "log":
-            return p[0] / a
-        if self.kind == "power":
-            return p[0] * p[1] * np.power(a, p[1] - 1.0)
-        der = np.polynomial.polynomial.polyder(np.array(p))
-        return np.polynomial.polynomial.polyval(a, der)
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -152,12 +140,13 @@ class ChoiceModelSpec:
     def n_alternatives(self) -> int:
         return len(self.utilities)
 
-    def require_in_domain(self, j: int, a: float) -> None:
+    def require_in_domain(self, j: int, a) -> None:
+        """Raise DomainError unless every entry of a lies in alternative j's domain."""
         lo, hi = self.domain[j]
-        if not lo <= a <= hi:
-            raise DomainError(
-                f"a={a!r} outside domain [{lo}, {hi}] of alternative {j}"
-            )
+        a = np.asarray(a, dtype=float)
+        bad = a[~((lo <= a) & (a <= hi))]
+        if bad.size:
+            raise DomainError(f"a={bad[0]} outside domain [{lo}, {hi}] of alternative {j}")
 
     # -- JSON wire format -------------------------------------------------
 
@@ -250,30 +239,32 @@ def _noise_draws(model: ChoiceModelSpec, rng: np.random.Generator, n: int) -> np
     return noise.scale * (z @ chol.T)
 
 
-def _node_rng(seed: int, node_index: int) -> np.random.Generator:
-    # Per-node stream keyed by (seed, node): independent of evaluation order.
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(node_index,)))
+def choice_prob_monte_carlo(model: ChoiceModelSpec, a, n: int, seed: int) -> np.ndarray:
+    """Frequency of argmax_j [h_j(a_j) + eps_j] over n simulated draws per offer.
 
-
-def choice_prob_monte_carlo(
-    model: ChoiceModelSpec, a, n: int, seed: int, _node: int = 0
-) -> np.ndarray:
-    """Frequency of argmax_j [h_j(a_j) + eps_j] over n simulated draws.
-
-    Ties break toward the lowest index (a measure-zero event for continuous
-    noise). Deterministic given (seed, node index).
+    a is one offer (J+1,) or a batch (n_offers, J+1), like
+    ProbabilityField.interpolate. Offer i draws from its own stream
+    SeedSequence(seed, spawn_key=(i,)). Ties break toward the lowest index (a
+    measure-zero event for continuous noise).
     """
     if n < 1:
         raise ValidationError("draw count must be >= 1")
     a = np.asarray(a, dtype=float)
-    for j, aj in enumerate(a):
-        model.require_in_domain(j, float(aj))
-    base = np.array([u.value(aj) for u, aj in zip(model.utilities, a)])
-    rng = _node_rng(seed, _node)
-    total = base[None, :] + _noise_draws(model, rng, n)
-    winners = np.argmax(total, axis=1)
-    counts = np.bincount(winners, minlength=model.n_alternatives)
-    return counts / float(n)
+    k = model.n_alternatives
+    if a.ndim not in (1, 2) or a.shape[-1] != k:
+        raise ValidationError("offer vector length must equal alternative count")
+    offers = np.atleast_2d(a)
+    base = np.empty(offers.shape)
+    for j, u in enumerate(model.utilities):
+        model.require_in_domain(j, offers[:, j])
+        base[:, j] = u.value(offers[:, j])
+    counts = np.empty(offers.shape, dtype=np.int64)
+    for i, b in enumerate(base):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        winners = np.argmax(b + _noise_draws(model, rng, n), axis=1)
+        counts[i] = np.bincount(winners, minlength=k)
+    q = counts / float(n)
+    return q if a.ndim == 2 else q[0]
 
 
 def tabulate(
@@ -304,19 +295,17 @@ def tabulate(
         _softmax_inplace(values)
         provenance = f"closed_form:{model_hash(model)}"
     elif method == "monte_carlo":
-        shape = grid.counts + (model.n_alternatives,)
-        values = np.empty(shape)
-        axes = grid.axes()
-        for flat, idx in enumerate(np.ndindex(*grid.counts)):
-            a = np.array([axes[k][i] for k, i in enumerate(idx)])
-            values[idx] = choice_prob_monte_carlo(model, a, n, seed, _node=flat)
+        offers = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1)
+        # one batch of every node's offer, in C order
+        values = choice_prob_monte_carlo(model, offers.reshape(-1, grid.dims), n, seed)
+        values = values.reshape(offers.shape)
         provenance = f"monte_carlo:n={n}:seed={seed}:{model_hash(model)}"
     else:
         raise ValidationError(f"unknown tabulation method {method!r}")
     return ProbabilityField(grid=grid, values=values, provenance=provenance)
 
 
-def tabulate_from_utilities(grid: GridSpec, utilities, scale: float = 1.0) -> ProbabilityField:
+def tabulate_from_utilities(grid: GridSpec, utilities) -> ProbabilityField:
     """Softmax field for arbitrary utility callables u_j(a) of the full offer vector.
 
     Used to plant fields that violate the separable structure (e.g. interaction
@@ -325,7 +314,7 @@ def tabulate_from_utilities(grid: GridSpec, utilities, scale: float = 1.0) -> Pr
     mesh = np.meshgrid(*grid.axes(), indexing="ij")
     values = np.empty(grid.counts + (len(utilities),))
     for j, u in enumerate(utilities):
-        values[..., j] = np.asarray(u(mesh)) / scale
+        values[..., j] = u(mesh)
     return ProbabilityField(
         grid=grid, values=_softmax_inplace(values), provenance="custom_softmax"
     )

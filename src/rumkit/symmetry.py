@@ -139,13 +139,7 @@ def test_daly_zachary(
     return SymmetryReport("daly_zachary", tol, stats, len(pts))
 
 
-def test_condition_A(
-    field: ProbabilityField,
-    m: int,
-    tol: float,
-    eps_denom: float | None = None,
-    seed: int = 0,
-) -> SymmetryReport:
+def test_condition_A(field: ProbabilityField, m: int, tol: float, seed: int = 0) -> SymmetryReport:
     """For each j != m, spread of ratio(j, m) across the off-pair coordinates.
 
     Families are grid-node sets sharing (a_j, a_m) while the remaining
@@ -154,10 +148,11 @@ def test_condition_A(
     Vacuous for J = 1.
     """
     nalt = field.n_alternatives
+    if not 0 <= m < nalt:
+        raise ValidationError(f"pivot {m} must name an alternative 0..{nalt - 1}")
     if nalt == 2:
         return SymmetryReport("condition_a", tol, {}, 0, vacuous=True)
-    if eps_denom is None:
-        eps_denom = default_eps_denom(field)
+    eps_denom = default_eps_denom(field)
     rng = np.random.default_rng(seed)
     grads = field.node_gradients
     interior = [np.arange(1, n - 1) for n in field.grid.counts]
@@ -202,7 +197,7 @@ def test_condition_A(
     return SymmetryReport("condition_a", tol, stats, len(pair_ij))
 
 
-def recommend_pivot(field: ProbabilityField, eps_denom: float | None = None) -> int:
+def recommend_pivot(field: ProbabilityField) -> int:
     """Pivot whose smallest |dq_m/da_j| over interior nodes is largest."""
     grads = field.node_gradients
     interior = field.interior_slices()
@@ -301,12 +296,9 @@ class RatioFunction:
         )
 
 
-def ratio_samples(
-    field: ProbabilityField, j: int, m: int, eps_denom: float | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def ratio_samples(field: ProbabilityField, j: int, m: int) -> tuple[np.ndarray, ...]:
     """(a_j, a_m, ratio) over non-degenerate interior grid nodes."""
-    if eps_denom is None:
-        eps_denom = default_eps_denom(field)
+    eps_denom = default_eps_denom(field)
     grads = field.node_gradients
     interior = field.interior_slices()
     num = grads[j, m][interior]
@@ -323,7 +315,6 @@ def fit_ratio_sieve(
     m: int = 0,
     basis: str = "polynomial",
     degree: int = 1,
-    eps_denom: float | None = None,
 ) -> RatioFunction:
     """Least-squares projection of the ratio (or its log) on bivariate basis terms.
 
@@ -332,7 +323,13 @@ def fit_ratio_sieve(
     """
     if basis not in BASIS_KINDS:
         raise ValidationError(f"unknown basis {basis!r}")
-    aj, am, r = ratio_samples(field, j, m, eps_denom)
+    if j == m or not 0 <= m < field.n_alternatives:
+        raise ValidationError(
+            f"pivot {m} must name an alternative 0..{field.n_alternatives - 1} other than {j}"
+        )
+    if degree < 0:
+        raise ValidationError(f"sieve degree must be >= 0, got {degree}")
+    aj, am, r = ratio_samples(field, j, m)
     terms = _basis_terms(degree)
     if len(aj) < len(terms):
         raise RankDeficientBasisError(

@@ -114,6 +114,8 @@ def rationalized_choice_prob(
             weights = np.repeat(weights, refine, axis=d)
         weights, unit = weights.ravel(), 1.0
     elif method == "monte_carlo":
+        if n < 1:
+            raise ValidationError("draw count must be >= 1")
         flat = masses.ravel()
         p = flat / flat.sum()
         weights, unit = None, total / n  # every draw carries total / n

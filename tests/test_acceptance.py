@@ -97,9 +97,7 @@ class TestAcceptance:
         t0 = time.monotonic()
         small = (np.geomspace(0.8, 1.25, 7), np.geomspace(0.8, 1.25, 7))
         d_mixed = density.reconstruct_density(wide_field, wide_omegas, small)
-        d_alt = density.reconstruct_density(
-            wide_field, wide_omegas, small, route="alt"
-        )
+        d_alt = density.reconstruct_density(wide_field, wide_omegas, small, via=1)
         f11 = float(d_mixed.f_values[3, 3])
         h_max = max(wide_field.grid.spacing)
         route_gap = float(

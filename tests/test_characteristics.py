@@ -132,7 +132,9 @@ class TestBuildOmega:
             characteristics.build_omega(t, BOX, a_ref=2.5, j=1, resolution=11, step=0.5)
 
     def test_log_scale_matches_linear(self):
-        om_log = characteristics.build_omega(t_10(), BOX, a_ref=1.0, j=1, scale="log")
+        # an a_0 range wider than a factor 20 picks the log march
+        om_log = characteristics.build_omega(t_10(), ((1.0, 4.0), (0.1, 4.0)), a_ref=1.0, j=1)
+        assert om_log.log_axes
         pts = np.linspace(1.1, 3.9, 9)
         lin_vals = pts[::-1] / pts**2
         assert np.allclose(om_log(pts, pts[::-1]), lin_vals, atol=1e-5)

@@ -284,6 +284,30 @@ class TestVerify:
         assert code == EXIT_INPUT_ERROR
         assert not (tmp_path / "verify_report.json").exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("resolution", "21"),
+            ("pivot", True),
+            ("degree", 1.0),
+            ("v_nodes", None),
+            ("a_ref", [0.0]),
+            ("a_ref", "0.0"),
+            ("a_ref", [0.0, "0.0"]),
+        ],
+    )
+    def test_setting_of_wrong_type_rejected(self, lin_run, tmp_path, key, value):
+        # the stamp matches the edited record, so only the setting's type is wrong
+        meta = json.loads((lin_run / "identify_meta.json").read_text())
+        meta[key] = value
+        meta["provenance"] = cli._provenance_hash(meta)
+        (tmp_path / "identify_meta.json").write_text(json.dumps(meta))
+        code = run(
+            "verify", "--field", str(lin_run / "field.csv"), "--out", str(tmp_path),
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert not (tmp_path / "verify_report.json").exists()
+
     def test_explicit_a_ref_round_trips(self, tmp_path, lin_model_json):
         # verify must rebuild the omegas at identify's stored anchoring, not
         # at the default one
@@ -425,6 +449,7 @@ class TestConvert:
         )
         assert code == EXIT_INPUT_ERROR
         assert not (out / "field_resampled.csv").exists()
+        assert not (out / "field_a.csv").exists()
 
     def test_price_header_to_a_to_price_rejected(self, tmp_path):
         src = tmp_path / "prices.csv"
@@ -474,3 +499,33 @@ class TestExitCodes:
             "--tol-symmetry", tol,
         )
         assert code == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--pivot", "3"),
+            ("check", "--pivot", "-1"),
+            ("identify", "--force", "--pivot", "3"),
+            ("identify", "--force", "--resolution", "2"),
+            ("identify", "--force", "--degree", "-1"),
+            ("identify", "--force", "--v-nodes", "1"),
+        ],
+        ids=" ".join,
+    )
+    def test_integer_flags_checked(self, tmp_path, lin_field_csv, argv):
+        out = tmp_path / "out"
+        code = run(argv[0], "--field", lin_field_csv, "--out", str(out), *argv[1:])
+        assert code == EXIT_INPUT_ERROR
+        assert not any(out.glob("*"))
+
+    @pytest.mark.parametrize("draws", ["0", "-5"])
+    def test_monte_carlo_draws_checked(self, tmp_path, lin_run, draws):
+        (tmp_path / "identify_meta.json").write_text(
+            (lin_run / "identify_meta.json").read_text()
+        )
+        code = run(
+            "verify", "--field", str(lin_run / "field.csv"), "--out", str(tmp_path),
+            "--integrator", "monte_carlo", "--draws", draws,
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert not (tmp_path / "verify_report.json").exists()

@@ -93,8 +93,8 @@ class TestReconstructDensity:
     def test_route_equivalence(self, narrow_density):
         f, omegas, d = narrow_density
         axes = (np.geomspace(0.8, 1.25, 7), np.geomspace(0.8, 1.25, 7))
-        d_mixed = density.reconstruct_density(f, omegas, axes, route="mixed")
-        d_alt = density.reconstruct_density(f, omegas, axes, route="alt", alt_k=1)
+        d_mixed = density.reconstruct_density(f, omegas, axes, via=0)
+        d_alt = density.reconstruct_density(f, omegas, axes, via=1)
         h_max = max(f.grid.spacing)
         tol = 10.0 * h_max**2 * float(d_mixed.f_values.max())
         assert np.max(np.abs(d_mixed.f_values - d_alt.f_values)) <= tol
@@ -345,22 +345,25 @@ def j1_setup():
 class TestLevelMapEquivalence:
     """The batched level map reproduces the per-reference loops bit for bit."""
 
-    def assert_same(self, f, omegas, v_grid, route):
-        got = density.reconstruct_density(f, omegas, v_grid, route=route)
-        want = reference_reconstruct_density(f, omegas, v_grid, route=route)
+    def assert_same(self, f, omegas, v_grid, via):
+        # via = 0 is the mixed-partial route, via = k the alt route through q_k
+        got = density.reconstruct_density(f, omegas, v_grid, via=via)
+        route = "alt" if via else "mixed"
+        want = reference_reconstruct_density(f, omegas, v_grid, route=route, alt_k=via or 1)
         for name, arr in want.items():
             assert np.array_equal(getattr(got, name), arr), name
 
-    @pytest.mark.parametrize("route", ["mixed", "alt"])
-    def test_density_j2(self, narrow_density, route):
+    # ids name the reference route each via is compared against
+    @pytest.mark.parametrize("via", [0, 1, 2], ids=["mixed", "alt", "alt_k2"])
+    def test_density_j2(self, narrow_density, via):
         f, omegas, d = narrow_density
-        self.assert_same(f, omegas, d.axes, route)
+        self.assert_same(f, omegas, d.axes, via)
         # a lattice reaching past the attained ranges masks part of the support
-        self.assert_same(f, omegas, (np.geomspace(0.2, 30.0, 41),) * 2, route)
+        self.assert_same(f, omegas, (np.geomspace(0.2, 30.0, 41),) * 2, via)
 
-    @pytest.mark.parametrize("route", ["mixed", "alt"])
-    def test_density_j1(self, j1_setup, route):
-        self.assert_same(*j1_setup, route)
+    @pytest.mark.parametrize("via", [0, 1], ids=["mixed", "alt"])
+    def test_density_j1(self, j1_setup, via):
+        self.assert_same(*j1_setup, via)
 
     @pytest.mark.parametrize("v", [(1.0, 1.0), (0.6, 1.4), (1.3, 0.8)])
     @pytest.mark.parametrize("a_0", [None, 1.5, 2.0, 3.0])

@@ -124,6 +124,18 @@ class TestMonteCarlo:
         assert abs(q.sum() - 1.0) < 1e-12
 
 
+def reference_monte_carlo_values(m, grid, n, seed):
+    """The per-node loop: node flat (C order) draws from its own stream."""
+    values = np.empty(grid.counts + (m.n_alternatives,))
+    axes = grid.axes()
+    for flat, idx in enumerate(np.ndindex(*grid.counts)):
+        base = np.array([u.value(axes[k][i]) for k, (u, i) in enumerate(zip(m.utilities, idx))])
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(flat,)))
+        winners = np.argmax(base[None, :] + model._noise_draws(m, rng, n), axis=1)
+        values[idx] = np.bincount(winners, minlength=m.n_alternatives) / float(n)
+    return values
+
+
 class TestTabulate:
     def test_structural_5cube(self, m_lin):
         grid = field.GridSpec((-1.0,) * 3, (1.0,) * 3, (5,) * 3)
@@ -149,10 +161,24 @@ class TestTabulate:
         # per-node RNG streams are keyed by node index, not evaluation order
         grid = field.GridSpec((-1.0,) * 3, (1.0,) * 3, (5,) * 3)
         f = model.tabulate(m_lin, grid, method="monte_carlo", n=500, seed=2)
-        direct = model.choice_prob_monte_carlo(
-            m_lin, (-1.0, -1.0, -1.0), 500, seed=2, _node=0
-        )
+        direct = model.choice_prob_monte_carlo(m_lin, (-1.0, -1.0, -1.0), 500, seed=2)
         assert np.array_equal(f.values[0, 0, 0], direct)
+
+    @pytest.mark.parametrize("J", [1, 3])
+    def test_monte_carlo_matches_per_node_streams(self, J):
+        # every node, not only node 0, draws from SeedSequence(seed, spawn_key=(flat,))
+        k = J + 1
+        corr = np.eye(k)
+        corr[0, 1] = corr[1, 0] = 0.4
+        utilities = [model.UtilityPrimitive("linear", (0.0, 1.0))] * J
+        m = model.ChoiceModelSpec(
+            utilities=(model.UtilityPrimitive("polynomial", (0.0, 1.0, 0.1)), *utilities),
+            noise=model.NoiseSpec("gaussian_correlated", 1.0, tuple(map(tuple, corr))),
+            domain=((-1.0, 1.0),) * k,
+        )
+        grid = field.GridSpec((-1.0,) * k, (1.0,) * k, (6, 5, 7, 5)[:k])
+        f = model.tabulate(m, grid, method="monte_carlo", n=300, seed=7)
+        assert np.array_equal(f.values, reference_monte_carlo_values(m, grid, 300, 7))
 
     def test_grid_outside_domain_rejected(self, m_log):
         grid = field.GridSpec((0.0001,) * 3, (4.0,) * 3, (5,) * 3)
