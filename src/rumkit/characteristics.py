@@ -28,36 +28,64 @@ from .field import write_csv_table
 _SPAN_GUARD = 200.0  # max integration span, in units of the a_0 domain width
 _BOX_MARGIN = 0.2  # a_j box enlargement for the march, as a fraction of the a_j span
 _SPIKE_TOL = 0.1  # one RK4 step may move a_j by this fraction of (|a_j| + 1)
-_INVERT_TOL = 1e-9  # bisection bracket width at which inversion stops
+_INVERT_TOL = 1e-9  # bracket width at which an inversion stops
+_INVERT_STEP_RTOL = 1e-12  # Newton step, relative to 1 + |x|, at which it stops
 _INVERT_MAX_ITER = 100
 
 
-def _invert_monotone_vec(f, targets: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Vectorized bisection: solve f(x) = targets elementwise on a shared bracket.
+def _invert_monotone_vec(ev, fixed, targets: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Safeguarded Newton: solve ev(x, fixed, 0) = targets elementwise on [lo, hi].
 
-    f must map an array of abscissae to function values elementwise, each entry
-    monotone in its own direction (one batch may mix rising and falling rows).
+    ev(x, fixed, d) returns the d-th derivative in x (d = 0 or 1) of f(x) =
+    ev(x, fixed, 0) at abscissae x and fixed coordinates of the same shape,
+    elementwise; fixed is broadcast to targets' shape once. Each entry is
+    monotone in its own direction (one batch may mix rising and falling
+    entries). An entry starts at the secant root between f(lo) and f(hi) and
+    takes Newton steps inside its bracket, bisecting when a step would leave
+    the bracket or the slope is zero or not finite (Numerical Recipes, section
+    9.4, rtsafe). Every evaluated point becomes a bracket end, so the bracket
+    shrinks each round. An entry stops on its own: on an exact hit, a step of
+    at most _INVERT_STEP_RTOL (1 + |x|) or a bracket of at most _INVERT_TOL;
+    only the entries still running are evaluated.
+
     A target below both f(lo) and f(hi) comes back -inf, one above both +inf:
     the sign says on which side of the attained range the level misses. A NaN
     target stays NaN.
     """
     targets = np.asarray(targets, dtype=float)
-    f_lo = f(np.full_like(targets, lo))
-    f_hi = f(np.full_like(targets, hi))
-    increasing = f_hi >= f_lo
+    fixed = np.broadcast_to(fixed, targets.shape)
+    f_lo = ev(np.full_like(targets, lo), fixed, 0)
+    f_hi = ev(np.full_like(targets, hi), fixed, 0)
     below = targets < np.minimum(f_lo, f_hi)
     above = targets > np.maximum(f_lo, f_hi)
-    a = np.full_like(targets, lo)
-    b = np.full_like(targets, hi)
-    for _ in range(_INVERT_MAX_ITER):
-        if np.max(b - a) <= _INVERT_TOL:
-            break
-        m = 0.5 * (a + b)
-        fm = f(m)
-        go_right = np.where(increasing, fm < targets, fm > targets)
-        a = np.where(go_right, m, a)
-        b = np.where(go_right, b, m)
-    return np.select([below, above, np.isnan(targets)], [-np.inf, np.inf, np.nan], 0.5 * (a + b))
+    out = np.select([below, above], [-np.inf, np.inf], np.nan)
+    flat = out.reshape(-1)
+    idx = np.flatnonzero(~(below | above | np.isnan(targets)))
+    t, fx, f0, f1 = (np.ravel(arr)[idx] for arr in (targets, fixed, f_lo, f_hi))
+    sign = np.where(f1 >= f0, 1.0, -1.0)
+    a = np.full(idx.size, float(lo))
+    b = np.full(idx.size, float(hi))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = lo + (t - f0) * ((hi - lo) / (f1 - f0))
+        x = np.where(np.isfinite(x), np.clip(x, lo, hi), 0.5 * (lo + hi))
+        for _ in range(_INVERT_MAX_ITER):
+            if not idx.size:
+                break
+            r = ev(x, fx, 0) - t
+            a = np.where(sign * r < 0.0, x, a)
+            b = np.where(sign * r > 0.0, x, b)
+            step = np.where(r == 0.0, 0.0, r / ev(x, fx, 1))
+            newton = x - step
+            small = np.abs(step) <= _INVERT_STEP_RTOL * (1.0 + np.abs(x))
+            x = np.where(small | ((newton > a) & (newton < b)), newton, 0.5 * (a + b))
+            done = small | (b - a <= _INVERT_TOL)
+            flat[idx[done]] = x[done]
+            live = ~done
+            idx, x, a, b, t, fx, sign = (
+                arr[live] for arr in (idx, x, a, b, t, fx, sign)
+            )
+    flat[idx] = x
+    return out
 
 
 def _slope(t, a0, aj):
@@ -323,10 +351,7 @@ class OmegaFunction:
         """
         _, (a0_lo, a0_hi) = self.domain
         return _invert_monotone_vec(
-            lambda x: self._spline.ev(np.broadcast_to(a_j, np.shape(x)), x),
-            np.asarray(v, dtype=float),
-            a0_lo,
-            a0_hi,
+            lambda x, aj, d: self._spline.ev(aj, x, dy=d), a_j, v, a0_lo, a0_hi
         )
 
     def invert_aj_many(self, v: np.ndarray, a_0) -> np.ndarray:
@@ -339,10 +364,7 @@ class OmegaFunction:
         """
         (aj_lo, aj_hi), _ = self.domain
         return _invert_monotone_vec(
-            lambda x: self._spline.ev(x, np.broadcast_to(a_0, np.shape(x))),
-            np.asarray(v, dtype=float),
-            aj_lo,
-            aj_hi,
+            lambda x, a0, d: self._spline.ev(x, a0, dx=d), a_0, v, aj_lo, aj_hi
         )
 
     def export_csv(self, path, n: int = 101) -> None:

@@ -194,6 +194,8 @@ def cmd_identify(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.integrator == "monte_carlo" and args.draws < 1:
+        raise ValidationError("draw count must be >= 1")
     field = field_mod.read_field_csv(args.field_path)
     out = Path(args.out)
     meta_path = out / "identify_meta.json"

@@ -18,6 +18,9 @@ from scipy.interpolate import RegularGridInterpolator
 
 from .errors import ExtrapolationError, GridMismatchError, ValidationError
 
+_MONO_TOL = 0.0  # largest step against the required direction along a grid line
+_CROSS_TOL = 1e-6  # largest wrong-signed alternating cross-partial at an interior node
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -246,9 +249,7 @@ class ShapeReport:
         }
 
 
-def check_shape(
-    field: ProbabilityField, mono_tol: float = 0.0, cross_tol: float = 1e-6
-) -> ShapeReport:
+def check_shape(field: ProbabilityField) -> ShapeReport:
     """Monotonicity along every grid line, boundary attainment, and the
     alternating cross-partial sign condition at interior nodes.
 
@@ -266,7 +267,7 @@ def check_shape(
             want_positive = k == j
             viol = -d if want_positive else d
             worst = float(viol.max())
-            monotone_ok[j, k] = worst <= mono_tol
+            monotone_ok[j, k] = worst <= _MONO_TOL
             if worst > worst_mono["magnitude"]:
                 idx = np.unravel_index(int(np.argmax(viol)), viol.shape)
                 worst_mono = {
@@ -290,7 +291,7 @@ def check_shape(
         m = field.node_mixed_partial(r, axes)[interior]
         signed = sign * m
         worst = float(signed.min())
-        cross_ok[r] = worst >= -cross_tol
+        cross_ok[r] = worst >= -_CROSS_TOL
         if worst < worst_cross["signed_value"]:
             idx = np.unravel_index(int(np.argmin(signed)), signed.shape)
             worst_cross = {
@@ -304,8 +305,8 @@ def check_shape(
         cross_partial_sign_ok=cross_ok,
         worst_monotone_violation=worst_mono,
         worst_cross_partial=worst_cross,
-        mono_tol=mono_tol,
-        cross_tol=cross_tol,
+        mono_tol=_MONO_TOL,
+        cross_tol=_CROSS_TOL,
     )
 
 

@@ -156,7 +156,7 @@ class TestAcceptance:
         )
 
     def test_criterion_8_shape_checks(self, log_field, planted_interaction_field):
-        rep = field.check_shape(log_field, cross_tol=1e-6)
+        rep = field.check_shape(log_field)
         vals = planted_interaction_field.values.copy()
         sl = vals[..., 0].copy()
         sl[3], sl[4] = vals[4, :, :, 0].copy(), vals[3, :, :, 0].copy()

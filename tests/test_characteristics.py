@@ -308,6 +308,33 @@ class TestUtilityInversion:
         assert abs(w1.eval(aj, v) - a0) <= 1e-6
 
 
+def _bisect_reference(f, targets, lo, hi):
+    """The bisection the Newton inverter replaced: a shared [lo, hi] bracket
+    halved to 1e-9 in every entry, same -inf/+inf/NaN conventions."""
+    targets = np.asarray(targets, dtype=float)
+    f_lo = f(np.full_like(targets, lo))
+    f_hi = f(np.full_like(targets, hi))
+    increasing = f_hi >= f_lo
+    below = targets < np.minimum(f_lo, f_hi)
+    above = targets > np.maximum(f_lo, f_hi)
+    a = np.full_like(targets, lo)
+    b = np.full_like(targets, hi)
+    for _ in range(100):
+        if np.max(b - a) <= 1e-9:
+            break
+        m = 0.5 * (a + b)
+        fm = f(m)
+        go_right = np.where(increasing, fm < targets, fm > targets)
+        a = np.where(go_right, m, a)
+        b = np.where(go_right, b, m)
+    return np.select([below, above, np.isnan(targets)], [-np.inf, np.inf, np.nan], 0.5 * (a + b))
+
+
+def _linear_ev(x, rising, d):
+    # f = x on rising entries, 1 - x on falling ones
+    return np.where(rising, 1.0, -1.0) if d else np.where(rising, x, 1.0 - x)
+
+
 class TestInvertMonotone:
     @pytest.mark.parametrize(
         "targets, expected",
@@ -320,19 +347,84 @@ class TestInvertMonotone:
         ids=["inside", "outside"],
     )
     def test_mixed_directions_match_single_rows(self, targets, expected):
-        # one batch, row 0 rising (f = x) and row 1 falling (f = 1 - x): each
-        # row must be solved in its own direction, as a single-row call does
+        # one batch, row 0 rising and row 1 falling: each row must be solved
+        # in its own direction, as a single-row call does
         rising = np.array([[True], [False]])
         targets = np.array([targets, targets])
-        batch = characteristics._invert_monotone_vec(
-            lambda x: np.where(rising, x, 1.0 - x), targets, 0.0, 1.0
-        )
+        batch = characteristics._invert_monotone_vec(_linear_ev, rising, targets, 0.0, 1.0)
         rows = [
-            characteristics._invert_monotone_vec(f, targets[i], 0.0, 1.0)
-            for i, f in enumerate((lambda x: x, lambda x: 1.0 - x))
+            characteristics._invert_monotone_vec(_linear_ev, r, targets[i], 0.0, 1.0)
+            for i, r in enumerate((True, False))
         ]
         assert np.array_equal(batch, np.stack(rows), equal_nan=True)
         assert np.allclose(batch, expected, atol=1e-8, equal_nan=True)
+
+    def test_flat_stretch_falls_back_to_bisection(self):
+        # f = max(x, 0)^2 on [-1, 1]: the secant seed -1 + 2 v of every level
+        # v < 0.5 lies where the slope is zero, so each first step bisects
+        zero_slopes = []
+
+        def ev(x, _, d):
+            if d:
+                slope = 2.0 * np.maximum(x, 0.0)
+                zero_slopes.append(int(np.sum(slope == 0.0)))
+                return slope
+            return np.maximum(x, 0.0) ** 2
+
+        targets = np.array([0.25, 0.01, 0.16])
+        x = characteristics._invert_monotone_vec(ev, 0.0, targets, -1.0, 1.0)
+        assert zero_slopes[0] == len(targets)
+        assert np.allclose(x, np.sqrt(targets), rtol=0, atol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def wide_log_omega():
+    domain = ((0.05, 12.0), (0.002, 96.0))
+    return characteristics.build_omega(
+        _log_sieve_ratio(1, 2.0, domain), domain, a_ref=1.0, resolution=81,
+        step=np.log(96.0 / 0.002) / 50, j=1,
+    )
+
+
+class TestNewtonMatchesBisection:
+    """Both inversions agree with the bisection reference on a wide log omega:
+    same -inf/+inf/NaN pattern, values within 1e-6 (1 + |x|)."""
+
+    @staticmethod
+    def _assert_match(new, ref):
+        assert np.array_equal(np.isnan(new), np.isnan(ref))
+        assert np.array_equal(np.isposinf(new), np.isposinf(ref))
+        assert np.array_equal(np.isneginf(new), np.isneginf(ref))
+        fin = np.isfinite(ref)
+        assert fin.sum() > ref.size // 3
+        assert np.all(np.abs(new[fin] - ref[fin]) <= 1e-6 * (1.0 + np.abs(ref[fin])))
+
+    def _levels(self, om, n):
+        # the lattice's level span, one level past each end and one NaN level
+        v = np.geomspace(om.lattice_values.min(), om.lattice_values.max(), n)
+        v[[0, -1]] *= (1.0 / 3.0, 3.0)
+        v[n // 2] = np.nan
+        return v
+
+    def test_invert_a0_many(self, wide_log_omega):
+        om = wide_log_omega
+        (aj_lo, aj_hi), (a0_lo, a0_hi) = om.domain
+        aj = np.geomspace(aj_lo, aj_hi, 40)[:, None]
+        v = np.broadcast_to(self._levels(om, 301), (40, 301))
+        ref = _bisect_reference(
+            lambda x: om._spline.ev(np.broadcast_to(aj, x.shape), x), v, a0_lo, a0_hi
+        )
+        self._assert_match(om.invert_a0_many(aj, v), ref)
+
+    def test_invert_aj_many(self, wide_log_omega):
+        om = wide_log_omega
+        (aj_lo, aj_hi), (a0_lo, a0_hi) = om.domain
+        a0 = np.geomspace(a0_lo, a0_hi, 40)[:, None]
+        v = np.broadcast_to(self._levels(om, 301), (40, 301))
+        ref = _bisect_reference(
+            lambda x: om._spline.ev(x, np.broadcast_to(a0, x.shape)), v, aj_lo, aj_hi
+        )
+        self._assert_match(om.invert_aj_many(v, a0), ref)
 
 
 class TestLipschitz:

@@ -519,10 +519,15 @@ class TestExitCodes:
         assert not any(out.glob("*"))
 
     @pytest.mark.parametrize("draws", ["0", "-5"])
-    def test_monte_carlo_draws_checked(self, tmp_path, lin_run, draws):
+    def test_monte_carlo_draws_checked(self, tmp_path, lin_run, draws, monkeypatch):
         (tmp_path / "identify_meta.json").write_text(
             (lin_run / "identify_meta.json").read_text()
         )
+
+        def rebuild(*_):
+            raise AssertionError("the draw count must be rejected before identify reruns")
+
+        monkeypatch.setattr(cli, "_identify_pipeline", rebuild)
         code = run(
             "verify", "--field", str(lin_run / "field.csv"), "--out", str(tmp_path),
             "--integrator", "monte_carlo", "--draws", draws,

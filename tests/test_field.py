@@ -152,7 +152,7 @@ class TestDerivatives:
 
 class TestCheckShape:
     def test_log_model_passes(self, log_field):
-        rep = field.check_shape(log_field, cross_tol=1e-6)
+        rep = field.check_shape(log_field)
         assert rep.monotone_ok.all()
         assert rep.cross_partial_sign_ok.all()
         assert rep.passed
