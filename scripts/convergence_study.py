@@ -1,7 +1,7 @@
 """Convergence diagnostics for the numerical building blocks.
 
 Three tables:
-  1. RK4 characteristic endpoint error vs step (expected order 4),
+  1. RK4 characteristic crossing error vs step (expected order 4),
   2. omega level-surface error vs lattice resolution,
   3. reconstructed density error at a known point vs field grid resolution.
 
@@ -27,11 +27,11 @@ def t_10():
 
 
 def rk4_table():
-    print("characteristic endpoint error, trace (1,1) -> a_0 = 4 (exact a_1 = 2)")
+    print("characteristic crossing error, node (1,1) -> anchor a_1 = 2 (exact a_0 = 4)")
     prev = None
     for step in (0.08, 0.04, 0.02, 0.01):
-        path = characteristics.integrate_characteristic(t_10(), (1.0, 1.0), 4.0, step)
-        err = abs(path.endpoint()[1] - 2.0)
+        om = characteristics.build_omega(t_10(), BOX, a_ref=2.0, resolution=4, step=step)
+        err = abs(om.lattice_values[0, 0] - 4.0)
         rate = "" if prev is None else f"  x{prev / err:5.1f}"
         print(f"  step {step:5.3f}: error {err:.3e}{rate}")
         prev = err

@@ -20,14 +20,12 @@ from .errors import (
     CoverageError,
     LevelRangeError,
     NumericalFailure,
-    StepUnderflowError,
     ValidationError,
 )
 from .field import write_csv_table
 
 _SPAN_GUARD = 200.0  # max integration span, in units of the a_0 domain width
 _BOX_MARGIN = 0.2  # a_j box enlargement for the march, as a fraction of the a_j span
-_SPIKE_TOL = 0.1  # one RK4 step may move a_j by this fraction of (|a_j| + 1)
 _INVERT_TOL = 1e-9  # bracket width at which an inversion stops
 _INVERT_STEP_RTOL = 1e-12  # Newton step, relative to 1 + |x|, at which it stops
 _INVERT_MAX_ITER = 100
@@ -102,104 +100,39 @@ def _rk4_advance(t, a0, aj, h):
     return aj_new, k1, _slope(t, a0 + h, aj_new)
 
 
-@dataclass
-class CharacteristicPath:
-    """An integrated characteristic trace (a_0, a_j) pairs, possibly clipped."""
-
-    a0: np.ndarray
-    aj: np.ndarray
-    clipped: bool = False
-
-    def endpoint(self) -> tuple[float, float]:
-        return float(self.a0[-1]), float(self.aj[-1])
-
-
-def integrate_characteristic(
-    t,
-    start: tuple[float, float],
-    target_a0: float,
-    step: float,
-    domain=None,
-) -> CharacteristicPath:
-    """RK4 trace of da_j/da_0 = t(a_j, a_0) from start=(a_0, a_j) to target_a0.
-
-    Fixed step with one level of halving when a single step moves a_j by more
-    _SPIKE_TOL relative to its magnitude. If a domain rectangle
-    ((aj_lo, aj_hi), (a0_lo, a0_hi)) is given, the path stops at the first exit
-    and is flagged clipped.
-    """
-    if step <= 0:
-        raise ValidationError("step must be > 0")
-    a0_start, aj_start = float(start[0]), float(start[1])
-    direction = 1.0 if target_a0 >= a0_start else -1.0
-    a0s = [a0_start]
-    ajs = [aj_start]
-    a0, aj = a0_start, aj_start
-    scale = abs(aj_start) + 1.0
-    clipped = False
-    while direction * (target_a0 - a0) > 1e-14:
-        h = direction * min(step, abs(target_a0 - a0))
-        aj_new, _, _ = _rk4_advance(t, a0, np.asarray(aj), h)
-        if abs(float(aj_new) - aj) > _SPIKE_TOL * scale:
-            # one level of halving over a steep region
-            half = h / 2.0
-            if abs(half) < 1e-15 * max(1.0, abs(a0)):
-                raise StepUnderflowError(f"step underflow near a_0 = {a0!r}")
-            mid, _, _ = _rk4_advance(t, a0, np.asarray(aj), half)
-            aj_new, _, _ = _rk4_advance(t, a0 + half, mid, half)
-            if abs(float(aj_new) - aj) > 2 * _SPIKE_TOL * scale:
-                raise StepUnderflowError(
-                    f"characteristic slope spike at a_0 = {a0!r} exceeds halving capacity"
-                )
-        aj = float(aj_new)
-        a0 = a0 + h
-        a0s.append(a0)
-        ajs.append(aj)
-        if domain is not None:
-            (aj_lo, aj_hi), (d0_lo, d0_hi) = domain
-            if not (aj_lo <= aj <= aj_hi and d0_lo <= a0 <= d0_hi):
-                clipped = True
-                break
-    return CharacteristicPath(np.asarray(a0s), np.asarray(ajs), clipped)
-
-
 def _hermite_crossing(y0, y1, m0, m1, h, target):
     """Fraction theta in [0,1] where the cubic Hermite interpolant hits target.
 
     y0, y1: endpoint states; m0, m1: endpoint slopes (d a_j / d a_0); h: step.
-    Vectorized Newton iteration seeded by the linear crossing estimate. Raises
+    One _invert_monotone_vec call on [0, 1] with the state index as its fixed
+    coordinate, seeded by the linear crossing estimate. Raises
     NumericalFailure if the interpolant misses target at the final theta by
-    more than 1e-9 (1 + |target|), e.g. when Newton stalls at a clip bound.
+    more than 1e-9 (1 + |target|).
     """
-    y0 = np.asarray(y0, dtype=float)
-    denom = np.where(y1 - y0 == 0.0, 1.0, y1 - y0)
-    theta = np.clip((target - y0) / denom, 0.0, 1.0)
-    d0 = m0 * h
-    d1 = m1 * h
+    y0, y1, d0, d1 = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (y0, y1, m0 * h, m1 * h))
+    )
 
-    def residual(theta):
+    def ev(theta, i, d):
         t2 = theta * theta
+        if d:
+            return (
+                (6 * t2 - 6 * theta) * y0[i]
+                + (3 * t2 - 4 * theta + 1) * d0[i]
+                + (-6 * t2 + 6 * theta) * y1[i]
+                + (3 * t2 - 2 * theta) * d1[i]
+            )
         t3 = t2 * theta
-        val = (
-            (2 * t3 - 3 * t2 + 1) * y0
-            + (t3 - 2 * t2 + theta) * d0
-            + (-2 * t3 + 3 * t2) * y1
-            + (t3 - t2) * d1
-            - target
+        return (
+            (2 * t3 - 3 * t2 + 1) * y0[i]
+            + (t3 - 2 * t2 + theta) * d0[i]
+            + (-2 * t3 + 3 * t2) * y1[i]
+            + (t3 - t2) * d1[i]
         )
-        dval = (
-            (6 * t2 - 6 * theta) * y0
-            + (3 * t2 - 4 * theta + 1) * d0
-            + (-6 * t2 + 6 * theta) * y1
-            + (3 * t2 - 2 * theta) * d1
-        )
-        return val, dval
 
-    for _ in range(12):
-        val, dval = residual(theta)
-        dval = np.where(dval == 0.0, 1.0, dval)
-        theta = np.clip(theta - val / dval, 0.0, 1.0)
-    miss = np.abs(residual(theta)[0])
+    states = np.arange(y0.size)
+    theta = _invert_monotone_vec(ev, states, np.full(y0.size, float(target)), 0.0, 1.0)
+    miss = np.abs(ev(theta, states, 0) - target)
     if np.any(miss > 1e-9 * (1.0 + abs(target))):
         raise NumericalFailure(
             f"Hermite crossing refinement did not converge: residual {np.max(miss):.3g} "
@@ -399,6 +332,8 @@ def build_omega(
     (aj_lo, aj_hi), (a0_lo, a0_hi) = domain
     if resolution < 4:
         raise ValidationError(f"resolution {resolution} < 4: the omega spline is bicubic")
+    if step is not None and not (np.isfinite(step) and step > 0):
+        raise ValidationError(f"step {step!r} must be finite and > 0")
     use_log = a0_lo > 0 and aj_lo > 0 and a0_hi / a0_lo > 20.0
     if a_ref is None:
         a_ref = np.sqrt(aj_lo * aj_hi) if use_log else 0.5 * (aj_lo + aj_hi)

@@ -34,13 +34,13 @@ _SETTINGS = ("pivot", "basis", "degree", "resolution", "v_nodes", "a_ref")
 def _parse_grid(specs) -> field_mod.GridSpec:
     lower, upper, counts = [], [], []
     for spec in specs:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValidationError(f"grid axis must be lo:hi:n, got {spec!r}")
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-        lower.append(lo)
-        upper.append(hi)
-        counts.append(n)
+        try:
+            lo, hi, n = spec.split(":")
+            lower.append(float(lo))
+            upper.append(float(hi))
+            counts.append(int(n))
+        except ValueError:
+            raise ValidationError(f"grid axis must be lo:hi:n, got {spec!r}") from None
     return field_mod.GridSpec(tuple(lower), tuple(upper), tuple(counts))
 
 

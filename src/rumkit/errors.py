@@ -45,10 +45,6 @@ class CoverageError(NumericalFailure):
     """A characteristic failed to reach the anchor line inside the integration box."""
 
 
-class StepUnderflowError(NumericalFailure):
-    """Adaptive step halving hit its floor during ODE integration."""
-
-
 class LevelRangeError(NumericalFailure):
     """A requested level value lies outside the attained range of a level function."""
 

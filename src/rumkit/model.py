@@ -177,18 +177,22 @@ class ChoiceModelSpec:
                 tuple(tuple(r) for r in corr) if corr is not None else None,
             )
             domain = tuple((iv[0], iv[1]) for iv in d["domain"])
-        except (KeyError, TypeError, IndexError) as exc:
+            if "alternatives" in d and int(d["alternatives"]) != len(utils):
+                raise ValidationError(
+                    "utilities list length does not match declared alternative count"
+                )
+            return cls(utils, noise, domain)
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise ValidationError(f"malformed model document: {exc}") from exc
-        if "alternatives" in d and int(d["alternatives"]) != len(utils):
-            raise ValidationError(
-                "utilities list length does not match declared alternative count"
-            )
-        return cls(utils, noise, domain)
 
     @classmethod
     def from_json(cls, path) -> "ChoiceModelSpec":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                d = json.load(fh)
+            except ValueError as exc:
+                raise ValidationError(f"model file is not JSON: {exc}") from exc
+        return cls.from_dict(d)
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:

@@ -70,10 +70,14 @@ class TestAcceptance:
         t = symmetry.RatioFunction.from_callable(
             lambda aj, a0: aj / (2.0 * a0), ((1.0, 4.0), (1.0, 4.0)), j=1, m=0
         )
+        # the march build_omega runs: node (a_1, a_0) = (1, 1) meets the
+        # anchor a_1 = 2 at a_0 = 4 on the trace a_1 = sqrt(a_0)
         errs = []
         for step in (0.01, 0.005):
-            path = characteristics.integrate_characteristic(t, (1.0, 1.0), 4.0, step)
-            errs.append(abs(path.endpoint()[1] - 2.0))
+            om = characteristics.build_omega(
+                t, ((1.0, 4.0), (1.0, 4.0)), a_ref=2.0, resolution=4, step=step
+            )
+            errs.append(abs(om.lattice_values[0, 0] - 4.0))
         ratio = errs[0] / errs[1]
         ok = errs[0] <= 1e-8 and abs(ratio - 16.0) <= 4.0
         _report(4, ok, f"endpoint error = {errs[0]:.2e}, halving ratio = {ratio:.1f}")

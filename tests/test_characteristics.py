@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rumkit import characteristics, field, symmetry
-from rumkit.errors import CoverageError, LevelRangeError, NumericalFailure, ValidationError
+from rumkit.errors import CoverageError, LevelRangeError, ValidationError
 
 BOX = ((1.0, 4.0), (1.0, 4.0))
 
@@ -23,47 +23,67 @@ def t_20():
     )
 
 
+def _node_omega(t, a_ref, step, domain=BOX, resolution=4):
+    """The level lattice build_omega marches, as (aj_lattice, a0_lattice, values)."""
+    om = characteristics.build_omega(t, domain, a_ref=a_ref, resolution=resolution, step=step)
+    return om.aj_lattice[:, None], om.a0_lattice[None, :], om.lattice_values
+
+
 class TestIntegrateCharacteristic:
+    """The batched RK4 march of build_omega against closed-form traces."""
+
     def test_log_model_separable_solution(self):
-        # da_1/da_0 = a_1/(2 a_0) has solution a_1 = C sqrt(a_0)
-        path = characteristics.integrate_characteristic(t_10(), (1.0, 1.0), 4.0, 0.01)
-        a0_end, aj_end = path.endpoint()
-        assert a0_end == pytest.approx(4.0, abs=1e-12)
-        assert abs(aj_end - 2.0) <= 1e-8
+        # da_1/da_0 = a_1/(2 a_0) has solution a_1 = C sqrt(a_0): the trace
+        # through (a_0, a_1) meets a_1 = 2 at a_0 (2 / a_1)^2, e.g. (1, 1) -> 4
+        aj, a0, values = _node_omega(t_10(), 2.0, 0.01)
+        assert abs(values[0, 0] - 4.0) <= 1e-8
+        assert np.max(np.abs(values - a0 * (2.0 / aj) ** 2)) <= 1e-8
 
     def test_rk4_order(self):
-        errs = []
-        for step in (0.01, 0.005):
-            path = characteristics.integrate_characteristic(t_10(), (1.0, 1.0), 4.0, step)
-            errs.append(abs(path.endpoint()[1] - 2.0))
-        assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.25)
+        # a_ref = 2 crosses at the end of a step, a_ref = 1.9 (exact 3.61)
+        # mid-step, on the Hermite refinement
+        for a_ref in (2.0, 1.9):
+            errs = [
+                abs(_node_omega(t_10(), a_ref, step)[2][0, 0] - a_ref**2)
+                for step in (0.01, 0.005)
+            ]
+            assert errs[0] <= 1e-8
+            assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.25)
 
     def test_flat_characteristic(self):
+        # a_j stays constant, so no node off the anchor line reaches it
         t = symmetry.RatioFunction.from_callable(lambda aj, a0: 0.0 * aj, BOX)
-        path = characteristics.integrate_characteristic(t, (1.0, 2.5), 4.0, 0.05)
-        assert np.allclose(path.aj, 2.5, atol=1e-14)
+        with pytest.raises(CoverageError):
+            _node_omega(t, 2.5, 0.5)
 
     def test_unit_slope_characteristic(self):
         # da_j/da_0 = 1: a_j - a_0 constant (no-income-effect geometry)
         t = symmetry.RatioFunction.from_callable(lambda aj, a0: 1.0 + 0.0 * aj, BOX)
-        path = characteristics.integrate_characteristic(t, (1.0, 2.0), 3.5, 0.05)
-        assert np.allclose(path.aj - path.a0, 1.0, atol=1e-12)
+        aj, a0, values = _node_omega(t, 2.0, 0.05, resolution=11)
+        assert np.max(np.abs(values - (a0 - aj + 2.0))) <= 1e-12
 
     def test_backward_integration(self):
-        path = characteristics.integrate_characteristic(t_10(), (4.0, 2.0), 1.0, 0.01)
-        assert abs(path.endpoint()[1] - 1.0) <= 1e-8
+        # node (a_1, a_0) = (2, 4) lies above the anchor a_1 = 1 and marches
+        # back to a_0 = 1
+        aj, a0, values = _node_omega(t_10(), 1.0, 0.01)
+        assert (aj[1, 0], a0[0, 3]) == (2.0, 4.0)
+        assert abs(values[1, 3] - 1.0) <= 1e-8
 
     def test_domain_clipping_flagged(self):
-        t = symmetry.RatioFunction.from_callable(lambda aj, a0: 2.0 * aj / a0, BOX)
-        path = characteristics.integrate_characteristic(
-            t, (1.0, 3.0), 4.0, 0.05, domain=BOX
-        )
-        assert path.clipped
-        assert path.endpoint()[0] < 4.0
+        # da_j/da_0 = a_0 - 2.5: the trace from (a_0, a_j) = (1, 1) sinks to
+        # a_j = -0.125 at a_0 = 2.5, below the enlarged a_j box, before it
+        # would turn and meet a_j = 3 at a_0 = 5 (a plain callable: a
+        # RatioFunction would clip the slope at 0)
+        def t(aj, a0):
+            return a0 - 2.5 + 0.0 * aj
+
+        with pytest.raises(CoverageError, match=r"first at \(a_j=1, a_0=1\)"):
+            _node_omega(t, 3.0, 0.05)
 
     def test_nonpositive_step_rejected(self):
-        with pytest.raises(ValidationError):
-            characteristics.integrate_characteristic(t_10(), (1.0, 1.0), 4.0, 0.0)
+        for step in (0.0, -0.05, np.nan):
+            with pytest.raises(ValidationError):
+                characteristics.build_omega(t_10(), BOX, a_ref=1.0, step=step)
 
 
 @pytest.fixture(scope="module")
@@ -116,10 +136,9 @@ class TestBuildOmega:
         assert np.max(res) <= 5.0 * omega1.step**2
 
     def test_characteristic_invariance(self, omega1):
-        # points on one integrated trace share a level value
-        path = characteristics.integrate_characteristic(t_10(), (1.2, 1.1), 3.8, 0.005)
-        keep = slice(0, len(path.a0), 40)
-        levels = omega1(path.aj[keep], path.a0[keep])
+        # points on one exact trace, a_1 = 1.1 sqrt(a_0 / 1.2), share a level
+        a0 = np.linspace(1.2, 3.8, 14)
+        levels = omega1(1.1 * np.sqrt(a0 / 1.2), a0)
         assert np.max(levels) - np.min(levels) <= 1e-6
 
     def test_coverage_error_reported(self):
@@ -257,14 +276,15 @@ class TestHermiteCrossing:
         )
         assert theta == pytest.approx([0.25, 0.5], abs=1e-15)
 
-    def test_stall_at_clip_bound_raises(self):
-        # Newton from the linear estimate 0.5 jumps past theta = 1, where the
-        # end slope points back out of [0, 1]: the clip pins theta at 1 while
-        # the true crossing lies below 0.5
-        with pytest.raises(NumericalFailure):
-            characteristics._hermite_crossing(
-                np.array([0.0]), np.array([1.0]), np.array([5.0]), np.array([-1.0]), 2.0, 0.5
-            )
+    def test_overshooting_cubic_crossing_found(self):
+        # H(theta) = 6 theta^3 - 15 theta^2 + 10 theta rises past 2 and falls
+        # back to 1: plain Newton from the linear estimate 0.5 jumps past
+        # theta = 1, the bracketed inverter finds the one crossing of 0.5
+        theta = characteristics._hermite_crossing(
+            np.array([0.0]), np.array([1.0]), np.array([5.0]), np.array([-1.0]), 2.0, 0.5
+        )
+        assert 0.0 <= theta[0] <= 1.0
+        assert abs(6 * theta[0] ** 3 - 15 * theta[0] ** 2 + 10 * theta[0] - 0.5) <= 1e-12
 
 
 class TestUtilityInversion:

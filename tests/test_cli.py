@@ -121,6 +121,31 @@ class TestSimulate:
                    "--out", str(tmp_path))
         assert code == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("axis", ["x:1:5", "0:1:5.5", "0:1", "0:1:5:7"])
+    def test_malformed_grid_axis_is_input_error(self, tmp_path, log_model_json, axis):
+        code = run(
+            "simulate", "--model", log_model_json, "--out", str(tmp_path),
+            "--grid", "1:4:5", "--grid", "1:4:5", "--grid", axis,
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert not (tmp_path / "field.csv").exists()
+
+    @pytest.mark.parametrize(
+        "case", ["not_json", "utility_param", "noise_scale", "alternatives"]
+    )
+    def test_malformed_model_file_is_input_error(self, tmp_path, case):
+        doc = lin_model().to_dict()
+        if case == "utility_param":
+            doc["utilities"][1]["params"][1] = "steep"
+        elif case == "noise_scale":
+            doc["noise"]["scale"] = "wide"
+        elif case == "alternatives":
+            doc["alternatives"] = "three"
+        bad = tmp_path / "bad.json"
+        bad.write_text("{utilities: [" if case == "not_json" else json.dumps(doc))
+        code = run("simulate", "--model", str(bad), "--out", str(tmp_path / "out"))
+        assert code == EXIT_INPUT_ERROR
+
 
 class TestCheck:
     def test_linear_field_passes(self, tmp_path, lin_field_csv):
