@@ -1,20 +1,23 @@
 """Convergence diagnostics for the numerical building blocks.
 
-Three tables:
+Four tables:
   1. RK4 characteristic crossing error vs step (expected order 4),
   2. omega level-surface error vs lattice resolution,
-  3. reconstructed density error at a known point vs field grid resolution.
+  3. reconstructed density error at a known point vs field grid resolution,
+  4. round-trip quadrature error vs v-node count (expected order 2).
 
-All against the closed-form benchmark q_j = a_j^{alpha_j} / sum a_k^{alpha_k}
-with alpha = (1, 2, 1/2), whose heterogeneity density under unit anchoring is
-known in closed form.
+Tables 1-3 run against the closed-form benchmark q_j = a_j^{alpha_j} / sum
+a_k^{alpha_k} with alpha = (1, 2, 1/2), whose heterogeneity density under unit
+anchoring is known in closed form. Table 4 integrates iid Gumbel(0, 1) tastes
+under the exact level functions omega_j = a_0 - a_j, where q_0 = exp(-sum_k
+e^(a_k - a_0)) and q_j = softmax_j(a) (1 - q_0).
 
 Usage: python scripts/convergence_study.py
 """
 
 import numpy as np
 
-from rumkit import characteristics, density, field, model, symmetry
+from rumkit import characteristics, density, field, model, symmetry, verify
 
 BOX = ((1.0, 4.0), (1.0, 4.0))
 
@@ -84,9 +87,47 @@ def density_table():
         print(f"  counts {counts}: |f(1,1) - 2/27| = {err:.3e}")
 
 
+def round_trip_table():
+    print("round-trip quadrature error vs v-node count, J = 2, iid Gumbel tastes")
+    ones = lambda aj, a0: np.ones(np.broadcast(aj, a0).shape)
+    utilities = [
+        characteristics.UtilityFunction(
+            j=j,
+            omega=characteristics.build_omega(
+                ones, ((-5.0, 5.0), (-20.0, 20.0)), a_ref=0.0, resolution=11, j=j
+            ),
+        )
+        for j in (1, 2)
+    ]
+    rng = np.random.default_rng(0)
+    offers = np.column_stack(
+        [rng.uniform(-1.0, 2.0, 20), rng.uniform(-1.5, 1.5, 20), rng.uniform(-1.5, 1.5, 20)]
+    )
+    q0 = np.exp(-np.exp(offers[:, 1:] - offers[:, :1]).sum(axis=1, keepdims=True))
+    soft = np.exp(offers[:, 1:]) / np.exp(offers[:, 1:]).sum(axis=1, keepdims=True)
+    exact = np.hstack([q0, soft * (1.0 - q0)])
+    prev = None
+    for n in (61, 121, 241, 481):
+        axes = (np.linspace(-3.0, 12.0, n),) * 2
+        v1, v2 = np.meshgrid(*axes, indexing="ij")
+        pdf = np.exp(-v1 - np.exp(-v1) - v2 - np.exp(-v2))
+        d = density.DensityGrid(
+            axes=axes,
+            f_values=pdf,
+            F_values=np.exp(-np.exp(-v1) - np.exp(-v2)),
+            support_mask=np.ones(pdf.shape, dtype=bool),
+        )
+        err = np.max(np.abs(verify.rationalized_choice_prob(utilities, d, offers) - exact))
+        rate = "" if prev is None else f"  observed order {np.log2(prev / err):4.2f}"
+        print(f"  v-nodes {n:4d}: max |q - q*| = {err:.3e}{rate}")
+        prev = err
+
+
 if __name__ == "__main__":
     rk4_table()
     print()
     omega_table()
     print()
     density_table()
+    print()
+    round_trip_table()

@@ -84,13 +84,15 @@ class DensityGrid:
         return corners * vol
 
     def cumulative_from_density(self) -> np.ndarray:
-        """Cumulative trapezoid integral of f up to each node (CDF consistency path)."""
-        f = np.where(self.support_mask, self.f_values, 0.0)
-        cells = self.cell_masses()
-        cum = cells
+        """Cumulative trapezoid cell mass below each node.
+
+        Interpolated multilinearly, it is the exact CDF of the density that is
+        uniform within each cell; the round-trip quadrature integrates it.
+        """
+        cum = self.cell_masses()
         for d in range(self.n_dims):
             cum = np.cumsum(cum, axis=d)
-        out = np.zeros(f.shape)
+        out = np.zeros(self.f_values.shape)
         out[(slice(1, None),) * self.n_dims] = cum
         return out
 

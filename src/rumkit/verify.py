@@ -10,6 +10,7 @@ them are invariant under adding a common scalar to every offer.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -63,10 +64,71 @@ def _lerp_tables(lo, hi, frac):
     return np.where(np.isinf(lo) & np.isinf(hi), lo, w)
 
 
-def _subcell_tables(tables, refine):
-    """Utility at refine sub-centers of each cell along the last axis: (..., n_cells, refine)."""
-    frac = (np.arange(refine) + 0.5) / refine
-    return [_lerp_tables(t[..., :-1, None], t[..., 1:, None], frac) for t in tables]
+def _multilinear(table, axes, points, lead):
+    """table interpolated multilinearly over its trailing axes at points.
+
+    points holds one coordinate array per axis in axes, all broadcasting
+    together, each clamped to its axis; lead indexes the leading axes of
+    table directly.
+    """
+    cells = []
+    for ax, x in zip(axes, points):
+        x = np.clip(x, ax[0], ax[-1])
+        i = np.clip(np.searchsorted(ax, x, side="right") - 1, 0, len(ax) - 2)
+        cells.append((i, (x - ax[i]) / (ax[i + 1] - ax[i])))
+    out = 0.0
+    for corner in itertools.product((0, 1), repeat=len(cells)):
+        weight, idx = 1.0, lead
+        for (i, frac), c in zip(cells, corner):
+            weight = weight * (frac if c else 1.0 - frac)
+            idx = idx + (i + c,)
+        out = out + weight * table[idx]
+    return out
+
+
+def _threshold_quadrature(utilities, density: DensityGrid, offers, tables):
+    """Decided mass per alternative and undecidable mass, per offer.
+
+    C, the node cumulative of the cell masses, interpolated multilinearly is
+    the exact CDF of the cell-uniform density. Alternative k loses to utility
+    w exactly below the level tau_k(w) = omega_k(a_k, w), w clipped to
+    omega_k's a_0 domain (which reproduces the +/-inf utilities), so q_0 =
+    C(tau(a_0)). Alternative j wins above the cut v_j = tau_j(a_0): each v_j
+    cell's part above the cut carries its slab of diff(C, axis=j) at
+    tau_{-j}(w_j), w_j interpolated from the node table at the part's
+    midpoint. Undecidable mass lies where two v_k exceed tau_k(+inf).
+    """
+    J = density.n_dims
+    axes = density.axes
+    cum = density.cumulative_from_density()
+
+    def tau(k, w):
+        om = utilities[k].omega
+        return om(offers[:, k + 1, None], np.clip(w, *om.domain[1]))
+
+    cut = [tau(k, offers[:, :1]) for k in range(J)]
+    top = [tau(k, np.inf) for k in range(J)]
+    c_top = _multilinear(cum, axes, top, ())
+    one_above = sum(
+        _multilinear(cum, axes, top[:k] + [np.inf] + top[k + 1 :], ()) - c_top
+        for k in range(J)
+    )
+    counts = [_multilinear(cum, axes, cut, ())[:, 0]]
+    for j, (v, t) in enumerate(zip(axes, tables)):
+        lo, hi = v[:-1], v[1:]
+        start = np.clip(cut[j], lo, hi)
+        w = _lerp_tables(t[:, :-1], t[:, 1:], (0.5 * (start + hi) - lo) / (hi - lo))
+        others = [k for k in range(J) if k != j]
+        slab = _multilinear(
+            np.moveaxis(np.diff(cum, axis=j), j, 0),
+            [axes[k] for k in others],
+            [tau(k, w) for k in others],
+            (np.arange(len(lo)),),
+        )
+        counts.append(np.sum((hi - start) / (hi - lo) * slab, axis=1))
+    counts = np.column_stack(counts)
+    skipped = cum[(-1,) * J] - c_top - one_above
+    return counts, skipped[:, 0]
 
 
 def rationalized_choice_prob(
@@ -82,9 +144,11 @@ def rationalized_choice_prob(
 
     a is one offer (J+1,) or a batch (n_offers, J+1), like
     ProbabilityField.interpolate; q and the skipped-mass and leakage
-    diagnostics take its leading shape. grid_quadrature assigns each v-cell's
-    trapezoid mass to the winner at the cell center; monte_carlo draws cells by
-    mass (inverse CDF) with seed + i for offer i, jitters uniformly within the
+    diagnostics take its leading shape. Every entry must be finite and every
+    a_j inside omega_j's a_j domain. grid_quadrature integrates the
+    cell-uniform density over each alternative's winning region, cut by level
+    thresholds (_threshold_quadrature); monte_carlo draws cells by mass
+    (inverse CDF) with seed + i for offer i, jitters uniformly within the
     cell, and judges the argmax at the jittered point using linearly
     interpolated w. Each q is renormalized over decided mass.
     """
@@ -93,6 +157,17 @@ def rationalized_choice_prob(
     if a.ndim not in (1, 2) or a.shape[-1] != J + 1:
         raise ValidationError("offer vector length must be J + 1")
     offers = np.atleast_2d(a)
+    if not np.all(np.isfinite(offers)):
+        raise ValidationError("offers must be finite")
+    for j, u in enumerate(utilities, start=1):
+        lo, hi = u.omega.domain[0]
+        eps = 1e-9 * (hi - lo)  # the slack OmegaFunction.__call__ allows
+        if np.any((offers[:, j] < lo - eps) | (offers[:, j] > hi + eps)):
+            raise ValidationError(f"a_{j} outside the omega_{j} domain [{lo}, {hi}]")
+    if method not in ("grid_quadrature", "monte_carlo"):
+        raise ValidationError(f"unknown method {method!r}")
+    if method == "monte_carlo" and n < 1:
+        raise ValidationError("draw count must be >= 1")
     masses = density.cell_masses()
     total = float(masses.sum())
     if not _MASS_WINDOW[0] <= total <= _MASS_WINDOW[1]:
@@ -101,38 +176,20 @@ def rationalized_choice_prob(
         )
     tables = _utility_tables(utilities, density, offers)
     if method == "grid_quadrature":
-        # each cell's mass spread uniformly over refine^J subcells; the
-        # winner is judged at subcell centers, shrinking the misallocated
-        # band along indifference boundaries by the refinement factor
-        refine = 4
-        tables = [
-            t.reshape([len(offers)] + [-1 if k == j else 1 for k in range(J)])
-            for j, t in enumerate(_subcell_tables(tables, refine))
-        ]
-        weights = masses / refine**J
-        for d in range(J):
-            weights = np.repeat(weights, refine, axis=d)
-        weights, unit = weights.ravel(), 1.0
-    elif method == "monte_carlo":
-        if n < 1:
-            raise ValidationError("draw count must be >= 1")
+        counts, skipped = _threshold_quadrature(utilities, density, offers, tables)
+    else:
+        # one winner rule and one tally, offer by offer; bin 0 collects the
+        # undecidable draws, and every draw carries total / n
         flat = masses.ravel()
         p = flat / flat.sum()
-        weights, unit = None, total / n  # every draw carries total / n
-    else:
-        raise ValidationError(f"unknown method {method!r}")
-    # one winner rule and one tally for both integrators, offer by offer; bin
-    # 0 collects the undecidable mass
-    tally = np.empty((len(offers), J + 2))
-    for i, offer in enumerate(offers):
-        ws = [t[i] for t in tables]
-        if method == "monte_carlo":
+        tally = np.empty((len(offers), J + 2))
+        for i, offer in enumerate(offers):
             rng = np.random.default_rng(seed + i)
             cells = np.unravel_index(rng.choice(len(flat), size=n, p=p), masses.shape)
             u = rng.random((n, J))
-            ws = [_lerp_tables(w[c], w[c + 1], uj) for w, c, uj in zip(ws, cells, u.T)]
-        tally[i] = np.bincount(_winners(ws, offer[0]).ravel() + 1, weights, J + 2) * unit
-    skipped, counts = tally[:, 0], tally[:, 1:]
+            ws = [_lerp_tables(t[i][c], t[i][c + 1], uj) for t, c, uj in zip(tables, cells, u.T)]
+            tally[i] = np.bincount(_winners(ws, offer[0]) + 1, None, J + 2) * (total / n)
+        skipped, counts = tally[:, 0], tally[:, 1:]
     decided = counts.sum(axis=1)
     q = counts / np.where(decided > 0, decided, 1.0)[:, None]
     if a.ndim == 1:
@@ -184,17 +241,17 @@ def round_trip_report(
 ) -> VerifyReport:
     """Compare rationalized probabilities against the field at test points."""
     test_points = np.atleast_2d(np.asarray(test_points, dtype=float))
-    q_rec = rationalized_choice_prob(
-        utilities, density, test_points, method=method, n=n, seed=seed
+    q_rec, diag = rationalized_choice_prob(
+        utilities, density, test_points, method=method, n=n, seed=seed,
+        return_diagnostics=True,
     )
     errs = np.abs(q_rec - field.interpolate(test_points))
-    mass = float(density.cell_masses().sum())
     worst_i = int(np.argmax(errs.max(axis=1)))
     return VerifyReport(
         max_abs_error=errs.max(axis=0),
         mean_abs_error=errs.mean(axis=0),
         worst_point=tuple(test_points[worst_i]),
-        mass=mass,
+        mass=diag["mass"],
         passed=bool(errs.max() <= tol),
         tol=tol,
         method=method,

@@ -103,6 +103,21 @@ class TestRationalizedChoiceProb:
         with pytest.raises(UnnormalizedDensityError):
             verify.rationalized_choice_prob(wide_utilities, d, (2.0, 2.0, 2.0))
 
+    @pytest.mark.parametrize("method", ["grid_quadrature", "monte_carlo"])
+    @pytest.mark.parametrize(
+        "a",
+        [(np.nan, 1.0, 4.0), (2.0, np.inf, 4.0), (2.0, 50.0, 4.0), (2.0, 1.0, 0.01)],
+        ids=["nan", "inf", "a1_above_domain", "a2_below_domain"],
+    )
+    def test_unusable_offer_rejected(self, monkeypatch, wide_utilities, wide_density, method, a):
+        # before any work: no utility table is built
+        monkeypatch.setattr(verify, "_utility_tables", lambda *args: pytest.fail("tables built"))
+        for offers in (a, [(2.0, 1.0, 4.0), a]):
+            with pytest.raises(ValidationError):
+                verify.rationalized_choice_prob(
+                    wide_utilities, wide_density, offers, method=method, n=1_000
+                )
+
     def test_unknown_method_rejected(self, wide_utilities, wide_density):
         with pytest.raises(ValidationError):
             verify.rationalized_choice_prob(
@@ -247,11 +262,11 @@ class TestTranslationInvariance:
         assert rep["passed"]
 
 
-# -- the two winner rules as they stood before the shared kernel -------------
+# -- reference integrators: the sub-cell argmax and the per-draw argmax ------
 
 
 def reference_winners(tables, a0):
-    """Grid-quadrature argmax over per-axis tables broadcast to the full shape."""
+    """Argmax over per-axis tables broadcast to the full shape."""
     J = len(tables)
     shape = tuple(len(t) for t in tables)
     best = np.full(shape, float(a0))
@@ -268,47 +283,66 @@ def reference_winners(tables, a0):
     return np.where(inf_count > 1, -1, who)
 
 
-def reference_choice_prob(utilities, density_, a, method, n=100_000, seed=0):
-    """(q, skipped mass) with per-alternative masked sums, as before."""
+def reference_subcell_prob(utilities, density_, a, refine):
+    """(q, skipped mass) of the sub-cell rule: each cell's mass spread evenly
+    over refine^J sub-cells, the winner judged at each sub-cell centre on
+    linearly interpolated w. First order in the v-step; blocks of v_1 cells
+    keep the refine = 16 reference small."""
+    a = np.asarray(a, dtype=float)
+    J = density_.n_dims
+    masses = density_.cell_masses()
+    tables = [t[0] for t in verify._utility_tables(utilities, density_, a[None])]
+    frac = (np.arange(refine) + 0.5) / refine
+    subs = [verify._lerp_tables(t[:-1, None], t[1:, None], frac).ravel() for t in tables]
+    tally = np.zeros(J + 2)
+    for r0 in range(0, len(masses), 8):
+        block = masses[r0 : r0 + 8] / refine**J
+        for d in range(J):
+            block = np.repeat(block, refine, axis=d)
+        rows = subs[0][r0 * refine : r0 * refine + len(block)]
+        who = reference_winners([rows] + subs[1:], a[0])
+        tally += np.bincount(who.ravel() + 1, block.ravel(), J + 2)
+    return tally[1:] / tally[1:].sum(), float(tally[0])
+
+
+def reference_monte_carlo_prob(utilities, density_, a, n, seed):
+    """(q, skipped mass) with one per-draw argmax and masked sums."""
     a = np.asarray(a, dtype=float)
     J = density_.n_dims
     masses = density_.cell_masses()
     total = float(masses.sum())
     tables = [t[0] for t in verify._utility_tables(utilities, density_, a[None])]
     counts = np.zeros(J + 1)
-    if method == "grid_quadrature":
-        who = reference_winners([t.ravel() for t in verify._subcell_tables(tables, 4)], a[0])
-        sub_masses = masses / 4**J
-        for d in range(J):
-            sub_masses = np.repeat(sub_masses, 4, axis=d)
-        for j in range(J + 1):
-            counts[j] = float(sub_masses[who == j].sum())
-        skipped = float(sub_masses[who == -1].sum())
-    else:
-        rng = np.random.default_rng(seed)
-        flat = masses.ravel()
-        draws = rng.choice(len(flat), size=n, p=flat / flat.sum())
-        cells = np.column_stack(np.unravel_index(draws, masses.shape))
-        u = rng.random((n, J))
-        best = np.full(n, a[0])
-        who = np.zeros(n, dtype=int)
-        n_inf = np.zeros(n, dtype=int)
-        for j in range(J):
-            t = tables[j]
-            w = verify._lerp_tables(t[cells[:, j]], t[cells[:, j] + 1], u[:, j])
-            n_inf += (np.isinf(w) & (w > 0)).astype(int)
-            take = w > best
-            best = np.where(take, w, best)
-            who = np.where(take, j + 1, who)
-        who = np.where(n_inf > 1, -1, who)
-        for j in range(J + 1):
-            counts[j] = float(np.sum(who == j)) * total / n
-        skipped = float(np.sum(who == -1)) * total / n
+    rng = np.random.default_rng(seed)
+    flat = masses.ravel()
+    draws = rng.choice(len(flat), size=n, p=flat / flat.sum())
+    cells = np.column_stack(np.unravel_index(draws, masses.shape))
+    u = rng.random((n, J))
+    best = np.full(n, a[0])
+    who = np.zeros(n, dtype=int)
+    n_inf = np.zeros(n, dtype=int)
+    for j in range(J):
+        t = tables[j]
+        w = verify._lerp_tables(t[cells[:, j]], t[cells[:, j] + 1], u[:, j])
+        n_inf += (np.isinf(w) & (w > 0)).astype(int)
+        take = w > best
+        best = np.where(take, w, best)
+        who = np.where(take, j + 1, who)
+    who = np.where(n_inf > 1, -1, who)
+    for j in range(J + 1):
+        counts[j] = float(np.sum(who == j)) * total / n
+    skipped = float(np.sum(who == -1)) * total / n
     return counts / counts.sum(), skipped
 
 
 class _CappedOmega:
-    """Level function whose utility is w = v up to level 1, +inf above."""
+    """Level function omega(a_j, a_0) = a_0 on the a_0 domain [0, 1]: its
+    utility is w = v up to level 1 and +inf above."""
+
+    domain = ((0.0, 2.0), (0.0, 1.0))
+
+    def __call__(self, a_j, a_0):
+        return a_0 + 0.0 * np.asarray(a_j)
 
     def invert_a0_many(self, a_j, v):
         v = np.asarray(v, dtype=float)
@@ -330,21 +364,31 @@ def capped_case():
     return utilities, d
 
 
+WIDE_POINTS = [(2.0, 1.0, 4.0), (5.0, 2.0, 3.0), (0.5, 0.8, 0.3)]
+
+
 class TestWinnerRuleEquivalence:
-    """One argmax-and-tally kernel reproduces both old integrators."""
+    """The threshold quadrature against the sub-cell rule and the analytic
+    capped case; Monte Carlo against its per-draw reference, bit for bit."""
 
     @pytest.mark.parametrize("method", ["grid_quadrature", "monte_carlo"])
     def test_wide_points(self, wide_utilities, wide_density, method):
-        for a in [(2.0, 1.0, 4.0), (5.0, 2.0, 3.0), (0.5, 0.8, 0.3)]:
+        for a in WIDE_POINTS:
             q, diag = verify.rationalized_choice_prob(
                 wide_utilities, wide_density, a, method=method, n=20_000, seed=5,
                 return_diagnostics=True,
             )
-            q_ref, skipped_ref = reference_choice_prob(
-                wide_utilities, wide_density, a, method, n=20_000, seed=5
-            )
-            assert np.max(np.abs(q - q_ref)) <= 1e-12
-            assert diag["skipped_mass"] == pytest.approx(skipped_ref, abs=1e-12)
+            if method == "monte_carlo":
+                q_ref, skipped_ref = reference_monte_carlo_prob(
+                    wide_utilities, wide_density, a, n=20_000, seed=5
+                )
+                assert np.max(np.abs(q - q_ref)) <= 1e-12
+                assert diag["skipped_mass"] == pytest.approx(skipped_ref, abs=1e-12)
+            else:
+                # at least as close to the fine sub-cell rule as the coarse one
+                q4, _ = reference_subcell_prob(wide_utilities, wide_density, a, 4)
+                q16, _ = reference_subcell_prob(wide_utilities, wide_density, a, 16)
+                assert np.max(np.abs(q - q16)) <= np.max(np.abs(q4 - q16))
 
     @pytest.mark.parametrize("method", ["grid_quadrature", "monte_carlo"])
     def test_undecidable_mass_skipped(self, capped_case, method):
@@ -353,9 +397,80 @@ class TestWinnerRuleEquivalence:
         q, diag = verify.rationalized_choice_prob(
             utilities, d, a, method=method, n=20_000, seed=1, return_diagnostics=True
         )
-        q_ref, skipped_ref = reference_choice_prob(
-            utilities, d, a, method, n=20_000, seed=1
+        if method == "monte_carlo":
+            q_ref, skipped_ref = reference_monte_carlo_prob(utilities, d, a, n=20_000, seed=1)
+            assert diag["skipped_mass"] > 0.1
+            assert diag["skipped_mass"] == pytest.approx(skipped_ref, abs=1e-12)
+            assert np.max(np.abs(q - q_ref)) <= 1e-12
+        else:
+            # q_0 = 0.2^2; q_1 = int_0.7^1 (v - 0.5) dv + 0.5 * 0.5; both
+            # levels above 1 leave 0.5^2 undecidable
+            counts = q * (1.0 - diag["leakage"])
+            assert diag["skipped_mass"] == pytest.approx(0.25, abs=1e-12)
+            assert np.max(np.abs(counts - [0.04, 0.355, 0.355])) <= 1e-12
+
+    def test_wide_mass_identity(self, wide_utilities, wide_density):
+        """Decided plus undecidable mass adds up to the density mass."""
+        _, diag = verify.rationalized_choice_prob(
+            wide_utilities, wide_density, np.array(WIDE_POINTS), return_diagnostics=True
         )
-        assert diag["skipped_mass"] > 0.1
-        assert diag["skipped_mass"] == pytest.approx(skipped_ref, abs=1e-12)
-        assert np.max(np.abs(q - q_ref)) <= 1e-12
+        decided = 1.0 - diag["leakage"]
+        assert np.max(np.abs(diag["mass"] - decided - diag["skipped_mass"])) <= 1e-3
+
+
+# -- closed form: iid Gumbel tastes under exact linear level functions -------
+
+
+def gumbel_case(J, n_nodes):
+    """Utilities w_j = a_j + v_j from build_omega with t = 1 (omega = a_0 - a_j
+    exactly) and the iid Gumbel(0, 1) density on the v axis [-3, 12]."""
+    ones = lambda aj, a0: np.ones(np.broadcast(aj, a0).shape)
+    utilities = [
+        characteristics.UtilityFunction(
+            j=j,
+            omega=characteristics.build_omega(
+                ones, ((-5.0, 5.0), (-20.0, 20.0)), a_ref=0.0, resolution=11, j=j
+            ),
+        )
+        for j in range(1, J + 1)
+    ]
+    axes = (np.linspace(-3.0, 12.0, n_nodes),) * J
+    mesh = np.meshgrid(*axes, indexing="ij")
+    f = np.prod([np.exp(-m - np.exp(-m)) for m in mesh], axis=0)
+    F = np.prod([np.exp(-np.exp(-m)) for m in mesh], axis=0)
+    d = density.DensityGrid(
+        axes=axes, f_values=f, F_values=F, support_mask=np.ones(f.shape, dtype=bool)
+    )
+    return utilities, d
+
+
+def gumbel_choice_prob(offers):
+    """q_0 = exp(-sum_k e^(a_k - a_0)); the max of independent Gumbels is
+    independent of which one attains it, so q_j = softmax_j(a) (1 - q_0)."""
+    a0, a = offers[:, :1], offers[:, 1:]
+    q0 = np.exp(-np.exp(a - a0).sum(axis=1, keepdims=True))
+    return np.hstack([q0, np.exp(a) / np.exp(a).sum(axis=1, keepdims=True) * (1.0 - q0)])
+
+
+class TestClosedFormGumbel:
+    """Grid quadrature converges at second order in the v-step."""
+
+    @pytest.mark.parametrize(
+        "J, nodes",
+        [(1, (61, 121, 241)), (2, (61, 121, 241)), (3, (31, 61, 121))],
+        ids=["J1", "J2", "J3"],
+    )
+    def test_error_shrinks_at_second_order(self, J, nodes):
+        rng = np.random.default_rng(J)
+        offers = np.column_stack(
+            [rng.uniform(-1.0, 2.0, 8)] + [rng.uniform(-1.5, 1.5, 8) for _ in range(J)]
+        )
+        want = gumbel_choice_prob(offers)
+        errs = []
+        for n in nodes:
+            utilities, d = gumbel_case(J, n)
+            errs.append(np.max(np.abs(verify.rationalized_choice_prob(utilities, d, offers) - want)))
+        # halving h quarters a second-order error; first order would halve it
+        assert errs[0] >= 3.0 * errs[1] and errs[1] >= 3.0 * errs[2], errs
+        if J == 2:
+            assert errs[1] <= 1e-3
