@@ -431,13 +431,3 @@ class UtilityFunction:
             path, ("a_j", "v", "w"), (np.repeat(aj, n), vs.ravel(), ws.ravel())
         )
 
-
-def lipschitz_diagnostic(t, domain) -> float:
-    """Empirical max |dt/da_j| over a 201 x 201 lattice: the Picard-Lindelof constant."""
-    (aj_lo, aj_hi), (a0_lo, a0_hi) = domain
-    aj = np.linspace(aj_lo, aj_hi, 201)
-    a0 = np.linspace(a0_lo, a0_hi, 201)
-    AJ, A0 = np.meshgrid(aj, a0, indexing="ij")
-    vals = np.asarray(t(AJ, A0), dtype=float)
-    d = np.gradient(vals, aj, axis=0, edge_order=2)
-    return float(np.max(np.abs(d)))

@@ -197,22 +197,6 @@ def test_condition_A(field: ProbabilityField, m: int, tol: float, seed: int = 0)
     return SymmetryReport("condition_a", tol, stats, len(pair_ij))
 
 
-def recommend_pivot(field: ProbabilityField) -> int:
-    """Pivot whose smallest |dq_m/da_j| over interior nodes is largest."""
-    grads = field.node_gradients
-    interior = field.interior_slices()
-    best, best_val = 0, -np.inf
-    for m in range(field.n_alternatives):
-        worst = np.inf
-        for j in range(field.n_alternatives):
-            if j == m:
-                continue
-            worst = min(worst, float(np.abs(grads[m, j][interior]).min()))
-        if worst > best_val:
-            best, best_val = m, worst
-    return best
-
-
 # -- ratio surfaces -------------------------------------------------------
 
 

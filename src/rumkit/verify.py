@@ -147,10 +147,11 @@ def rationalized_choice_prob(
     diagnostics take its leading shape. Every entry must be finite and every
     a_j inside omega_j's a_j domain. grid_quadrature integrates the
     cell-uniform density over each alternative's winning region, cut by level
-    thresholds (_threshold_quadrature); monte_carlo draws cells by mass
-    (inverse CDF) with seed + i for offer i, jitters uniformly within the
-    cell, and judges the argmax at the jittered point using linearly
-    interpolated w. Each q is renormalized over decided mass.
+    thresholds (_threshold_quadrature); monte_carlo draws n cells by mass
+    (inverse CDF) from default_rng(seed), jitters uniformly within each cell,
+    and judges every offer's argmax at the same jittered points using
+    linearly interpolated w, so each row of a batch equals a single-offer call
+    at the same seed. Each q is renormalized over decided mass.
     """
     a = np.asarray(a, dtype=float)
     J = density.n_dims
@@ -178,16 +179,16 @@ def rationalized_choice_prob(
     if method == "grid_quadrature":
         counts, skipped = _threshold_quadrature(utilities, density, offers, tables)
     else:
-        # one winner rule and one tally, offer by offer; bin 0 collects the
-        # undecidable draws, and every draw carries total / n
+        # one draw set shared by every offer (common random numbers), then one
+        # winner rule and one tally per offer; bin 0 collects the undecidable
+        # draws, and every draw carries total / n
         flat = masses.ravel()
-        p = flat / flat.sum()
+        rng = np.random.default_rng(seed)
+        cells = np.unravel_index(rng.choice(len(flat), size=n, p=flat / flat.sum()), masses.shape)
+        u = rng.random((n, J)).T
         tally = np.empty((len(offers), J + 2))
         for i, offer in enumerate(offers):
-            rng = np.random.default_rng(seed + i)
-            cells = np.unravel_index(rng.choice(len(flat), size=n, p=p), masses.shape)
-            u = rng.random((n, J))
-            ws = [_lerp_tables(t[i][c], t[i][c + 1], uj) for t, c, uj in zip(tables, cells, u.T)]
+            ws = [_lerp_tables(t[i][c], t[i][c + 1], uj) for t, c, uj in zip(tables, cells, u)]
             tally[i] = np.bincount(_winners(ws, offer[0]) + 1, None, J + 2) * (total / n)
         skipped, counts = tally[:, 0], tally[:, 1:]
     decided = counts.sum(axis=1)

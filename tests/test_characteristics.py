@@ -446,18 +446,3 @@ class TestNewtonMatchesBisection:
         )
         self._assert_match(om.invert_aj_many(v, a0), ref)
 
-
-class TestLipschitz:
-    def test_constant_slope_zero(self):
-        t = symmetry.RatioFunction.from_callable(lambda aj, a0: 1.0 + 0.0 * aj, BOX)
-        assert characteristics.lipschitz_diagnostic(t, BOX) == pytest.approx(0.0, abs=1e-10)
-
-    def test_log_model_j1(self):
-        assert characteristics.lipschitz_diagnostic(t_10(), BOX) == pytest.approx(
-            0.5, rel=0.02
-        )
-
-    def test_log_model_j2(self):
-        assert characteristics.lipschitz_diagnostic(t_20(), BOX) == pytest.approx(
-            2.0, rel=0.02
-        )

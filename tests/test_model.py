@@ -1,5 +1,7 @@
 """Forward generators: sub-utilities, closed-form softmax, Monte Carlo."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,7 +127,10 @@ class TestMonteCarlo:
 
 
 def reference_monte_carlo_values(m, grid, n, seed):
-    """The per-node loop: node flat (C order) draws from its own stream."""
+    """Independent streams: node flat (C order) draws from SeedSequence(seed, spawn_key=(flat,)).
+
+    The scheme before common random numbers, kept as the variance reference.
+    """
     values = np.empty(grid.counts + (m.n_alternatives,))
     axes = grid.axes()
     for flat, idx in enumerate(np.ndindex(*grid.counts)):
@@ -158,15 +163,20 @@ class TestTabulate:
         assert np.array_equal(f1.values, f2.values)
 
     def test_monte_carlo_node_order_independent(self, m_lin):
-        # per-node RNG streams are keyed by node index, not evaluation order
+        # every offer meets the same draws, so a node's value does not depend
+        # on where in the batch it sits
         grid = field.GridSpec((-1.0,) * 3, (1.0,) * 3, (5,) * 3)
         f = model.tabulate(m_lin, grid, method="monte_carlo", n=500, seed=2)
         direct = model.choice_prob_monte_carlo(m_lin, (-1.0, -1.0, -1.0), 500, seed=2)
         assert np.array_equal(f.values[0, 0, 0], direct)
+        offers = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1).reshape(-1, 3)
+        backwards = model.choice_prob_monte_carlo(m_lin, offers[::-1], 500, seed=2)
+        assert np.array_equal(backwards[::-1], f.values.reshape(-1, 3))
 
     @pytest.mark.parametrize("J", [1, 3])
     def test_monte_carlo_matches_per_node_streams(self, J):
-        # every node, not only node 0, draws from SeedSequence(seed, spawn_key=(flat,))
+        # every node, not only node 0, equals choice_prob_monte_carlo at that
+        # node's offer and the same seed
         k = J + 1
         corr = np.eye(k)
         corr[0, 1] = corr[1, 0] = 0.4
@@ -178,7 +188,58 @@ class TestTabulate:
         )
         grid = field.GridSpec((-1.0,) * k, (1.0,) * k, (6, 5, 7, 5)[:k])
         f = model.tabulate(m, grid, method="monte_carlo", n=300, seed=7)
-        assert np.array_equal(f.values, reference_monte_carlo_values(m, grid, 300, 7))
+        axes = grid.axes()
+        for idx in np.ndindex(*grid.counts):
+            node = [axes[d][i] for d, i in enumerate(idx)]
+            assert np.array_equal(f.values[idx], model.choice_prob_monte_carlo(m, node, 300, 7))
+
+    def test_shared_draws_halve_gradient_error(self):
+        # common random numbers against the per-node streams on the 9^3
+        # linear Gumbel field: a central difference of counts sharing one
+        # draw set has variance O(1/(n h)), not O(1/(n h^2))
+        m = lin_model()
+        grid = field.GridSpec((-1.0,) * 3, (1.0,) * 3, (9,) * 3)
+        exact = model.tabulate(m, grid).node_gradients
+        shared = model.tabulate(m, grid, method="monte_carlo", n=20_000, seed=4)
+        streams = field.ProbabilityField(grid, reference_monte_carlo_values(m, grid, 20_000, 4))
+
+        def rms(f):
+            return float(np.sqrt(np.mean((f.node_gradients - exact) ** 2)))
+
+        assert rms(shared) <= 0.5 * rms(streams)
+
+    def test_winner_counts_match_argmax(self, monkeypatch):
+        # integer-valued utilities and draws make exact ties common; the
+        # running strict > maximum takes the first of equal maxima, as argmax does
+        rng = np.random.default_rng(0)
+        base = rng.integers(0, 3, size=(10, 4)).astype(float)
+        base[0] = 1.0  # equal utilities: the five all-zero draws tie all four
+        eps = rng.integers(0, 3, size=(4, 300)).astype(float)
+        eps[:, :5] = 0.0
+        want = np.array([np.bincount(np.argmax(b + eps.T, 1), minlength=4) for b in base])
+        assert np.array_equal(model._winner_counts(base, eps), want)
+        # the same through the kernel, in chunks of 3 offers (the last one short)
+        m = model.ChoiceModelSpec(
+            utilities=tuple(model.UtilityPrimitive("linear", (0.0, 1.0)) for _ in range(4)),
+            noise=model.NoiseSpec("gumbel_iid", 1.0),
+            domain=((-1.0, 3.0),) * 4,
+        )
+        monkeypatch.setattr(model, "_noise_draws", lambda *args: eps.T.copy())
+        monkeypatch.setattr(model, "_CHUNK_ENTRIES", 3 * 300)
+        assert np.array_equal(model.choice_prob_monte_carlo(m, base, 300, 0), want / 300.0)
+
+    def test_monte_carlo_peak_memory_bounded(self, m_lin):
+        # offers go through in chunks: a 9^3 grid at 100,000 draws stays far
+        # below one (n_offers, n) array (583 MB)
+        grid = field.GridSpec((-1.0,) * 3, (1.0,) * 3, (9,) * 3)
+        offers = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1).reshape(-1, 3)
+        tracemalloc.start()
+        try:
+            model.choice_prob_monte_carlo(m_lin, offers, 100_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_grid_outside_domain_rejected(self, m_log):
         grid = field.GridSpec((0.0001,) * 3, (4.0,) * 3, (5,) * 3)

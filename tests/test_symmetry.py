@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rumkit import characteristics, field, model, symmetry
+from rumkit import field, model, symmetry
 from rumkit.errors import (
     DegeneratePointError,
     NegativeRatioError,
@@ -177,15 +177,3 @@ class TestSieve:
         pts = np.linspace(1.2, 3.8, 7)
         assert np.allclose(back(pts, pts[::-1]), t(pts, pts[::-1]), atol=1e-12)
 
-
-class TestPivotAndGradient:
-    def test_recommend_pivot_runs(self, log_field):
-        assert symmetry.recommend_pivot(log_field) in (0, 1, 2)
-
-    def test_max_ratio_gradient_log_model(self):
-        t = symmetry.RatioFunction.from_callable(
-            lambda aj, a0: aj / (2.0 * a0), ((1.0, 4.0), (1.0, 4.0)), j=1, m=0
-        )
-        assert characteristics.lipschitz_diagnostic(t, t.domain) == pytest.approx(
-            0.5, rel=0.05
-        )
