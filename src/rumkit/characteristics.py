@@ -11,7 +11,7 @@ monotone inversion of omega in a_0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
@@ -189,7 +189,8 @@ class OmegaFunction:
     """Characteristic level function omega(a_j, a_0) on a domain rectangle.
 
     Backed by a lattice of per-node crossing integrations wrapped in a bicubic
-    spline. Increasing in a_0, decreasing in a_j (validated at build time);
+    spline. Increasing in a_0, decreasing in a_j (monotone_ok reports whether
+    the lattice is, and worst_monotone_violation by how much it is not);
     omega(a_ref, a_0) = a_0 by the anchoring convention.
     """
 
@@ -202,15 +203,19 @@ class OmegaFunction:
     lattice_values: np.ndarray  # shape (n_aj, n_a0)
     step: float  # in ln a_0 units when log_axes, else in a_0 units
     log_axes: bool = False
-    monotone_ok: bool = True
-    worst_monotone_violation: float = 0.0
-    _spline: RectBivariateSpline | None = None
+    monotone_ok: bool = dc_field(init=False)
+    worst_monotone_violation: float = dc_field(init=False)
 
     def __post_init__(self):
-        if self._spline is None:
-            self._spline = RectBivariateSpline(
-                self.aj_lattice, self.a0_lattice, self.lattice_values, kx=3, ky=3, s=0
-            )
+        d_a0 = np.diff(self.lattice_values, axis=1)
+        d_aj = np.diff(self.lattice_values, axis=0)
+        self.monotone_ok = bool(np.all(d_a0 > 0) and np.all(d_aj < 0))
+        self.worst_monotone_violation = max(
+            float(np.max(-d_a0, initial=0.0)), float(np.max(d_aj, initial=0.0))
+        )
+        self._spline = RectBivariateSpline(
+            self.aj_lattice, self.a0_lattice, self.lattice_values, kx=3, ky=3, s=0
+        )
 
     def __call__(self, a_j, a_0):
         a_j = np.asarray(a_j, dtype=float)
@@ -389,10 +394,7 @@ def build_omega(
             f"{len(bad)} lattice nodes unreachable from the anchor line a_j={a_ref}; "
             f"first at (a_j={aj_lattice[i]:.6g}, a_0={a0_lattice[c]:.6g})"
         )
-    d_a0 = np.diff(values, axis=1)
-    d_aj = np.diff(values, axis=0)
-    worst = max(float(np.max(-d_a0, initial=0.0)), float(np.max(d_aj, initial=0.0)))
-    omega = OmegaFunction(
+    return OmegaFunction(
         j=j if j is not None else getattr(t, "j", 1),
         ratio=t,
         a_ref=float(a_ref),
@@ -402,10 +404,7 @@ def build_omega(
         lattice_values=values,
         step=float(step),
         log_axes=use_log,
-        monotone_ok=bool(np.all(d_a0 > 0) and np.all(d_aj < 0)),
-        worst_monotone_violation=worst,
     )
-    return omega
 
 
 @dataclass

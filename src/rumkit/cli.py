@@ -2,8 +2,9 @@
 
 Each subcommand is deterministic given its flags (seeds included) and writes
 artifacts into --out. identify stamps its outputs with a provenance hash of
-the field, its grid and every identification setting, so verify can refuse
-mismatched runs and rebuilds with exactly the settings identify used.
+the field, its grid, every identification setting and the SHA-256 of
+identify.npz, so verify can refuse mismatched runs and loads exactly the
+omegas and density identify built.
 
 Exit codes: 0 pass, 1 check failed, 2 input error, 3 numerical failure.
 """
@@ -12,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +32,14 @@ EXIT_NUMERICAL = 3
 
 # identify's settings record: written into identify_meta.json, read back by verify
 _SETTINGS = ("pivot", "basis", "degree", "resolution", "v_nodes", "a_ref")
+# what identify.npz keeps of each omega and of the density, besides the ratio
+# coefficients, the density axes and its provenance; _load_identify reads them
+_OMEGA_ARRAYS = (
+    "aj_lattice", "a0_lattice", "lattice_values", "domain", "a_ref", "step", "log_axes",
+)
+_DENSITY_ARRAYS = (
+    "f_values", "F_values", "support_mask", "clipped_nodes", "min_raw_density", "a_ref",
+)
 
 
 def _parse_grid(specs) -> field_mod.GridSpec:
@@ -121,44 +132,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_PASS if ok else EXIT_CHECK_FAIL
 
 
-def _identify_pipeline(field, settings: dict):
-    """Shared by identify and verify: sieve fits, omegas, utilities, density.
-
-    settings is identify's record: pivot, basis, degree, resolution, v_nodes
-    and a_ref, one anchoring per inside alternative (None picks the default).
-    """
-    J = field.grid.dims - 1
-    axes = field.grid.axes()
-    pivot = settings["pivot"]
-    sieve_field = field
-    if field.grid.n_nodes > 500_000:
-        # node-wise gradient caches on huge fields cost dims^2 copies of the
-        # value array; the sieve is a global least-squares fit and loses
-        # nothing meaningful on a strided sub-lattice
-        strides = tuple(max(1, (n - 1) // 60) for n in field.grid.counts)
-        sieve_field = field_mod.subsample(field, strides)
-    ratios = []
-    omegas = []
-    utilities = []
-    for j in range(1, J + 1):
-        t = symmetry.fit_ratio_sieve(
-            sieve_field, j, pivot, basis=settings["basis"], degree=settings["degree"]
-        )
-        ratios.append(t)
-        om = characteristics.build_omega(
-            t,
-            ((axes[j][0], axes[j][-1]), (axes[pivot][0], axes[pivot][-1])),
-            a_ref=settings["a_ref"][j - 1],
-            resolution=settings["resolution"],
-            j=j,
-        )
-        omegas.append(om)
-        utilities.append(characteristics.UtilityFunction(j=j, omega=om))
-    v_grid = density_mod.make_v_grid(omegas, n=settings["v_nodes"])
-    dens = density_mod.reconstruct_density(field, omegas, v_grid)
-    return ratios, omegas, utilities, dens
-
-
 def cmd_identify(args: argparse.Namespace) -> int:
     field = field_mod.read_field_csv(args.field_path)
     out = Path(args.out)
@@ -171,26 +144,115 @@ def cmd_identify(args: argparse.Namespace) -> int:
             "(rerun with --force to identify anyway)"
         )
         return EXIT_CHECK_FAIL
-    settings = {k: getattr(args, k) for k in _SETTINGS}
-    settings["a_ref"] = [args.a_ref] * (field.grid.dims - 1)
-    ratios, omegas, utilities, dens = _identify_pipeline(field, settings)
-    for t, om, w in zip(ratios, omegas, utilities):
+    axes = field.grid.axes()
+    pivot = args.pivot
+    sieve_field = field
+    if field.grid.n_nodes > 500_000:
+        # node-wise gradient caches on huge fields cost dims^2 copies of the
+        # value array; the sieve is a global least-squares fit and loses
+        # nothing meaningful on a strided sub-lattice
+        strides = tuple(max(1, (n - 1) // 60) for n in field.grid.counts)
+        sieve_field = field_mod.subsample(field, strides)
+    ratios, omegas = [], []
+    for j in range(1, field.grid.dims):
+        t = symmetry.fit_ratio_sieve(sieve_field, j, pivot, basis=args.basis, degree=args.degree)
+        ratios.append(t)
+        omegas.append(characteristics.build_omega(
+            t,
+            ((axes[j][0], axes[j][-1]), (axes[pivot][0], axes[pivot][-1])),
+            a_ref=args.a_ref,
+            resolution=args.resolution,
+            j=j,
+        ))
+    v_grid = density_mod.make_v_grid(omegas, n=args.v_nodes)
+    dens = density_mod.reconstruct_density(field, omegas, v_grid)
+    for t, om in zip(ratios, omegas):
         _write_json(out / f"ratio_{t.j}.json", t.to_dict())
         om.export_csv(out / f"omega_{om.j}.csv")
-        w.export_csv(out / f"w_{w.j}.csv")
+        characteristics.UtilityFunction(j=om.j, omega=om).export_csv(out / f"w_{om.j}.csv")
     dens.export_csv(out / "density.csv")
     mass = density_mod.check_normalization(dens)
     _write_json(out / "mass_report.json", mass.to_dict())
+    _write_identify_npz(out / "identify.npz", ratios, omegas, dens)
     meta = {
-        **settings,
+        **{k: getattr(args, k) for k in _SETTINGS},
         "a_ref": [om.a_ref for om in omegas],  # defaults resolved
         "field_hash": field.content_hash(),
         "grid": _grid_record(field.grid),
+        "identify_npz_sha256": field_mod.file_sha256(out / "identify.npz"),
     }
     meta["provenance"] = _provenance_hash(meta)
     _write_json(out / "identify_meta.json", meta)
     print(f"density mass: {mass.mass:.4f} (corner CDF {mass.corner_cdf:.4f})")
     return EXIT_PASS
+
+
+def _write_identify_npz(path: Path, ratios, omegas, dens) -> None:
+    """Everything verify needs to rebuild identify's splines, as plain arrays."""
+    arrays = {}
+    for t, om in zip(ratios, omegas):
+        arrays[f"ratio_{t.j}.coefficients"] = t.coefficients
+        for name in _OMEGA_ARRAYS:
+            arrays[f"omega_{om.j}.{name}"] = getattr(om, name)
+    for k, ax in enumerate(dens.axes, start=1):
+        arrays[f"density.axis_{k}"] = ax
+    for name in _DENSITY_ARRAYS:
+        arrays[f"density.{name}"] = getattr(dens, name)
+    for name, value in dens.provenance.items():
+        arrays[f"density.provenance.{name}"] = value
+    field_mod.write_npz(path, arrays)
+
+
+def _load_identify(path: Path, meta: dict, n_alternatives: int):
+    """Utilities and density rebuilt from identify.npz, splines included.
+
+    The file's bytes must have the SHA-256 that the stamped record holds, and
+    they are read once: what is hashed is what is loaded.
+    """
+    if not path.is_file():
+        raise ValidationError(f"identify artifact {path} not found")
+    data = path.read_bytes()
+    if hashlib.sha256(data).hexdigest() != meta["identify_npz_sha256"]:
+        raise ProvenanceError("identify.npz does not match identify_meta.json (sha256 mismatch)")
+    utilities = []
+    try:
+        with np.load(io.BytesIO(data), allow_pickle=False) as npz:
+            for j in range(1, n_alternatives):
+                om = f"omega_{j}."
+                domain = tuple(map(tuple, npz[om + "domain"].tolist()))
+                ratio = symmetry.RatioFunction(
+                    j=j, pivot=meta["pivot"], form="sieve", basis=meta["basis"],
+                    degree=meta["degree"], coefficients=npz[f"ratio_{j}.coefficients"],
+                    domain=domain,
+                )
+                omega = characteristics.OmegaFunction(
+                    j=j,
+                    ratio=ratio,
+                    a_ref=float(npz[om + "a_ref"]),
+                    domain=domain,
+                    aj_lattice=npz[om + "aj_lattice"],
+                    a0_lattice=npz[om + "a0_lattice"],
+                    lattice_values=npz[om + "lattice_values"],
+                    step=float(npz[om + "step"]),
+                    log_axes=bool(npz[om + "log_axes"]),
+                )
+                utilities.append(characteristics.UtilityFunction(j=j, omega=omega))
+            dens = density_mod.DensityGrid(
+                axes=tuple(npz[f"density.axis_{k}"] for k in range(1, n_alternatives)),
+                f_values=npz["density.f_values"],
+                F_values=npz["density.F_values"],
+                support_mask=npz["density.support_mask"],
+                clipped_nodes=int(npz["density.clipped_nodes"]),
+                min_raw_density=float(npz["density.min_raw_density"]),
+                a_ref=tuple(npz["density.a_ref"].tolist()),
+                provenance={
+                    "via": int(npz["density.provenance.via"]),
+                    "field_hash": str(npz["density.provenance.field_hash"]),
+                },
+            )
+    except (KeyError, ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise ProvenanceError(f"identify.npz is unreadable: {exc}") from None
+    return utilities, dens
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -207,7 +269,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ProvenanceError(f"identify_meta.json is not valid JSON: {exc}") from None
     if not isinstance(meta, dict) or meta.get("provenance") != _provenance_hash(meta):
         raise ProvenanceError("identify_meta.json provenance hash mismatch")
-    missing = [k for k in _SETTINGS + ("field_hash",) if k not in meta]
+    missing = [k for k in _SETTINGS + ("field_hash", "identify_npz_sha256") if k not in meta]
     if missing:
         raise ProvenanceError(f"identify_meta.json lacks {', '.join(missing)}")
     # every setting must have the type identify writes (bool is not an int here)
@@ -225,7 +287,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ProvenanceError(
             "field does not match the one used by identify (hash mismatch)"
         )
-    _, _, utilities, dens = _identify_pipeline(field, meta)
+    utilities, dens = _load_identify(out / "identify.npz", meta, field.n_alternatives)
     rng = np.random.default_rng(args.seed)
     lo = np.asarray(field.grid.lower)
     hi = np.asarray(field.grid.upper)

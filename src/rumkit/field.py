@@ -2,7 +2,8 @@
 
 Provides multilinear interpolation, one batched finite-difference stencil for
 first and mixed partial derivatives off the lattice, monotonicity/cross-partial
-shape checks, and the field CSV wire format.
+shape checks, the field CSV wire format with its .npz sidecar, and the plain
+table and .npz writers behind the other artifacts.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import itertools
+import os
+import zipfile
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -128,6 +131,11 @@ class ProbabilityField:
         for k in axes:
             arr = np.gradient(arr, grid_axes[k], axis=k, edge_order=2)
         return arr
+
+    @cached_property
+    def gradient_scale(self) -> float:
+        """Median |d q_j / d a_k| over every node and (j, k): the derivative scale."""
+        return float(np.median(np.abs(self.node_gradients)))
 
     def _raw_interp(self, j: int, pts: np.ndarray) -> np.ndarray:
         try:
@@ -345,32 +353,108 @@ def _field_header(nalt: int) -> list[str]:
     return [f"a_{k}" for k in range(nalt)] + [f"q_{j}" for j in range(nalt)]
 
 
+def file_sha256(path) -> str:
+    """Hex SHA-256 of a file's bytes, read in a stream."""
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
+
+
+def _sidecar_path(path) -> str:
+    return os.fspath(path) + ".npz"
+
+
 def write_field_csv(field: ProbabilityField, path) -> None:
     """Header a_0..a_J,q_0..q_J; one row per node, lexicographic node order.
 
     Every number is written as its shortest round-trip repr and every line
     ends in CRLF (the bytes csv.writer produces). Coordinates are formatted
     once per axis; rows are formatted and written one axis-0 slab at a time.
+
+    Then the sidecar <path>.npz replaces any earlier one: the SHA-256 of the
+    bytes just written and the header and table that read_csv_table parses
+    from them. It is a cache bound to those bytes and always safe to delete.
     """
     nalt = field.n_alternatives
-    coords = [list(map(repr, ax.tolist())) for ax in field.grid.axes()]
+    axes = field.grid.axes()
+    header = _field_header(nalt)
+    coords = [list(map(repr, ax.tolist())) for ax in axes]
     tails = ["".join(map(",".__add__, t)) for t in itertools.product(*coords[1:])]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(_field_header(nalt)) + "\r\n")
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+
+        def emit(text):
+            data = text.encode()
+            digest.update(data)
+            fh.write(data)
+
+        emit(",".join(header) + "\r\n")
         for a0, slab in zip(coords[0], field.values):
             probs = [map(repr, col) for col in slab.reshape(-1, nalt).T.tolist()]
             rows = map(",".join, zip(map(a0.__add__, tails), *probs))
-            fh.write("\r\n".join(rows) + "\r\n")
+            emit("\r\n".join(rows) + "\r\n")
+    mesh = np.meshgrid(*axes, indexing="ij")
+    table = np.column_stack([m.ravel() for m in mesh] + [field.values.reshape(-1, nalt)])
+    write_npz(
+        _sidecar_path(path),
+        {"sha256": np.array(digest.hexdigest()), "header": np.array(header), "table": table},
+    )
+
+
+def write_npz(path, arrays: dict) -> None:
+    """An .npz archive of named arrays, none of them pickled, whose bytes
+    depend only on the arrays: every member carries the same fixed zip
+    timestamp. Written to <path>.tmp, then moved over path.
+    """
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with zipfile.ZipFile(tmp, "w") as zf:
+            for name, arr in arrays.items():
+                with zf.open(zipfile.ZipInfo(name + ".npy"), "w", force_zip64=True) as fh:
+                    np.lib.format.write_array(fh, np.asarray(arr), allow_pickle=False)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def write_csv_table(path, names, columns) -> None:
-    """Write equal-length columns under a header of names, each number as %.12g."""
+    """Write equal-length columns under a header of names, each number as %.12g.
+
+    The bytes np.savetxt writes for the column-stacked floats (a bool column
+    reads 1 / 0): each column is converted to floats once, each row formatted
+    by one template, and the file written as one string.
+    """
     if len(names) != len(columns):
         raise ValueError(f"{len(names)} header names for {len(columns)} columns")
-    np.savetxt(
-        path, np.column_stack(columns), delimiter=",", header=",".join(names),
-        comments="", fmt="%.12g",
-    )
+    cols = [np.asarray(col, dtype=float).tolist() for col in columns]
+    row = ",".join(["%.12g"] * len(cols)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n" + "".join(map(row.__mod__, zip(*cols, strict=True))))
+
+
+def _sidecar_table(path):
+    """(header, table) from the sidecar of a CSV, or None.
+
+    None unless the sidecar exists, loads with allow_pickle=False, holds a
+    1-D string header and a 2-D float table with rows, and records the
+    SHA-256 of the CSV's current bytes. Only reads files.
+    """
+    sidecar = _sidecar_path(path)
+    if not os.path.isfile(sidecar):
+        return None
+    try:
+        with open(sidecar, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            if str(npz["sha256"]) != file_sha256(path):
+                return None
+            header, table = npz["header"], npz["table"]
+    except (OSError, ValueError, KeyError, EOFError, TypeError, zipfile.BadZipFile):
+        # TypeError: a plain .npy array is no context manager
+        return None
+    if header.ndim != 1 or header.dtype.kind != "U":
+        return None
+    if table.ndim != 2 or table.dtype != np.float64 or not len(table):
+        return None
+    return header.tolist(), table
 
 
 def read_csv_table(path) -> tuple[list[str], np.ndarray]:
@@ -379,19 +463,24 @@ def read_csv_table(path) -> tuple[list[str], np.ndarray]:
     Blank lines are skipped and LF or CRLF line endings both read. An empty
     file, a header without rows, a non-numeric or missing cell, a ragged row,
     a body whose width differs from the header, or a non-finite entry raises
-    ValidationError.
+    ValidationError. A CSV that write_field_csv wrote and nobody changed since
+    reads from its sidecar instead, with the same result.
     """
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
-        has_rows = any(line.strip() for line in fh)
-    if header is None:
-        raise ValidationError(f"CSV file {path} is empty")
-    if not has_rows:
-        raise ValidationError(f"CSV file {path} has a header but no data rows")
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
-    except ValueError as exc:
-        raise ValidationError(f"malformed CSV {path}: {exc}") from exc
+    hit = _sidecar_table(path)
+    if hit is not None:
+        header, data = hit
+    else:
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh), None)
+            has_rows = any(line.strip() for line in fh)
+        if header is None:
+            raise ValidationError(f"CSV file {path} is empty")
+        if not has_rows:
+            raise ValidationError(f"CSV file {path} has a header but no data rows")
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+        except ValueError as exc:
+            raise ValidationError(f"malformed CSV {path}: {exc}") from exc
     if data.shape[1] != len(header):
         raise ValidationError(
             f"CSV {path} has {data.shape[1]} data columns but {len(header)} header names"

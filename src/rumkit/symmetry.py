@@ -34,9 +34,7 @@ _MAX_FAMILY_SIZE = 200  # off-pair node combinations sampled per family
 
 def default_eps_denom(field: ProbabilityField) -> float:
     """Degeneracy threshold: tiny relative to the field's median derivative scale."""
-    g = field.node_gradients
-    scale = float(np.median(np.abs(g)))
-    return 1e-8 * max(scale, 1e-300)
+    return 1e-8 * max(field.gradient_scale, 1e-300)
 
 
 def slutsky_ratio(

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rumkit import cli, field, model
+from rumkit import characteristics, cli, density, field, model, symmetry, verify
 from rumkit.cli import EXIT_CHECK_FAIL, EXIT_INPUT_ERROR, EXIT_NUMERICAL, EXIT_PASS
 
 from conftest import (
@@ -196,7 +196,7 @@ class TestIdentify:
         for name in (
             "ratio_1.json", "ratio_2.json", "omega_1.csv", "omega_2.csv",
             "w_1.csv", "w_2.csv", "density.csv", "mass_report.json",
-            "identify_meta.json",
+            "identify_meta.json", "identify.npz",
         ):
             assert (tmp_path / name).exists()
         # constant-ratio field: fitted t ~ 1 and unit-slope characteristics,
@@ -252,6 +252,31 @@ def lin_run(tmp_path_factory, lin_model_json):
     return out
 
 
+def copy_identify(lin_run, out, meta=None):
+    """identify's two artifacts in a fresh --out: the record (or an edited
+    one in its place) and identify.npz, byte for byte."""
+    out.mkdir(parents=True, exist_ok=True)
+    text = (lin_run / "identify_meta.json").read_text() if meta is None else json.dumps(meta)
+    (out / "identify_meta.json").write_text(text)
+    (out / "identify.npz").write_bytes((lin_run / "identify.npz").read_bytes())
+
+
+def rebuild_in_process(f, meta):
+    """identify's library pipeline run again from the record: the reference
+    that verify's rebuild from identify.npz must reproduce."""
+    axes = f.grid.axes()
+    pivot = meta["pivot"]
+    omegas = []
+    for j in range(1, f.grid.dims):
+        t = symmetry.fit_ratio_sieve(f, j, pivot, basis=meta["basis"], degree=meta["degree"])
+        omegas.append(characteristics.build_omega(
+            t, ((axes[j][0], axes[j][-1]), (axes[pivot][0], axes[pivot][-1])),
+            a_ref=meta["a_ref"][j - 1], resolution=meta["resolution"], j=j,
+        ))
+    dens = density.reconstruct_density(f, omegas, density.make_v_grid(omegas, n=meta["v_nodes"]))
+    return [characteristics.UtilityFunction(j=om.j, omega=om) for om in omegas], dens
+
+
 class TestVerify:
 
     def test_round_trip_passes(self, lin_run):
@@ -276,16 +301,17 @@ class TestVerify:
         "key, value",
         [("basis", "log_polynomial"), ("degree", 2), ("resolution", 31), ("v_nodes", 31)],
     )
-    def test_edited_setting_rejected(self, lin_run, tmp_path, key, value):
+    def test_edited_setting_rejected(self, lin_run, tmp_path, capsys, key, value):
         # verify rebuilds with every setting in identify_meta.json, so the
         # provenance hash must cover each of them
         meta = json.loads((lin_run / "identify_meta.json").read_text())
         meta[key] = value
-        (tmp_path / "identify_meta.json").write_text(json.dumps(meta))
+        copy_identify(lin_run, tmp_path, meta)
         code = run(
             "verify", "--field", str(lin_run / "field.csv"), "--out", str(tmp_path),
         )
         assert code == EXIT_INPUT_ERROR
+        assert "provenance hash mismatch" in capsys.readouterr().err
         assert not (tmp_path / "verify_report.json").exists()
 
     def test_unparsable_meta_rejected(self, lin_run, tmp_path):
@@ -296,17 +322,18 @@ class TestVerify:
         assert code == EXIT_INPUT_ERROR
         assert not (tmp_path / "verify_report.json").exists()
 
-    @pytest.mark.parametrize("key", ["pivot", "field_hash"])
-    def test_missing_setting_rejected(self, lin_run, tmp_path, key):
+    @pytest.mark.parametrize("key", ["pivot", "field_hash", "identify_npz_sha256"])
+    def test_missing_setting_rejected(self, lin_run, tmp_path, capsys, key):
         # the stamp matches the edited record, so only the missing key is wrong
         meta = json.loads((lin_run / "identify_meta.json").read_text())
         del meta[key]
         meta["provenance"] = cli._provenance_hash(meta)
-        (tmp_path / "identify_meta.json").write_text(json.dumps(meta))
+        copy_identify(lin_run, tmp_path, meta)
         code = run(
             "verify", "--field", str(lin_run / "field.csv"), "--out", str(tmp_path),
         )
         assert code == EXIT_INPUT_ERROR
+        assert f"lacks {key}" in capsys.readouterr().err
         assert not (tmp_path / "verify_report.json").exists()
 
     @pytest.mark.parametrize(
@@ -321,17 +348,63 @@ class TestVerify:
             ("a_ref", [0.0, "0.0"]),
         ],
     )
-    def test_setting_of_wrong_type_rejected(self, lin_run, tmp_path, key, value):
+    def test_setting_of_wrong_type_rejected(self, lin_run, tmp_path, capsys, key, value):
         # the stamp matches the edited record, so only the setting's type is wrong
         meta = json.loads((lin_run / "identify_meta.json").read_text())
         meta[key] = value
         meta["provenance"] = cli._provenance_hash(meta)
-        (tmp_path / "identify_meta.json").write_text(json.dumps(meta))
+        copy_identify(lin_run, tmp_path, meta)
+        code = run(
+            "verify", "--field", str(lin_run / "field.csv"), "--out", str(tmp_path),
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert f"wrong type: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "verify_report.json").exists()
+
+    @pytest.mark.parametrize("case", ["missing", "edited"])
+    def test_identify_npz_checked(self, lin_run, tmp_path, case):
+        # identify.npz is a required artifact, bound to the record by its digest
+        copy_identify(lin_run, tmp_path)
+        npz = tmp_path / "identify.npz"
+        if case == "missing":
+            npz.unlink()
+        else:
+            data = bytearray(npz.read_bytes())
+            data[-100] ^= 1
+            npz.write_bytes(bytes(data))
         code = run(
             "verify", "--field", str(lin_run / "field.csv"), "--out", str(tmp_path),
         )
         assert code == EXIT_INPUT_ERROR
         assert not (tmp_path / "verify_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [(), ("--integrator", "monte_carlo", "--draws", "20000")],
+        ids=["quadrature", "mc"],
+    )
+    def test_report_equals_in_process_rebuild(self, lin_run, tmp_path, flags):
+        # verify rebuilds only the splines from identify.npz; its report is the
+        # one a full rerun of identify's pipeline gives at the same seed
+        copy_identify(lin_run, tmp_path / "run")
+        csv = str(lin_run / "field.csv")
+        code = run("verify", "--field", csv, "--out", str(tmp_path / "run"), "--seed", "5", *flags)
+        assert code == EXIT_PASS
+        f = field.read_field_csv(csv)
+        meta = json.loads((lin_run / "identify_meta.json").read_text())
+        utilities, dens = rebuild_in_process(f, meta)
+        lo, hi = np.asarray(f.grid.lower), np.asarray(f.grid.upper)
+        rng = np.random.default_rng(5)
+        pts = lo + 0.15 * (hi - lo) + rng.random((50, f.grid.dims)) * 0.7 * (hi - lo)
+        method = "monte_carlo" if flags else "grid_quadrature"
+        report = verify.round_trip_report(
+            f, utilities, dens, pts, tol=0.02, method=method, n=20000 if flags else 100_000,
+            seed=5,
+        )
+        cli._write_json(tmp_path / "reference.json", report.to_dict())
+        assert (tmp_path / "run" / "verify_report.json").read_bytes() == (
+            tmp_path / "reference.json"
+        ).read_bytes()
 
     def test_explicit_a_ref_round_trips(self, tmp_path, lin_model_json):
         # verify must rebuild the omegas at identify's stored anchoring, not
@@ -544,18 +617,17 @@ class TestExitCodes:
         assert not any(out.glob("*"))
 
     @pytest.mark.parametrize("draws", ["0", "-5"])
-    def test_monte_carlo_draws_checked(self, tmp_path, lin_run, draws, monkeypatch):
-        (tmp_path / "identify_meta.json").write_text(
-            (lin_run / "identify_meta.json").read_text()
-        )
+    def test_monte_carlo_draws_checked(self, tmp_path, lin_run, draws, monkeypatch, capsys):
+        copy_identify(lin_run, tmp_path)
 
-        def rebuild(*_):
-            raise AssertionError("the draw count must be rejected before identify reruns")
+        def load(*_):
+            raise AssertionError("the draw count must be rejected before identify.npz loads")
 
-        monkeypatch.setattr(cli, "_identify_pipeline", rebuild)
+        monkeypatch.setattr(cli, "_load_identify", load)
         code = run(
             "verify", "--field", str(lin_run / "field.csv"), "--out", str(tmp_path),
             "--integrator", "monte_carlo", "--draws", draws,
         )
         assert code == EXIT_INPUT_ERROR
+        assert "draw count" in capsys.readouterr().err
         assert not (tmp_path / "verify_report.json").exists()

@@ -292,3 +292,122 @@ class TestWriterEquivalence:
         back = field.read_field_csv(tmp_path / "new.csv")
         assert back.grid == f.grid
         assert np.array_equal(back.values, f.values)
+
+
+def _planted_field(dims):
+    """A softmax field with -0.0, 5e-324 and 1 - 2**-53 planted at two nodes."""
+    f = _softmax_field(dims, 5)
+    values = f.values.copy()
+    values[(0,) * dims] = 0.0
+    values[(0,) * dims][:2] = (1.0 - 2.0**-53, 5e-324)
+    values[(1,) * dims] = 0.0
+    values[(1,) * dims][:2] = (1.0, -0.0)
+    return field.ProbabilityField(f.grid, values)
+
+
+def _no_parse(*_, **__):
+    raise AssertionError("the CSV was parsed")
+
+
+class TestSidecar:
+    """write_field_csv's <path>.npz: read in place of the parse only while it
+    loads without pickle and holds the CSV's SHA-256."""
+
+    @pytest.mark.parametrize("dims", [2, 3, 4], ids=["J1", "J2", "J3"])
+    def test_hit_equals_parse(self, tmp_path, monkeypatch, dims):
+        f = _planted_field(dims)
+        path = tmp_path / "field.csv"
+        field.write_field_csv(f, path)
+        with monkeypatch.context() as m:
+            m.setattr(np, "loadtxt", _no_parse)
+            header, hit = field.read_csv_table(path)
+            back = field.read_field_csv(path)
+        (tmp_path / "field.csv.npz").unlink()
+        parsed_header, parsed = field.read_csv_table(path)
+        assert header == parsed_header
+        assert hit.dtype == parsed.dtype and np.array_equal(hit, parsed)
+        assert np.array_equal(hit.view(np.uint64), parsed.view(np.uint64))  # -0.0 too
+        assert back.grid == f.grid
+        assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
+
+    def test_same_length_edit_is_parsed(self, tmp_path):
+        f = _softmax_field(3, 6)
+        path = tmp_path / "field.csv"
+        field.write_field_csv(f, path)
+        text = path.read_bytes()
+        lines = text.split(b"\r\n")
+        cells = lines[7].split(b",")
+        digit = cells[3][-1:]
+        cells[3] = cells[3][:-1] + (b"1" if digit != b"1" else b"2")
+        lines[7] = b",".join(cells)
+        edited = b"\r\n".join(lines)
+        assert len(edited) == len(text)
+        path.write_bytes(edited)
+        back = field.read_field_csv(path)
+        node = np.unravel_index(6, f.grid.counts)
+        assert back.values[node][0] == float(cells[3])
+        assert back.values[node][0] != f.values[node][0]
+
+    @pytest.mark.parametrize("case", ["truncated", "wrong_digest", "object_array"])
+    def test_bad_sidecar_falls_back_to_parse(self, tmp_path, case):
+        f = _softmax_field(3, 6)
+        path = tmp_path / "field.csv"
+        field.write_field_csv(f, path)
+        sidecar = tmp_path / "field.csv.npz"
+        with np.load(sidecar) as npz:
+            digest, header, table = npz["sha256"], npz["header"], npz["table"]
+        if case == "truncated":
+            sidecar.write_bytes(sidecar.read_bytes()[: sidecar.stat().st_size // 2])
+        elif case == "wrong_digest":
+            # a table that differs from the CSV shows whether it was used
+            with open(sidecar, "wb") as fh:
+                np.savez(fh, sha256=np.array("0" * 64), header=header, table=0.5 * table)
+        else:
+            with open(sidecar, "wb") as fh:
+                np.savez(fh, sha256=digest, header=header, table=table.astype(object))
+        back = field.read_field_csv(path)
+        assert back.grid == f.grid
+        assert np.array_equal(back.values, f.values)
+
+    def test_no_sidecar_reads_without_hashing_or_writing(self, tmp_path, monkeypatch):
+        f = _softmax_field(3, 6)
+        path = tmp_path / "field.csv"
+        field.write_field_csv(f, path)
+        (tmp_path / "field.csv.npz").unlink()
+        monkeypatch.setattr(field, "file_sha256", _no_parse)
+        before = sorted(tmp_path.iterdir())
+        back = field.read_field_csv(path)
+        assert sorted(tmp_path.iterdir()) == before
+        assert np.array_equal(back.values, f.values)
+
+    def test_rewrite_replaces_sidecar(self, tmp_path, monkeypatch):
+        path = tmp_path / "field.csv"
+        field.write_field_csv(_softmax_field(3, 6), path)
+        g = _softmax_field(2, 7)
+        field.write_field_csv(g, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["field.csv", "field.csv.npz"]
+        with np.load(tmp_path / "field.csv.npz") as npz:
+            assert str(npz["sha256"]) == field.file_sha256(path)
+        monkeypatch.setattr(np, "loadtxt", _no_parse)
+        back = field.read_field_csv(path)
+        assert back.grid == g.grid
+        assert np.array_equal(back.values, g.values)
+
+
+def test_csv_table_bytes_match_savetxt(tmp_path):
+    # np.savetxt of the column-stacked floats is the reference writer
+    rng = np.random.default_rng(3)
+    columns = [
+        np.repeat(np.geomspace(1e-5, 3e7, 7), 5),
+        np.tile(np.linspace(-2.0, 2.0, 5), 7),
+        np.concatenate([[-0.0, 5e-324, 1.0 - 2.0**-53], rng.random(32)]),
+        np.arange(35),
+        rng.random(35) > 0.5,
+    ]
+    names = ["v_1", "v_2", "f", "k", "in_support"]
+    field.write_csv_table(tmp_path / "new.csv", names, columns)
+    np.savetxt(
+        tmp_path / "ref.csv", np.column_stack(columns), delimiter=",",
+        header=",".join(names), comments="", fmt="%.12g",
+    )
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
