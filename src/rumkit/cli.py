@@ -32,14 +32,28 @@ EXIT_NUMERICAL = 3
 
 # identify's settings record: written into identify_meta.json, read back by verify
 _SETTINGS = ("pivot", "basis", "degree", "resolution", "v_nodes", "a_ref")
-# what identify.npz keeps of each omega and of the density, besides the ratio
-# coefficients, the density axes and its provenance; _load_identify reads them
-_OMEGA_ARRAYS = (
-    "aj_lattice", "a0_lattice", "lattice_values", "domain", "a_ref", "step", "log_axes",
-)
-_DENSITY_ARRAYS = (
-    "f_values", "F_values", "support_mask", "clipped_nodes", "min_raw_density", "a_ref",
-)
+
+
+def _ranges(a):
+    """A domain, ((lo, hi), (lo, hi)), from its 2-D array."""
+    return tuple(map(tuple, a.tolist()))
+
+
+# identify.npz layout: per object, the constructor fields it stores and how
+# each is read back; _write_identify_npz and _load_identify both walk these
+_RATIO_FIELDS = {
+    "pivot": int, "form": str, "basis": str, "degree": int,
+    "coefficients": np.asarray, "domain": _ranges,
+}
+_OMEGA_FIELDS = {
+    "a_ref": float, "domain": _ranges, "aj_lattice": np.asarray, "a0_lattice": np.asarray,
+    "lattice_values": np.asarray, "step": float, "log_axes": bool,
+}
+_DENSITY_FIELDS = {
+    "f_values": np.asarray, "F_values": np.asarray, "support_mask": np.asarray,
+    "clipped_nodes": int, "min_raw_density": float, "a_ref": lambda a: tuple(a.tolist()),
+}
+_DENSITY_PROVENANCE = {"via": int, "field_hash": str}
 
 
 def _parse_grid(specs) -> field_mod.GridSpec:
@@ -191,16 +205,16 @@ def _write_identify_npz(path: Path, ratios, omegas, dens) -> None:
     """Everything verify needs to rebuild identify's splines, as plain arrays."""
     arrays = {}
     for t, om in zip(ratios, omegas):
-        arrays[f"ratio_{t.j}.coefficients"] = t.coefficients
-        for name in _OMEGA_ARRAYS:
-            arrays[f"omega_{om.j}.{name}"] = getattr(om, name)
-    for k, ax in enumerate(dens.axes, start=1):
-        arrays[f"density.axis_{k}"] = ax
-    for name in _DENSITY_ARRAYS:
-        arrays[f"density.{name}"] = getattr(dens, name)
-    for name, value in dens.provenance.items():
-        arrays[f"density.provenance.{name}"] = value
+        arrays.update((f"ratio_{t.j}.{k}", getattr(t, k)) for k in _RATIO_FIELDS)
+        arrays.update((f"omega_{om.j}.{k}", getattr(om, k)) for k in _OMEGA_FIELDS)
+    arrays.update((f"density.axis_{k}", ax) for k, ax in enumerate(dens.axes, start=1))
+    arrays.update((f"density.{k}", getattr(dens, k)) for k in _DENSITY_FIELDS)
+    arrays.update((f"density.provenance.{k}", dens.provenance[k]) for k in _DENSITY_PROVENANCE)
     field_mod.write_npz(path, arrays)
+
+
+def _unpack(npz, prefix: str, fields: dict) -> dict:
+    return {k: read(npz[prefix + k]) for k, read in fields.items()}
 
 
 def _load_identify(path: Path, meta: dict, n_alternatives: int):
@@ -218,37 +232,15 @@ def _load_identify(path: Path, meta: dict, n_alternatives: int):
     try:
         with np.load(io.BytesIO(data), allow_pickle=False) as npz:
             for j in range(1, n_alternatives):
-                om = f"omega_{j}."
-                domain = tuple(map(tuple, npz[om + "domain"].tolist()))
-                ratio = symmetry.RatioFunction(
-                    j=j, pivot=meta["pivot"], form="sieve", basis=meta["basis"],
-                    degree=meta["degree"], coefficients=npz[f"ratio_{j}.coefficients"],
-                    domain=domain,
-                )
+                ratio = symmetry.RatioFunction(j=j, **_unpack(npz, f"ratio_{j}.", _RATIO_FIELDS))
                 omega = characteristics.OmegaFunction(
-                    j=j,
-                    ratio=ratio,
-                    a_ref=float(npz[om + "a_ref"]),
-                    domain=domain,
-                    aj_lattice=npz[om + "aj_lattice"],
-                    a0_lattice=npz[om + "a0_lattice"],
-                    lattice_values=npz[om + "lattice_values"],
-                    step=float(npz[om + "step"]),
-                    log_axes=bool(npz[om + "log_axes"]),
+                    j=j, ratio=ratio, **_unpack(npz, f"omega_{j}.", _OMEGA_FIELDS)
                 )
                 utilities.append(characteristics.UtilityFunction(j=j, omega=omega))
             dens = density_mod.DensityGrid(
                 axes=tuple(npz[f"density.axis_{k}"] for k in range(1, n_alternatives)),
-                f_values=npz["density.f_values"],
-                F_values=npz["density.F_values"],
-                support_mask=npz["density.support_mask"],
-                clipped_nodes=int(npz["density.clipped_nodes"]),
-                min_raw_density=float(npz["density.min_raw_density"]),
-                a_ref=tuple(npz["density.a_ref"].tolist()),
-                provenance={
-                    "via": int(npz["density.provenance.via"]),
-                    "field_hash": str(npz["density.provenance.field_hash"]),
-                },
+                provenance=_unpack(npz, "density.provenance.", _DENSITY_PROVENANCE),
+                **_unpack(npz, "density.", _DENSITY_FIELDS),
             )
     except (KeyError, ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
         raise ProvenanceError(f"identify.npz is unreadable: {exc}") from None

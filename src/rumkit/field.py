@@ -23,6 +23,7 @@ from .errors import ExtrapolationError, GridMismatchError, ValidationError
 
 _MONO_TOL = 0.0  # largest step against the required direction along a grid line
 _CROSS_TOL = 1e-6  # largest wrong-signed alternating cross-partial at an interior node
+_CSV_CHUNK_ROWS = 1 << 16  # rows write_csv_table converts and writes at a time
 
 
 @dataclass(frozen=True)
@@ -354,9 +355,12 @@ def _field_header(nalt: int) -> list[str]:
 
 
 def file_sha256(path) -> str:
-    """Hex SHA-256 of a file's bytes, read in a stream."""
+    """Hex SHA-256 of a file's bytes, read in 1 MiB blocks."""
+    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.file_digest(fh, "sha256").hexdigest()
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
 
 
 def _sidecar_path(path) -> str:
@@ -371,8 +375,9 @@ def write_field_csv(field: ProbabilityField, path) -> None:
     once per axis; rows are formatted and written one axis-0 slab at a time.
 
     Then the sidecar <path>.npz replaces any earlier one: the SHA-256 of the
-    bytes just written and the header and table that read_csv_table parses
-    from them. It is a cache bound to those bytes and always safe to delete.
+    bytes just written, the header, the axes and the values, from which
+    read_csv_table rebuilds the table it would parse from those bytes. It is a
+    cache bound to those bytes and always safe to delete.
     """
     nalt = field.n_alternatives
     axes = field.grid.axes()
@@ -392,12 +397,10 @@ def write_field_csv(field: ProbabilityField, path) -> None:
             probs = [map(repr, col) for col in slab.reshape(-1, nalt).T.tolist()]
             rows = map(",".join, zip(map(a0.__add__, tails), *probs))
             emit("\r\n".join(rows) + "\r\n")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    table = np.column_stack([m.ravel() for m in mesh] + [field.values.reshape(-1, nalt)])
-    write_npz(
-        _sidecar_path(path),
-        {"sha256": np.array(digest.hexdigest()), "header": np.array(header), "table": table},
-    )
+    arrays = {"sha256": np.array(digest.hexdigest()), "header": np.array(header)}
+    arrays.update((f"axis_{k}", ax) for k, ax in enumerate(axes))
+    arrays["values"] = field.values
+    write_npz(_sidecar_path(path), arrays)
 
 
 def write_npz(path, arrays: dict) -> None:
@@ -421,23 +424,32 @@ def write_csv_table(path, names, columns) -> None:
     """Write equal-length columns under a header of names, each number as %.12g.
 
     The bytes np.savetxt writes for the column-stacked floats (a bool column
-    reads 1 / 0): each column is converted to floats once, each row formatted
-    by one template, and the file written as one string.
+    reads 1 / 0): each row is formatted by one template, and the rows are
+    converted and written _CSV_CHUNK_ROWS at a time, which bounds the memory.
     """
     if len(names) != len(columns):
         raise ValueError(f"{len(names)} header names for {len(columns)} columns")
-    cols = [np.asarray(col, dtype=float).tolist() for col in columns]
+    cols = [np.asarray(col, dtype=float) for col in columns]
+    n = len(cols[0]) if cols else 0
+    if any(len(col) != n for col in cols):
+        raise ValueError("columns differ in length")
     row = ",".join(["%.12g"] * len(cols)) + "\n"
     with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n" + "".join(map(row.__mod__, zip(*cols, strict=True))))
+        fh.write(",".join(names) + "\n")
+        for lo in range(0, n, _CSV_CHUNK_ROWS):
+            chunk = [col[lo : lo + _CSV_CHUNK_ROWS].tolist() for col in cols]
+            fh.write("".join(map(row.__mod__, zip(*chunk))))
 
 
 def _sidecar_table(path):
     """(header, table) from the sidecar of a CSV, or None.
 
-    None unless the sidecar exists, loads with allow_pickle=False, holds a
-    1-D string header and a 2-D float table with rows, and records the
-    SHA-256 of the CSV's current bytes. Only reads files.
+    None unless the sidecar exists, loads with allow_pickle=False, records the
+    SHA-256 of the CSV's current bytes, and holds a 1-D string header, one
+    1-D float axis per leading axis of a float values array, and as many
+    names as axes plus values per node. The table is then the meshed axes
+    beside the values, in the lexicographic node order write_field_csv
+    writes. Only reads files.
     """
     sidecar = _sidecar_path(path)
     if not os.path.isfile(sidecar):
@@ -446,14 +458,24 @@ def _sidecar_table(path):
         with open(sidecar, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             if str(npz["sha256"]) != file_sha256(path):
                 return None
-            header, table = npz["header"], npz["table"]
+            header, values = npz["header"], npz["values"]
+            axes = [npz[f"axis_{k}"] for k in range(max(values.ndim - 1, 0))]
     except (OSError, ValueError, KeyError, EOFError, TypeError, zipfile.BadZipFile):
         # TypeError: a plain .npy array is no context manager
         return None
-    if header.ndim != 1 or header.dtype.kind != "U":
+    dims = len(axes)
+    if header.ndim != 1 or header.dtype.kind != "U" or values.dtype != np.float64:
         return None
-    if table.ndim != 2 or table.dtype != np.float64 or not len(table):
+    if not dims or not values.size or len(header) != dims + values.shape[-1]:
         return None
+    if any(ax.dtype != np.float64 or ax.shape != (n,) for ax, n in zip(axes, values.shape)):
+        return None
+    counts = values.shape[:-1]
+    table = np.empty((values[..., 0].size, len(header)))
+    mesh = table[:, :dims].reshape(counts + (dims,))  # a view into table
+    for k, ax in enumerate(axes):
+        mesh[..., k] = ax.reshape([-1 if i == k else 1 for i in range(dims)])
+    table[:, dims:] = values.reshape(len(table), -1)
     return header.tolist(), table
 
 

@@ -1,6 +1,7 @@
 """Probability fields: interpolation, derivatives, shape checks, CSV format."""
 
 import csv
+import hashlib
 import warnings
 
 import numpy as np
@@ -355,16 +356,18 @@ class TestSidecar:
         field.write_field_csv(f, path)
         sidecar = tmp_path / "field.csv.npz"
         with np.load(sidecar) as npz:
-            digest, header, table = npz["sha256"], npz["header"], npz["table"]
+            arrays = dict(npz)
         if case == "truncated":
             sidecar.write_bytes(sidecar.read_bytes()[: sidecar.stat().st_size // 2])
         elif case == "wrong_digest":
-            # a table that differs from the CSV shows whether it was used
+            # values that differ from the CSV show whether they were used
+            arrays.update(sha256=np.array("0" * 64), values=0.5 * arrays["values"])
             with open(sidecar, "wb") as fh:
-                np.savez(fh, sha256=np.array("0" * 64), header=header, table=0.5 * table)
+                np.savez(fh, **arrays)
         else:
+            arrays["values"] = arrays["values"].astype(object)
             with open(sidecar, "wb") as fh:
-                np.savez(fh, sha256=digest, header=header, table=table.astype(object))
+                np.savez(fh, **arrays)
         back = field.read_field_csv(path)
         assert back.grid == f.grid
         assert np.array_equal(back.values, f.values)
@@ -394,7 +397,20 @@ class TestSidecar:
         assert np.array_equal(back.values, g.values)
 
 
-def test_csv_table_bytes_match_savetxt(tmp_path):
+    def test_sidecar_hit_without_file_digest(self, tmp_path, monkeypatch):
+        # hashlib.file_digest is Python 3.11+; the sidecar must not need it
+        monkeypatch.delattr(hashlib, "file_digest", raising=False)
+        f = _softmax_field(3, 6)
+        path = tmp_path / "field.csv"
+        field.write_field_csv(f, path)
+        monkeypatch.setattr(np, "loadtxt", _no_parse)
+        assert field.file_sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert np.array_equal(field.read_field_csv(path).values, f.values)
+
+
+@pytest.mark.parametrize("chunk_rows", [8, 35, 1 << 16])
+def test_csv_table_bytes_match_savetxt(tmp_path, monkeypatch, chunk_rows):
+    monkeypatch.setattr(field, "_CSV_CHUNK_ROWS", chunk_rows)
     # np.savetxt of the column-stacked floats is the reference writer
     rng = np.random.default_rng(3)
     columns = [
