@@ -414,12 +414,6 @@ class UtilityFunction:
     j: int
     omega: OmegaFunction
 
-    def eval(self, a_j: float, v: float) -> float:
-        w = float(self.omega.invert_a0_many(a_j, np.array([v], dtype=float))[0])
-        if not np.isfinite(w):
-            raise LevelRangeError(f"level {v!r} not attained at a_j={a_j!r}")
-        return w
-
     def export_csv(self, path, n: int = 101) -> None:
         """n a_j rows, each of n levels spanning the range attained at that a_j."""
         (aj_lo, aj_hi), (a0_lo, a0_hi) = self.omega.domain

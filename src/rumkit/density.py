@@ -106,22 +106,17 @@ class DensityGrid:
         )
 
 
-def make_v_grid(omegas, n: int = 101, bounds=None) -> tuple:
+def make_v_grid(omegas, n: int = 101) -> tuple:
     """Axes for the v lattice from the attained omega ranges.
 
     Log-spaced per axis when the attained range is positive and spans more
-    than a decade, linear otherwise. Explicit bounds (list of (lo, hi) per
-    axis) override the attained ranges.
+    than a decade, linear otherwise.
     """
     if n < 2:
         raise ValidationError(f"a v axis needs at least 2 nodes, got {n}")
     axes = []
     for j, om in enumerate(omegas):
-        if bounds is not None and bounds[j] is not None:
-            lo, hi = bounds[j]
-        else:
-            vals = om.lattice_values
-            lo, hi = float(vals.min()), float(vals.max())
+        lo, hi = float(om.lattice_values.min()), float(om.lattice_values.max())
         if not hi > lo:
             raise ValidationError(f"degenerate v range for axis {j}")
         if lo > 0 and hi / lo > 10.0:

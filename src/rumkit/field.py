@@ -375,14 +375,12 @@ def write_field_csv(field: ProbabilityField, path) -> None:
     once per axis; rows are formatted and written one axis-0 slab at a time.
 
     Then the sidecar <path>.npz replaces any earlier one: the SHA-256 of the
-    bytes just written, the header, the axes and the values, from which
-    read_csv_table rebuilds the table it would parse from those bytes. It is a
+    bytes just written, the grid bounds and the values, from which
+    read_field_csv builds the field it would parse from those bytes. It is a
     cache bound to those bytes and always safe to delete.
     """
     nalt = field.n_alternatives
-    axes = field.grid.axes()
-    header = _field_header(nalt)
-    coords = [list(map(repr, ax.tolist())) for ax in axes]
+    coords = [list(map(repr, ax.tolist())) for ax in field.grid.axes()]
     tails = ["".join(map(",".__add__, t)) for t in itertools.product(*coords[1:])]
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
@@ -392,15 +390,20 @@ def write_field_csv(field: ProbabilityField, path) -> None:
             digest.update(data)
             fh.write(data)
 
-        emit(",".join(header) + "\r\n")
+        emit(",".join(_field_header(nalt)) + "\r\n")
         for a0, slab in zip(coords[0], field.values):
             probs = [map(repr, col) for col in slab.reshape(-1, nalt).T.tolist()]
             rows = map(",".join, zip(map(a0.__add__, tails), *probs))
             emit("\r\n".join(rows) + "\r\n")
-    arrays = {"sha256": np.array(digest.hexdigest()), "header": np.array(header)}
-    arrays.update((f"axis_{k}", ax) for k, ax in enumerate(axes))
-    arrays["values"] = field.values
-    write_npz(_sidecar_path(path), arrays)
+    write_npz(
+        _sidecar_path(path),
+        {
+            "sha256": np.array(digest.hexdigest()),
+            "lower": np.array(field.grid.lower),
+            "upper": np.array(field.grid.upper),
+            "values": field.values,
+        },
+    )
 
 
 def write_npz(path, arrays: dict) -> None:
@@ -441,15 +444,13 @@ def write_csv_table(path, names, columns) -> None:
             fh.write("".join(map(row.__mod__, zip(*chunk))))
 
 
-def _sidecar_table(path):
-    """(header, table) from the sidecar of a CSV, or None.
+def _sidecar_field(path):
+    """The field cached in the sidecar of a field CSV, or None.
 
     None unless the sidecar exists, loads with allow_pickle=False, records the
-    SHA-256 of the CSV's current bytes, and holds a 1-D string header, one
-    1-D float axis per leading axis of a float values array, and as many
-    names as axes plus values per node. The table is then the meshed axes
-    beside the values, in the lexicographic node order write_field_csv
-    writes. Only reads files.
+    SHA-256 of the CSV's current bytes, holds float64 lower and upper bounds
+    of shape (values.ndim - 1,) and float64 values, and GridSpec and
+    ProbabilityField accept them. Only reads files.
     """
     sidecar = _sidecar_path(path)
     if not os.path.isfile(sidecar):
@@ -458,25 +459,19 @@ def _sidecar_table(path):
         with open(sidecar, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             if str(npz["sha256"]) != file_sha256(path):
                 return None
-            header, values = npz["header"], npz["values"]
-            axes = [npz[f"axis_{k}"] for k in range(max(values.ndim - 1, 0))]
+            lower, upper, values = npz["lower"], npz["upper"], npz["values"]
     except (OSError, ValueError, KeyError, EOFError, TypeError, zipfile.BadZipFile):
         # TypeError: a plain .npy array is no context manager
         return None
-    dims = len(axes)
-    if header.ndim != 1 or header.dtype.kind != "U" or values.dtype != np.float64:
+    if any(a.dtype != np.float64 for a in (lower, upper, values)) or not (
+        lower.shape == upper.shape == (values.ndim - 1,)
+    ):
         return None
-    if not dims or not values.size or len(header) != dims + values.shape[-1]:
+    try:
+        grid = GridSpec(tuple(lower), tuple(upper), values.shape[:-1])
+        return ProbabilityField(grid, values, provenance=f"file:{path}")
+    except ValidationError:
         return None
-    if any(ax.dtype != np.float64 or ax.shape != (n,) for ax, n in zip(axes, values.shape)):
-        return None
-    counts = values.shape[:-1]
-    table = np.empty((values[..., 0].size, len(header)))
-    mesh = table[:, :dims].reshape(counts + (dims,))  # a view into table
-    for k, ax in enumerate(axes):
-        mesh[..., k] = ax.reshape([-1 if i == k else 1 for i in range(dims)])
-    table[:, dims:] = values.reshape(len(table), -1)
-    return header.tolist(), table
 
 
 def read_csv_table(path) -> tuple[list[str], np.ndarray]:
@@ -485,24 +480,19 @@ def read_csv_table(path) -> tuple[list[str], np.ndarray]:
     Blank lines are skipped and LF or CRLF line endings both read. An empty
     file, a header without rows, a non-numeric or missing cell, a ragged row,
     a body whose width differs from the header, or a non-finite entry raises
-    ValidationError. A CSV that write_field_csv wrote and nobody changed since
-    reads from its sidecar instead, with the same result.
+    ValidationError.
     """
-    hit = _sidecar_table(path)
-    if hit is not None:
-        header, data = hit
-    else:
-        with open(path, newline="") as fh:
-            header = next(csv.reader(fh), None)
-            has_rows = any(line.strip() for line in fh)
-        if header is None:
-            raise ValidationError(f"CSV file {path} is empty")
-        if not has_rows:
-            raise ValidationError(f"CSV file {path} has a header but no data rows")
-        try:
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
-        except ValueError as exc:
-            raise ValidationError(f"malformed CSV {path}: {exc}") from exc
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), None)
+        has_rows = any(line.strip() for line in fh)
+    if header is None:
+        raise ValidationError(f"CSV file {path} is empty")
+    if not has_rows:
+        raise ValidationError(f"CSV file {path} has a header but no data rows")
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+    except ValueError as exc:
+        raise ValidationError(f"malformed CSV {path}: {exc}") from exc
     if data.shape[1] != len(header):
         raise ValidationError(
             f"CSV {path} has {data.shape[1]} data columns but {len(header)} header names"
@@ -515,8 +505,12 @@ def read_csv_table(path) -> tuple[list[str], np.ndarray]:
 def read_field_csv(path) -> ProbabilityField:
     """Read a field CSV, validating that the rows form a complete uniform lattice.
 
-    Rows may come in any order.
+    Rows may come in any order. A CSV that write_field_csv wrote and nobody
+    changed since reads from its sidecar instead, with the same result.
     """
+    cached = _sidecar_field(path)
+    if cached is not None:
+        return cached
     header, data = read_csv_table(path)
     n_cols = len(header)
     if n_cols % 2 != 0:

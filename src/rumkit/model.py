@@ -211,12 +211,6 @@ def _softmax_inplace(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def utility_value(model: ChoiceModelSpec, j: int, a: float) -> float:
-    """h_j(a) with domain checking."""
-    model.require_in_domain(j, a)
-    return float(model.utilities[j].value(a))
-
-
 def choice_prob_closed_form(model: ChoiceModelSpec, a) -> np.ndarray:
     """Exact choice probabilities for iid Gumbel noise (softmax of utilities)."""
     if model.noise.kind != "gumbel_iid":

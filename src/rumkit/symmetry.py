@@ -263,20 +263,6 @@ class RatioFunction:
             "fit_max_residual": self.fit_max_residual,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RatioFunction":
-        return cls(
-            j=int(d["j"]),
-            pivot=int(d["pivot"]),
-            form="sieve",
-            basis=d["basis"],
-            degree=int(d["degree"]),
-            coefficients=np.asarray(d["coefficients"], dtype=float),
-            domain=(tuple(d["domain"][0]), tuple(d["domain"][1])),
-            fit_rms=d.get("fit_rms"),
-            fit_max_residual=d.get("fit_max_residual"),
-        )
-
 
 def ratio_samples(field: ProbabilityField, j: int, m: int) -> tuple[np.ndarray, ...]:
     """(a_j, a_m, ratio) over non-degenerate interior grid nodes."""

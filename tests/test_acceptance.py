@@ -118,9 +118,7 @@ class TestAcceptance:
         # F(v) = 1/(1 + 1/v_1 + 1/v_2); the excluded tails are real mass.
         # The assertion is kept as stated and fails honestly; an independent
         # test asserts recovery of the analytic box mass instead.
-        v_box = density.make_v_grid(
-            wide_omegas, n=201, bounds=[(0.05, 40.0), (0.05, 40.0)]
-        )
+        v_box = (np.geomspace(0.05, 40.0, 201),) * 2
         mass = density.check_normalization(
             density.reconstruct_density(wide_field, wide_omegas, v_box)
         ).mass

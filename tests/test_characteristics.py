@@ -290,20 +290,24 @@ class TestHermiteCrossing:
 class TestUtilityInversion:
     def test_closed_form(self, w1):
         # w_1(a_1, v) = v a_1^2
-        assert w1.eval(2.0, 1.0) == pytest.approx(4.0, abs=1e-6)
+        w = w1.omega.invert_a0_many(2.0, np.array([1.0]))
+        assert w[0] == pytest.approx(4.0, abs=1e-6)
 
     def test_anchor_identity(self, w1):
-        assert w1.eval(1.0, 2.7) == pytest.approx(2.7, abs=1e-8)
+        w = w1.omega.invert_a0_many(1.0, np.array([2.7]))
+        assert w[0] == pytest.approx(2.7, abs=1e-8)
 
     def test_round_trip(self, w1):
         om = w1.omega
-        for aj, a0 in [(1.3, 2.0), (2.5, 3.5), (3.8, 1.2)]:
-            v = om(aj, a0)
-            assert w1.eval(aj, v) == pytest.approx(a0, abs=1e-6)
+        aj, a0 = np.array([1.3, 2.5, 3.8]), np.array([2.0, 3.5, 1.2])
+        assert om.invert_a0_many(aj, om(aj, a0)) == pytest.approx(a0, abs=1e-6)
 
     def test_out_of_range_level(self, w1):
+        # the inverter reads a level below the range attained at a_j as -inf;
+        # evaluating omega off its domain raises
+        assert w1.omega.invert_a0_many(2.0, np.array([1e-4]))[0] == -np.inf
         with pytest.raises(LevelRangeError):
-            w1.eval(2.0, 1e-4)
+            w1.omega(2.0, 0.5)
 
     def test_export_matches_per_row_inversion(self, w1, tmp_path):
         # reference: the row's level range from omega at the a_0 domain ends,
@@ -325,7 +329,7 @@ class TestUtilityInversion:
     @settings(max_examples=25, deadline=None)
     def test_round_trip_property(self, w1, aj, a0):
         v = w1.omega(aj, a0)
-        assert abs(w1.eval(aj, v) - a0) <= 1e-6
+        assert abs(w1.omega.invert_a0_many(aj, np.array([v]))[0] - a0) <= 1e-6
 
 
 def _bisect_reference(f, targets, lo, hi):

@@ -148,7 +148,7 @@ class TestReconstructDensity:
         om = characteristics.build_omega(
             t1, ((0.04, 12.0), (0.002, 50.0)), a_ref=1.0, resolution=161, j=1
         )
-        v_grid = density.make_v_grid([om], n=201, bounds=[(0.01, 100.0)])
+        v_grid = (np.geomspace(0.01, 100.0, 201),)
         d = density.reconstruct_density(f, [om], v_grid)
         # v = 1 is the exact middle node of geomspace(0.01, 100, 201)
         assert v_grid[0][100] == pytest.approx(1.0, abs=1e-12)
@@ -339,7 +339,7 @@ def j1_setup():
     )
     om = characteristics.build_omega(t1, ((0.04, 12.0), (0.002, 50.0)), a_ref=1.0,
                                      resolution=81, j=1)
-    return f, [om], density.make_v_grid([om], n=101, bounds=[(0.01, 100.0)])
+    return f, [om], (np.geomspace(0.01, 100.0, 101),)
 
 
 class TestLevelMapEquivalence:

@@ -285,14 +285,19 @@ class TestWriterEquivalence:
         ],
         ids=["J1", "J2", "J3", "exponent_form", "monte_carlo", "single_alternative"],
     )
-    def test_bytes_match_reference(self, tmp_path, make):
+    def test_bytes_match_reference(self, tmp_path, monkeypatch, make):
         f = make()
         field.write_field_csv(f, tmp_path / "new.csv")
         reference_write_field_csv(f, tmp_path / "ref.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        back = field.read_field_csv(tmp_path / "new.csv")
-        assert back.grid == f.grid
-        assert np.array_equal(back.values, f.values)
+        with monkeypatch.context() as m:
+            m.setattr(field, "read_csv_table", _no_parse)
+            hit = field.read_field_csv(tmp_path / "new.csv")
+        parsed = field.read_field_csv(tmp_path / "ref.csv")  # no sidecar: the parse
+        assert hit.grid == parsed.grid == f.grid
+        assert hit.content_hash() == parsed.content_hash()
+        assert np.array_equal(hit.values.view(np.uint64), parsed.values.view(np.uint64))
+        assert np.array_equal(hit.values, f.values)
 
 
 def _planted_field(dims):
@@ -321,15 +326,28 @@ class TestSidecar:
         field.write_field_csv(f, path)
         with monkeypatch.context() as m:
             m.setattr(np, "loadtxt", _no_parse)
-            header, hit = field.read_csv_table(path)
-            back = field.read_field_csv(path)
+            m.setattr(field, "read_csv_table", _no_parse)
+            hit = field.read_field_csv(path)
         (tmp_path / "field.csv.npz").unlink()
-        parsed_header, parsed = field.read_csv_table(path)
-        assert header == parsed_header
-        assert hit.dtype == parsed.dtype and np.array_equal(hit, parsed)
-        assert np.array_equal(hit.view(np.uint64), parsed.view(np.uint64))  # -0.0 too
-        assert back.grid == f.grid
-        assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
+        parsed = field.read_field_csv(path)
+        assert hit.grid == parsed.grid == f.grid
+        assert hit.content_hash() == parsed.content_hash()
+        assert np.array_equal(hit.values.view(np.uint64), parsed.values.view(np.uint64))
+        assert np.array_equal(hit.values.view(np.uint64), f.values.view(np.uint64))
+        assert hit.provenance == parsed.provenance
+
+    def test_csv_table_ignores_sidecar(self, tmp_path, monkeypatch):
+        path = tmp_path / "field.csv"
+        field.write_field_csv(_softmax_field(3, 6), path)
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(
+            np, "loadtxt", lambda *a, **kw: calls.append(a) or loadtxt(*a, **kw)
+        )
+        header, data = field.read_csv_table(path)
+        assert len(calls) == 1
+        assert header == ["a_0", "a_1", "a_2", "q_0", "q_1", "q_2"]
+        assert data.shape == (6**3, 6)
 
     def test_same_length_edit_is_parsed(self, tmp_path):
         f = _softmax_field(3, 6)
@@ -349,7 +367,13 @@ class TestSidecar:
         assert back.values[node][0] == float(cells[3])
         assert back.values[node][0] != f.values[node][0]
 
-    @pytest.mark.parametrize("case", ["truncated", "wrong_digest", "object_array"])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "truncated", "wrong_digest", "object_array", "header_axes_layout",
+            "lower_length", "lower_not_below_upper", "int_values", "row_sum",
+        ],
+    )
     def test_bad_sidecar_falls_back_to_parse(self, tmp_path, case):
         f = _softmax_field(3, 6)
         path = tmp_path / "field.csv"
@@ -357,15 +381,29 @@ class TestSidecar:
         sidecar = tmp_path / "field.csv.npz"
         with np.load(sidecar) as npz:
             arrays = dict(npz)
-        if case == "truncated":
-            sidecar.write_bytes(sidecar.read_bytes()[: sidecar.stat().st_size // 2])
-        elif case == "wrong_digest":
+        # every rewritten sidecar but wrong_digest keeps the CSV's digest
+        if case == "wrong_digest":
             # values that differ from the CSV show whether they were used
             arrays.update(sha256=np.array("0" * 64), values=0.5 * arrays["values"])
-            with open(sidecar, "wb") as fh:
-                np.savez(fh, **arrays)
-        else:
+        elif case == "object_array":
             arrays["values"] = arrays["values"].astype(object)
+        elif case == "header_axes_layout":
+            arrays = {"sha256": arrays["sha256"], "values": arrays["values"]}
+            arrays["header"] = np.array(["a_0", "a_1", "a_2", "q_0", "q_1", "q_2"])
+            arrays.update((f"axis_{k}", ax) for k, ax in enumerate(f.grid.axes()))
+        elif case == "lower_length":
+            arrays["lower"] = arrays["lower"][:2]
+        elif case == "lower_not_below_upper":
+            arrays["lower"] = arrays["upper"].copy()
+        elif case == "int_values":
+            arrays["values"] = np.zeros(arrays["values"].shape, dtype=np.int64)
+            arrays["values"][..., 0] = 1
+        elif case == "row_sum":
+            arrays["values"] = arrays["values"].copy()
+            arrays["values"][2, 3, 4, 1] += 0.25
+        if case == "truncated":
+            sidecar.write_bytes(sidecar.read_bytes()[: sidecar.stat().st_size // 2])
+        else:
             with open(sidecar, "wb") as fh:
                 np.savez(fh, **arrays)
         back = field.read_field_csv(path)

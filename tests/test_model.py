@@ -46,7 +46,7 @@ class TestUtilityPrimitive:
     def test_log_requires_positive_argument(self):
         m = log_model()
         with pytest.raises(DomainError):
-            model.utility_value(m, 0, 0.1)  # below the declared domain
+            model.choice_prob_closed_form(m, (0.1, 1.0, 1.0))  # a_0 below the domain
 
 
 class TestClosedForm:

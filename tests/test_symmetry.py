@@ -170,10 +170,3 @@ class TestSieve:
         t = symmetry.fit_ratio_sieve(lin_field, 1, 0, basis="polynomial", degree=1)
         assert t.coefficients[0] == pytest.approx(1.0, abs=5e-3)
         assert np.max(np.abs(t.coefficients[1:])) <= 5e-3
-
-    def test_serialization_round_trip(self, log_field):
-        t = symmetry.fit_ratio_sieve(log_field, 1, 0, basis="log_polynomial", degree=1)
-        back = symmetry.RatioFunction.from_dict(t.to_dict())
-        pts = np.linspace(1.2, 3.8, 7)
-        assert np.allclose(back(pts, pts[::-1]), t(pts, pts[::-1]), atol=1e-12)
-

@@ -59,8 +59,10 @@ class TestRationalizedChoiceProb:
         a = (1.0, 1.5, 1.0)
         q = verify.rationalized_choice_prob(wide_utilities, d, a)
         w = [a[0]] + [
-            u.eval(a[j + 1], v_star[j]) for j, u in enumerate(wide_utilities)
+            u.omega.invert_a0_many(a[j + 1], np.array([v_star[j]]))[0]
+            for j, u in enumerate(wide_utilities)
         ]
+        assert np.all(np.isfinite(w))
         winner = int(np.argmax(w))
         assert q[winner] >= 0.999
 
