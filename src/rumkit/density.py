@@ -134,17 +134,17 @@ _N_REFERENCES = 64  # reference a_0 targets spread over the a_0 axis
 _TOL_NEG_REL = 1e-4  # negative density clipped to 0 down to this fraction of max f
 
 
-def _interior_a0_candidates(field: ProbabilityField, margin_steps: int = 0):
+def _interior_a0_candidates(field: ProbabilityField, margin_steps: int):
     """Reference a_0 values inside the field and a mask of the exact grid nodes.
 
     Exact grid nodes come first, then off-node values spread log-uniformly on
     wide positive axes; each group is ordered middle-out.
 
-    Any a_0 works as the mapping reference when a_0 is not differentiated
-    (FD stencils shift the other axes by exactly one grid spacing, so cell
-    phase is preserved); margin_steps > 0 keeps room for an a_0 stencil.
-    Exact nodes are preferred because interpolation along a_0 is node-exact
-    there, but each reference only reaches a bounded v-window per omega, so
+    Any a_0 works as the mapping reference. margin_steps drops that many
+    nodes at each end of the a_0 axis: reconstruct_density drops one when it
+    differentiates along a_0, so that its partials are central differences
+    (see fd_stencil). Exact nodes are preferred because interpolation along
+    a_0 is node-exact there, but each reference only reaches a bounded v-window per omega, so
     the off-node spread fills coverage gaps between sparse nodes.
     """
     ax = field.grid.axes()[0]
@@ -182,34 +182,6 @@ def _level_map(omegas, v_axes, references, bounds) -> list:
     return out
 
 
-def reconstruct_cdf(field: ProbabilityField, omegas, v, a_0=None) -> float:
-    """CDF value F(v) = q_0 at the a-point where each omega_j attains v_j.
-
-    The mapped point depends on the reference a_0 but the value does not, so
-    with a_0=None the value is averaged over the first three references, in
-    candidate order, whose point lies inside the field hull.
-    """
-    v = np.asarray(v, dtype=float)
-    if len(v) != len(omegas):
-        raise ValidationError("v length must match the number of omega functions")
-    if a_0 is None:
-        references, _ = _interior_a0_candidates(field)
-        want = 3
-    else:
-        references = np.array([float(a_0)])
-        want = 1
-    g = field.grid
-    hull = [(g.lower[j], g.upper[j]) for j in range(1, g.dims)]
-    inv = _level_map(omegas, v[:, None], references, hull)
-    pts = np.column_stack([references] + [b[:, 0] for b in inv])
-    ok = g.contains(pts)  # NaN coordinates compare False
-    if not ok.any():
-        raise SupportError(
-            f"v = {v.tolist()} has no level-attaining a-point at any reference a_0"
-        )
-    return float(np.mean(field.interpolate(pts[ok][:want])[:, 0]))
-
-
 def reconstruct_density(field: ProbabilityField, omegas, v_grid, via: int = 0) -> DensityGrid:
     """Density grid over v_grid (tuple of axes) from the field and omega maps.
 
@@ -218,11 +190,11 @@ def reconstruct_density(field: ProbabilityField, omegas, v_grid, via: int = 0) -
 
     with sign -1 when via > 0; via = 0 differentiates q_0 over a_1..a_J.
     Each v-node is mapped to a-space at the innermost reference a_0 where
-    every inversion lands clear of the FD stencil margin, preferring exact
-    grid nodes over off-node references whenever one is usable;
-    nodes with no such reference are masked out of support. Negative values
-    down to -_TOL_NEG_REL * max f are clipped to 0 and counted; anything lower
-    aborts.
+    every inversion lands at least one grid step inside the hull on each
+    differentiated axis, preferring exact grid nodes over off-node references
+    whenever one is usable; nodes with no such reference are masked out of
+    support. Negative values down to -_TOL_NEG_REL * max f are clipped to 0
+    and counted; anything lower aborts.
     """
     J = len(omegas)
     if field.grid.dims != J + 1:
@@ -232,8 +204,8 @@ def reconstruct_density(field: ProbabilityField, omegas, v_grid, via: int = 0) -
     axes_a = field.grid.axes()
     spacing = field.grid.spacing
     candidates, node_mask = _interior_a0_candidates(field, margin_steps=int(via > 0))
-    # one grid step of clearance on every differentiated axis; a_via is only
-    # interpolated
+    # one grid step of clearance on every differentiated axis keeps the
+    # partials central differences; a_via is only interpolated
     steps = [int(j != via) * spacing[j] for j in range(J + 1)]
     bounds = [(axes_a[j][0] + steps[j], axes_a[j][-1] - steps[j]) for j in range(1, J + 1)]
     inv = _level_map(omegas, v_grid, candidates, bounds)  # inv[j]: (n_cand, n_v_j)

@@ -1,9 +1,9 @@
 """Tabulated choice probabilities on rectangular grids.
 
-Provides multilinear interpolation, one batched finite-difference stencil for
-first and mixed partial derivatives off the lattice, monotonicity/cross-partial
-shape checks, the field CSV wire format with its .npz sidecar, and the plain
-table and .npz writers behind the other artifacts.
+Provides multilinear interpolation, one finite-difference stencil (np.gradient
+on the lattice, whose partials fd_stencil interpolates multilinearly off it),
+monotonicity/cross-partial shape checks, the field CSV wire format with its
+.npz sidecar, and the plain table and .npz writers behind the other artifacts.
 """
 
 from __future__ import annotations
@@ -109,40 +109,26 @@ class ProbabilityField:
         return self.grid.dims
 
     @cached_property
-    def _interpolators(self) -> list[RegularGridInterpolator]:
-        axes = self.grid.axes()
-        return [
-            RegularGridInterpolator(axes, self.values[..., j], bounds_error=True)
-            for j in range(self.n_alternatives)
-        ]
-
-    @cached_property
     def node_gradients(self) -> np.ndarray:
         """d q_j / d a_k on nodes, shape (J+1, J+1) + counts; O(h^2) everywhere."""
         out = np.empty((self.n_alternatives, self.n_alternatives) + self.grid.counts)
         for j in range(self.n_alternatives):
             for k in range(self.n_alternatives):
                 out[j, k] = self.node_mixed_partial(j, (k,))
+        out.setflags(write=False)  # fd_stencil interpolates views of it
         return out
 
     def node_mixed_partial(self, r: int, axes: tuple[int, ...]) -> np.ndarray:
         """Nested central differences of q_r on the whole lattice (edges one-sided)."""
-        grid_axes = self.grid.axes()
         arr = self.values[..., r]
         for k in axes:
-            arr = np.gradient(arr, grid_axes[k], axis=k, edge_order=2)
+            arr = np.gradient(arr, self.grid.spacing[k], axis=k, edge_order=2)
         return arr
 
     @cached_property
     def gradient_scale(self) -> float:
         """Median |d q_j / d a_k| over every node and (j, k): the derivative scale."""
-        return float(np.median(np.abs(self.node_gradients)))
-
-    def _raw_interp(self, j: int, pts: np.ndarray) -> np.ndarray:
-        try:
-            return self._interpolators[j](pts)
-        except ValueError as exc:
-            raise ExtrapolationError(f"point outside grid hull: {exc}") from exc
+        return float(np.median(np.abs(self.node_gradients), overwrite_input=True))
 
     def _hull_points(self, points) -> np.ndarray:
         """(n, dims) float array of the points; raises if any lies outside the hull."""
@@ -160,59 +146,36 @@ class ProbabilityField:
         leading shape with the J+1 probabilities last.
         """
         a = np.asarray(a, dtype=float)
-        pts = self._hull_points(a)
-        q = np.stack([self._raw_interp(j, pts) for j in range(self.n_alternatives)], axis=-1)
+        q = np.stack([self.fd_stencil(j, (), a) for j in range(self.n_alternatives)], axis=-1)
         q = q / q.sum(axis=-1, keepdims=True)
         return q if a.ndim > 1 else q[0]
 
     def fd_stencil(self, r: int, axes: tuple[int, ...], points) -> np.ndarray:
-        """Finite-difference partial of q_r over distinct axes at (n, dims) points.
+        """Partial of q_r over distinct axes at (n, dims) points; m = 0 gives q_r.
 
-        Central 2^m-corner stencil with step equal to the grid spacing on each
-        differentiated axis, every corner in one interpolator call; m = 0
-        returns q_r itself. A first partial within one spacing of the hull
-        edge uses the one-sided 3-point rule instead; a higher-order stencil
-        there raises ExtrapolationError.
+        The multilinear interpolant, built once per (r, axes), of the lattice
+        partial: node_gradients[r, k] for one axis, else node_mixed_partial.
+        At least one spacing inside the hull on every differentiated axis it
+        equals the central difference of the interpolated q_r with step equal
+        to the spacing; nearer the edge it interpolates the one-sided edge
+        partials.
         """
         axes = tuple(axes)
         if len(set(axes)) != len(axes):
             raise ValidationError("stencil axes must be distinct")
         pts = self._hull_points(points)
-        steps = [self.grid.spacing[k] for k in axes]
-        near = np.zeros(len(pts), dtype=bool)
-        for k, h in zip(axes, steps):
-            x = pts[:, k]
-            near |= (x - self.grid.lower[k] < h * (1 - 1e-12)) | (
-                self.grid.upper[k] - x < h * (1 - 1e-12)
-            )
-        if near.any() and len(axes) > 1:
-            raise ExtrapolationError(
-                f"point {pts[np.argmax(near)].tolist()} too close to the boundary "
-                f"for a central stencil along axes {axes}"
-            )
-        out = np.empty(len(pts))
-        inner = pts[~near]
-        corners, signs = [], []
-        for combo in itertools.product((-1.0, 1.0), repeat=len(axes)):
-            shifted = inner.copy()
-            for s, k, h in zip(combo, axes, steps):
-                shifted[:, k] += s * h
-            corners.append(shifted)
-            signs.append(np.prod(combo))
-        vals = self._raw_interp(r, np.concatenate(corners)).reshape(len(signs), len(inner))
-        out[~near] = np.tensordot(np.asarray(signs), vals, axes=1) / np.prod(
-            [2.0 * h for h in steps]
-        )
-        if near.any():
-            (k,), (h,) = axes, steps
-            p0 = pts[near]
-            sign = np.where(p0[:, k] - self.grid.lower[k] < h, 1.0, -1.0)
-            p1, p2 = p0.copy(), p0.copy()
-            p1[:, k] += sign * h
-            p2[:, k] += sign * 2 * h
-            f0, f1, f2 = self._raw_interp(r, np.concatenate([p0, p1, p2])).reshape(3, -1)
-            out[near] = sign * (-3 * f0 + 4 * f1 - f2) / (2 * h)
-        return out
+        cache = self._lattice_interpolators
+        if (r, axes) not in cache:
+            if len(axes) == 1:
+                lattice = self.node_gradients[r, axes[0]]
+            else:  # values[..., r] itself when axes is empty
+                lattice = self.node_mixed_partial(r, axes)
+            cache[r, axes] = RegularGridInterpolator(self.grid.axes(), lattice)
+        return cache[r, axes](pts)
+
+    @cached_property
+    def _lattice_interpolators(self) -> dict:
+        return {}
 
     def interior_slices(self) -> tuple[slice, ...]:
         return tuple(slice(1, n - 1) for n in self.grid.counts)
@@ -221,7 +184,7 @@ class ProbabilityField:
     def _content_digest(self) -> str:
         h = hashlib.sha256()
         h.update(repr((self.grid.lower, self.grid.upper, self.grid.counts)).encode())
-        h.update(np.ascontiguousarray(self.values).tobytes())
+        h.update(np.ascontiguousarray(self.values))
         return h.hexdigest()[:16]
 
     def content_hash(self) -> str:

@@ -110,7 +110,9 @@ def test_daly_zachary(
     """Max |ratio - 1| over all alternative pairs and sample points.
 
     With points=None, n_points interior points are drawn uniformly from the
-    hull inset by one grid step per axis (deterministic in seed).
+    hull inset by one grid step per axis (deterministic in seed). The inset
+    keeps every sample where fd_stencil is a central difference; any hull
+    point is accepted when points are given.
     """
     if eps_denom is None:
         eps_denom = default_eps_denom(field)

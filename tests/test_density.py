@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rumkit import characteristics, density, field, model, symmetry
-from rumkit.errors import ExtrapolationError, SupportError, ValidationError
+from rumkit.errors import SupportError, ValidationError
 
 from conftest import log_model, oracle_cdf, oracle_density
 
@@ -45,34 +45,46 @@ def narrow_density():
 
 
 class TestReconstructCdf:
+    """The CDF column F_values: q_0 at each supported node's level-attaining point."""
+
+    AXES = (np.geomspace(0.8, 1.25, 7),) * 2  # node [3, 3] is v = (1, 1)
+
     def test_oracle_value(self, cdf_setup):
         f, omegas = cdf_setup
-        val = density.reconstruct_cdf(f, omegas, (1.0, 1.0))
-        assert val == pytest.approx(1.0 / 3.0, abs=2e-3)
+        d = density.reconstruct_density(f, omegas, self.AXES)
+        assert d.support_mask[3, 3]
+        assert d.F_values[3, 3] == pytest.approx(1.0 / 3.0, abs=2e-3)
 
     def test_reference_invariance(self, cdf_setup):
+        # the mapped point depends on the reference a_0, q_0 there does not
         f, omegas = cdf_setup
-        vals = [
-            density.reconstruct_cdf(f, omegas, (1.0, 1.0), a_0=c)
-            for c in (1.5, 2.0, 3.0)
-        ]
+        g = f.grid
+        hull = [(g.lower[j], g.upper[j]) for j in (1, 2)]
+        refs = np.array([1.5, 2.0, 3.0])
+        b1, b2 = density._level_map(omegas, ([1.0], [1.0]), refs, hull)
+        vals = f.interpolate(np.column_stack([refs, b1[:, 0], b2[:, 0]]))[:, 0]
+        vals = np.append(vals, density.reconstruct_density(f, omegas, self.AXES).F_values[3, 3])
         assert max(vals) - min(vals) <= 5e-3
 
-    def test_tends_to_one_at_top(self, wide_field, wide_omegas):
-        val = density.reconstruct_cdf(wide_field, wide_omegas, (40.0, 40.0))
-        assert val == pytest.approx(oracle_cdf(40.0, 40.0), abs=5e-3)
+    def test_tends_to_one_at_top(self, wide_density):
+        i, k = (int(np.argmin(np.abs(ax - 40.0))) for ax in wide_density.axes)
+        assert wide_density.support_mask[i, k]
+        v = (wide_density.axes[0][i], wide_density.axes[1][k])
+        val = wide_density.F_values[i, k]
+        assert val == pytest.approx(oracle_cdf(*v), abs=5e-3)
         assert val > 0.94
 
     def test_unreachable_v_raises(self, cdf_setup):
         f, omegas = cdf_setup
         with pytest.raises(SupportError):
-            density.reconstruct_cdf(f, omegas, (500.0, 500.0))
+            density.reconstruct_density(f, omegas, (np.array([500.0]),) * 2)
 
-    def test_monotone_in_each_coordinate(self, wide_field, wide_omegas):
-        vs = [0.3, 1.0, 3.0, 10.0]
-        vals = [
-            density.reconstruct_cdf(wide_field, wide_omegas, (v, 2.0)) for v in vs
-        ]
+    def test_monotone_in_each_coordinate(self, wide_density):
+        ax1, ax2 = wide_density.axes
+        k = int(np.argmin(np.abs(ax2 - 2.0)))
+        rows = [int(np.argmin(np.abs(ax1 - v))) for v in (0.3, 1.0, 3.0, 10.0)]
+        assert wide_density.support_mask[rows, k].all()
+        vals = wide_density.F_values[rows, k]
         assert all(b >= a - 1e-6 for a, b in zip(vals, vals[1:]))
 
 
@@ -99,15 +111,13 @@ class TestReconstructDensity:
         tol = 10.0 * h_max**2 * float(d_mixed.f_values.max())
         assert np.max(np.abs(d_mixed.f_values - d_alt.f_values)) <= tol
 
-    def test_cdf_consistent_with_density_integral(self, wide_density, wide_field,
-                                                  wide_omegas):
+    def test_cdf_consistent_with_density_integral(self, wide_density):
         # mass below the attained lower corner is negligible, so the running
-        # integral of f should match the directly reconstructed CDF
+        # integral of f should match the CDF read off the field
         F_from_f = wide_density.cumulative_from_density()
         i, k = 150, 150
-        v = (wide_density.axes[0][i], wide_density.axes[1][k])
-        direct = density.reconstruct_cdf(wide_field, wide_omegas, v)
-        assert F_from_f[i, k] == pytest.approx(direct, abs=1e-2)
+        assert wide_density.support_mask[i, k]
+        assert F_from_f[i, k] == pytest.approx(wide_density.F_values[i, k], abs=1e-2)
 
     def test_f_monotone_cdf(self, wide_density):
         # adjacent v-nodes can map through different reference a_0 values, so
@@ -220,34 +230,6 @@ class TestDensityGridValidation:
 
 
 # -- the per-reference level map as it stood before the batched one ----------
-
-
-def reference_reconstruct_cdf(field_, omegas, v, a_0=None):
-    """Scalar loop: first three references whose mapped point reads in the hull."""
-    v = np.asarray(v, dtype=float)
-    if a_0 is not None:
-        candidates, want = [float(a_0)], 1
-    else:
-        candidates, _ = density._interior_a0_candidates(field_)
-        want = 3
-    vals = []
-    for a0 in candidates:
-        if len(vals) >= want:
-            break
-        point = [a0]
-        for vj, om in zip(v, omegas):
-            aj = om.invert_aj_many(np.array([vj]), a0)[0]
-            if np.isnan(aj):
-                break
-            point.append(aj)
-        else:
-            try:
-                vals.append(field_.interpolate(np.asarray(point))[0])
-            except ExtrapolationError:
-                pass
-    if not vals:
-        raise SupportError(f"v = {v.tolist()} has no level-attaining a-point")
-    return float(np.mean(vals))
 
 
 def reference_reconstruct_density(field_, omegas, v_grid, route="mixed", alt_k=1):
@@ -368,18 +350,27 @@ class TestLevelMapEquivalence:
     @pytest.mark.parametrize("v", [(1.0, 1.0), (0.6, 1.4), (1.3, 0.8)])
     @pytest.mark.parametrize("a_0", [None, 1.5, 2.0, 3.0])
     def test_cdf(self, cdf_setup, v, a_0):
+        # the CDF at a one-node lattice: bit for bit the per-reference loop's
+        # (a_0 None), and q_0 where every omega_j attains v_j from the given
+        # reference a_0 whenever that point lies in the hull
         f, omegas = cdf_setup
-        try:
-            want = reference_reconstruct_cdf(f, omegas, v, a_0=a_0)
-        except SupportError:
-            with pytest.raises(SupportError):
-                density.reconstruct_cdf(f, omegas, v, a_0=a_0)
-        else:
-            assert density.reconstruct_cdf(f, omegas, v, a_0=a_0) == want
+        axes = tuple(np.array([vj]) for vj in v)
+        F = density.reconstruct_density(f, omegas, axes).F_values[0, 0]
+        if a_0 is None:
+            assert F == reference_reconstruct_density(f, omegas, axes)["F_values"][0, 0]
+            return
+        point = [a_0] + [om.invert_aj_many(np.array([vj]), a_0)[0] for vj, om in zip(v, omegas)]
+        if f.grid.contains(point):
+            assert F == pytest.approx(f.interpolate(point)[0], abs=5e-3)
 
     @pytest.mark.parametrize("a_0", [None, 2.0, 99.0])
     def test_cdf_unreachable(self, cdf_setup, a_0):
+        # v = (500, 500) has no level-attaining point in the hull
         f, omegas = cdf_setup
-        for fn in (reference_reconstruct_cdf, density.reconstruct_cdf):
+        v = (500.0, 500.0)
+        if a_0 is None:
             with pytest.raises(SupportError):
-                fn(f, omegas, (500.0, 500.0), a_0=a_0)
+                density.reconstruct_density(f, omegas, tuple(np.array([vj]) for vj in v))
+            return
+        point = [a_0] + [om.invert_aj_many(np.array([vj]), a_0)[0] for vj, om in zip(v, omegas)]
+        assert not f.grid.contains(point)

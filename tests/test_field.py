@@ -2,12 +2,14 @@
 
 import csv
 import hashlib
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import RegularGridInterpolator
 
 from rumkit import field, model
 from rumkit.errors import ExtrapolationError, ValidationError
@@ -68,6 +70,21 @@ class TestContentHash:
         values[2, 3] = (0.25, 0.75)
         assert field.ProbabilityField(grid=f.grid, values=values).content_hash() != h
 
+    @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+    def test_digest_of_grid_repr_and_value_bytes(self, lin_field, strided):
+        # hashed in place: the digest is the one over a bytes copy of the values
+        values = np.asarray(lin_field.values)
+        if strided:
+            values = np.concatenate([values, values], axis=-1)[..., ::2]
+            assert not values.flags.c_contiguous
+        f = field.ProbabilityField(grid=lin_field.grid, values=values)
+        assert f.values.flags.c_contiguous != strided
+        g = f.grid
+        want = hashlib.sha256(
+            repr((g.lower, g.upper, g.counts)).encode() + f.values.tobytes()
+        ).hexdigest()[:16]
+        assert f.content_hash() == want
+
 
 class TestInterpolate:
     def test_node_identity(self, lin_field):
@@ -98,6 +115,20 @@ class TestInterpolate:
         assert abs(q.sum() - 1.0) <= 1e-12
 
 
+def corner_stencil(f, r, axes, pts):
+    """Central difference of the multilinear interpolant of q_r over its 2^m
+    corners, step equal to the grid spacing: valid one spacing inside the hull."""
+    interp = RegularGridInterpolator(f.grid.axes(), f.values[..., r])
+    steps = [f.grid.spacing[k] for k in axes]
+    total = np.zeros(len(pts))
+    for signs in itertools.product((-1.0, 1.0), repeat=len(axes)):
+        shifted = pts.copy()
+        for s, k, h in zip(signs, axes, steps):
+            shifted[:, k] += s * h
+        total += np.prod(signs) * interp(shifted)
+    return total / np.prod([2.0 * h for h in steps])
+
+
 class TestDerivatives:
     def test_partial_matches_softmax_identity(self, lin_field):
         # d q_0 / d a_1 = -q_0 q_1 = -1/9 at the symmetric point
@@ -115,10 +146,20 @@ class TestDerivatives:
         assert log_field.fd_stencil(0, (0,), [a])[0] > 0
         assert log_field.fd_stencil(1, (0,), [a])[0] < 0
 
-    def test_boundary_flagged_one_sided(self, lin_field):
-        # np.gradient(edge_order=2) uses the same one-sided 3-point rule at the edge
-        d = lin_field.fd_stencil(0, (0,), [(-1.0, 0.0, 0.0)])[0]
-        assert d == pytest.approx(lin_field.node_gradients[0, 0][0, 20, 20], abs=1e-12)
+    def test_near_edge_interpolates_one_sided_edge_partials(self, lin_field):
+        # within one step of the edge the partial is interpolated between
+        # np.gradient's one-sided edge value and the next node's central one
+        grads = lin_field.node_gradients[0, 0]
+        h = lin_field.grid.spacing[0]
+        d = lin_field.fd_stencil(0, (0,), [(-1.0, 0.0, 0.0), (-1.0 + 0.25 * h, 0.0, 0.0)])
+        assert d[0] == grads[0, 20, 20]
+        assert d[1] == pytest.approx(0.75 * grads[0, 20, 20] + 0.25 * grads[1, 20, 20],
+                                     abs=1e-12)
+
+    @pytest.mark.parametrize("axes", [(), (0,), (1, 2)])
+    def test_outside_hull_rejected(self, lin_field, axes):
+        with pytest.raises(ExtrapolationError):
+            lin_field.fd_stencil(0, axes, [(0.0, 0.0, 0.0), (0.0, 1.01, 0.0)])
 
     def test_mixed_partial_softmax_identity(self, lin_field):
         # d^2 q_0 / d a_1 d a_2 = 2 q_0 q_1 q_2 = 2/27 at the symmetric point
@@ -142,13 +183,43 @@ class TestDerivatives:
         assert abs(total) <= 1e-6
 
     def test_halving_spacing_quarters_error(self, m_lin):
-        target = -1.0 / 9.0
-        errs = []
-        for n in (21, 41):
-            g = field.GridSpec((-1.0,) * 3, (1.0,) * 3, (n,) * 3)
-            f = model.tabulate(m_lin, g)
-            errs.append(abs(f.fd_stencil(0, (1,), [(0.0, 0.0, 0.0)])[0] - target))
-        assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.35)
+        # d q_0 / d a_1 = -q_0 q_1 at the centre; d^2 q_0 / d a_1 d a_2 =
+        # 2 q_0 q_1 q_2 on the edge a_1 = -1, within one step of it on both grids
+        cases = [((1,), (0.0, 0.0, 0.0)), ((1, 2), (0.0, -1.0, 0.3))]
+        for axes, a in cases:
+            q = model.choice_prob_closed_form(m_lin, np.array(a))
+            target = -q[0] * q[1] if axes == (1,) else 2.0 * q[0] * q[1] * q[2]
+            errs = []
+            for n in (21, 41):
+                g = field.GridSpec((-1.0,) * 3, (1.0,) * 3, (n,) * 3)
+                f = model.tabulate(m_lin, g)
+                errs.append(abs(f.fd_stencil(0, axes, [a])[0] - target))
+            assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.35), axes
+
+    @pytest.mark.parametrize(
+        "nalt, axes", [(3, (1,)), (3, (1, 2)), (4, (1, 2, 3))], ids=["m1", "m2", "m3"]
+    )
+    def test_matches_corner_stencil_inside(self, nalt, axes):
+        # one spacing inside the hull the interpolated lattice partial is the
+        # 2^m-corner central difference of the interpolant
+        spec = model.ChoiceModelSpec(
+            utilities=(model.UtilityPrimitive("linear", (0.0, 1.0)),) * nalt,
+            noise=model.NoiseSpec("gumbel_iid", 1.0),
+            domain=((-10.0, 10.0),) * nalt,
+        )
+        n = 41 if nalt == 3 else 13
+        f = model.tabulate(spec, field.GridSpec((-1.0,) * nalt, (1.0,) * nalt, (n,) * nalt))
+        h = np.asarray(f.grid.spacing)
+        pts = -1.0 + h + np.random.default_rng(3).random((200, nalt)) * (2.0 - 2.0 * h)
+        got = f.fd_stencil(0, axes, pts)
+        assert np.max(np.abs(got - corner_stencil(f, 0, axes, pts))) <= 1e-12 * f.gradient_scale
+
+    def test_gradient_scale_leaves_node_gradients(self, log_field):
+        f = field.ProbabilityField(grid=log_field.grid, values=log_field.values)
+        before = f.node_gradients.copy()
+        assert f.gradient_scale == float(np.median(np.abs(before)))
+        assert np.array_equal(f.node_gradients, before)
+        assert not f.node_gradients.flags.writeable  # fd_stencil interpolates views of it
 
 
 class TestCheckShape:
