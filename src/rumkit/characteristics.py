@@ -31,6 +31,11 @@ _INVERT_STEP_RTOL = 1e-12  # Newton step, relative to 1 + |x|, at which it stops
 _INVERT_MAX_ITER = 100
 
 
+def axis_is_log(lo: float, hi: float) -> bool:
+    """Whether an axis on [lo, hi] is treated in ln: positive and wider than a factor 20."""
+    return lo > 0 and hi / lo > 20.0
+
+
 def _invert_monotone_vec(ev, fixed, targets: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Safeguarded Newton: solve ev(x, fixed, 0) = targets elementwise on [lo, hi].
 
@@ -339,7 +344,7 @@ def build_omega(
         raise ValidationError(f"resolution {resolution} < 4: the omega spline is bicubic")
     if step is not None and not (np.isfinite(step) and step > 0):
         raise ValidationError(f"step {step!r} must be finite and > 0")
-    use_log = a0_lo > 0 and aj_lo > 0 and a0_hi / a0_lo > 20.0
+    use_log = aj_lo > 0 and axis_is_log(a0_lo, a0_hi)
     if a_ref is None:
         a_ref = np.sqrt(aj_lo * aj_hi) if use_log else 0.5 * (aj_lo + aj_hi)
     if not aj_lo <= a_ref <= aj_hi:

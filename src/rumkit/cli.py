@@ -31,7 +31,7 @@ EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL = 3
 
 # identify's settings record: written into identify_meta.json, read back by verify
-_SETTINGS = ("pivot", "basis", "degree", "resolution", "v_nodes", "a_ref")
+_SETTINGS = ("basis", "degree", "resolution", "v_nodes", "a_ref")
 
 
 def _ranges(a):
@@ -150,7 +150,8 @@ def cmd_identify(args: argparse.Namespace) -> int:
     field = field_mod.read_field_csv(args.field_path)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cond_a = symmetry.test_condition_A(field, m=args.pivot, tol=args.tol_condition_a)
+    # pivot 0 (the outside option) throughout: reconstruct_density assumes it
+    cond_a = symmetry.test_condition_A(field, m=0, tol=args.tol_condition_a)
     if not cond_a.passed and not args.force:
         _write_json(out / "condition_a_report.json", cond_a.to_dict())
         print(
@@ -159,7 +160,6 @@ def cmd_identify(args: argparse.Namespace) -> int:
         )
         return EXIT_CHECK_FAIL
     axes = field.grid.axes()
-    pivot = args.pivot
     sieve_field = field
     if field.grid.n_nodes > 500_000:
         # node-wise gradient caches on huge fields cost dims^2 copies of the
@@ -169,11 +169,11 @@ def cmd_identify(args: argparse.Namespace) -> int:
         sieve_field = field_mod.subsample(field, strides)
     ratios, omegas = [], []
     for j in range(1, field.grid.dims):
-        t = symmetry.fit_ratio_sieve(sieve_field, j, pivot, basis=args.basis, degree=args.degree)
+        t = symmetry.fit_ratio_sieve(sieve_field, j, 0, basis=args.basis, degree=args.degree)
         ratios.append(t)
         omegas.append(characteristics.build_omega(
             t,
-            ((axes[j][0], axes[j][-1]), (axes[pivot][0], axes[pivot][-1])),
+            ((axes[j][0], axes[j][-1]), (axes[0][0], axes[0][-1])),
             a_ref=args.a_ref,
             resolution=args.resolution,
             j=j,
@@ -266,7 +266,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ProvenanceError(f"identify_meta.json lacks {', '.join(missing)}")
     # every setting must have the type identify writes (bool is not an int here)
     a_ref = meta["a_ref"]
-    typed = {k: type(meta[k]) is int for k in ("pivot", "degree", "resolution", "v_nodes")}
+    typed = {k: type(meta[k]) is int for k in ("degree", "resolution", "v_nodes")}
     typed["basis"] = isinstance(meta["basis"], str)
     typed["a_ref"] = (
         isinstance(a_ref, list) and len(a_ref) == field.grid.dims - 1
@@ -444,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identify", help="recover ratios, omegas, utilities, density")
     common(p)
     p.add_argument("--field", dest="field_path", required=True)
-    p.add_argument("--pivot", type=int, default=0)
     p.add_argument("--a-ref", type=float, default=None)
     p.add_argument("--basis", choices=["polynomial", "log_polynomial"],
                    default="polynomial")

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
+from .characteristics import axis_is_log
 from .errors import NegativeDensityError, SupportError, ValidationError
 from .field import ProbabilityField, write_csv_table
 
@@ -126,10 +127,6 @@ def make_v_grid(omegas, n: int = 101) -> tuple:
     return tuple(axes)
 
 
-def _axis_is_log(lo: float, hi: float) -> bool:
-    return lo > 0 and hi / lo > 20.0
-
-
 _N_REFERENCES = 64  # reference a_0 targets spread over the a_0 axis
 _TOL_NEG_REL = 1e-4  # negative density clipped to 0 down to this fraction of max f
 
@@ -150,7 +147,7 @@ def _interior_a0_candidates(field: ProbabilityField, margin_steps: int):
     ax = field.grid.axes()[0]
     valid = ax[margin_steps : len(ax) - margin_steps or None]
     lo, hi = float(valid[0]), float(valid[-1])
-    if _axis_is_log(lo, hi):
+    if axis_is_log(lo, hi):
         targets = np.geomspace(lo, hi, _N_REFERENCES)
         pick = np.abs(np.log(valid)[None, :] - np.log(targets)[:, None]).argmin(axis=1)
     else:
@@ -216,7 +213,7 @@ def reconstruct_density(field: ProbabilityField, omegas, v_grid, via: int = 0) -
     score = np.full((len(candidates),) + shape, np.inf)
     for j, (lo, hi) in enumerate(bounds):
         b = inv[j]
-        if _axis_is_log(lo, hi):
+        if axis_is_log(lo, hi):
             m = np.minimum(np.log(b / lo), np.log(hi / b)) / np.log(hi / lo)
         else:
             m = np.minimum(b - lo, hi - b) / (hi - lo)

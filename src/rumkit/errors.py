@@ -29,10 +29,6 @@ class ExtrapolationError(RumkitError):
     """A query point lies outside the convex hull of a tabulated field."""
 
 
-class DegeneratePointError(NumericalFailure):
-    """A derivative ratio is requested where the denominator vanishes."""
-
-
 class RankDeficientBasisError(NumericalFailure):
     """The sieve normal equations are rank deficient."""
 

@@ -19,12 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import (
-    DegeneratePointError,
-    NegativeRatioError,
-    RankDeficientBasisError,
-    ValidationError,
-)
+from .errors import NegativeRatioError, RankDeficientBasisError, ValidationError
 from .field import ProbabilityField
 
 BASIS_KINDS = ("polynomial", "log_polynomial")
@@ -32,27 +27,23 @@ _MAX_FAMILIES = 200  # (a_j, a_m) node pairs sampled per condition-A pair
 _MAX_FAMILY_SIZE = 200  # off-pair node combinations sampled per family
 
 
-def default_eps_denom(field: ProbabilityField) -> float:
-    """Degeneracy threshold: tiny relative to the field's median derivative scale."""
-    return 1e-8 * max(field.gradient_scale, 1e-300)
+def slutsky_ratio(field: ProbabilityField, k: int, l: int, points=None) -> np.ndarray:
+    """(dq_k/da_l) / (dq_l/da_k) at (n, dims) hull points, or on every lattice
+    node (shape grid.counts) when points is None.
 
-
-def slutsky_ratio(
-    field: ProbabilityField, k: int, l: int, a, eps_denom: float | None = None
-) -> float:
-    """(dq_k/da_l) / (dq_l/da_k) at a point; raises on degenerate denominators."""
+    An entry whose denominator is below 1e-8 times the field's gradient_scale
+    in magnitude is degenerate and comes back NaN.
+    """
     if k == l:
         raise ValidationError("ratio needs two distinct alternatives")
-    if eps_denom is None:
-        eps_denom = default_eps_denom(field)
-    a = np.asarray(a, dtype=float)
-    num = float(field.fd_stencil(k, (l,), a[None])[0])
-    den = float(field.fd_stencil(l, (k,), a[None])[0])
-    if abs(den) < eps_denom:
-        raise DegeneratePointError(
-            f"denominator derivative dq_{l}/da_{k} = {den!r} below threshold at {a.tolist()}"
-        )
-    return num / den
+    if points is None:
+        num, den = field.node_gradients[k, l], field.node_gradients[l, k]
+    else:
+        num, den = field.fd_stencil(k, (l,), points), field.fd_stencil(l, (k,), points)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = num / den
+    ratio[np.abs(den) < 1e-8 * max(field.gradient_scale, 1e-300)] = np.nan
+    return ratio
 
 
 @dataclass
@@ -101,33 +92,25 @@ class SymmetryReport:
 
 def test_daly_zachary(
     field: ProbabilityField,
-    points=None,
     tol: float = 0.01,
-    eps_denom: float | None = None,
     n_points: int = 100,
     seed: int = 0,
 ) -> SymmetryReport:
     """Max |ratio - 1| over all alternative pairs and sample points.
 
-    With points=None, n_points interior points are drawn uniformly from the
-    hull inset by one grid step per axis (deterministic in seed). The inset
-    keeps every sample where fd_stencil is a central difference; any hull
-    point is accepted when points are given.
+    n_points interior points are drawn uniformly from the hull inset by one
+    grid step per axis (deterministic in seed). The inset keeps every sample
+    where fd_stencil is a central difference.
     """
-    if eps_denom is None:
-        eps_denom = default_eps_denom(field)
-    if points is None:
-        rng = np.random.default_rng(seed)
-        lo = np.asarray(field.grid.lower) + np.asarray(field.grid.spacing)
-        hi = np.asarray(field.grid.upper) - np.asarray(field.grid.spacing)
-        points = lo + rng.random((n_points, field.grid.dims)) * (hi - lo)
-    pts = np.asarray(points, dtype=float).reshape(-1, field.grid.dims)
+    rng = np.random.default_rng(seed)
+    lo = np.asarray(field.grid.lower) + np.asarray(field.grid.spacing)
+    hi = np.asarray(field.grid.upper) - np.asarray(field.grid.spacing)
+    pts = lo + rng.random((n_points, field.grid.dims)) * (hi - lo)
     stats = {}
     for k, l in combinations(range(field.n_alternatives), 2):
-        num = field.fd_stencil(k, (l,), pts)
-        den = field.fd_stencil(l, (k,), pts)
-        ok = np.abs(den) >= eps_denom  # slutsky_ratio's degeneracy rule
-        dev = np.abs(num[ok] / den[ok] - 1.0)
+        ratio = slutsky_ratio(field, k, l, pts)
+        ok = ~np.isnan(ratio)
+        dev = np.abs(ratio[ok] - 1.0)
         used = dev.size
         i = int(np.argmax(dev)) if used else None  # first of equal maxima
         stats[f"{k},{l}"] = {
@@ -152,9 +135,7 @@ def test_condition_A(field: ProbabilityField, m: int, tol: float, seed: int = 0)
         raise ValidationError(f"pivot {m} must name an alternative 0..{nalt - 1}")
     if nalt == 2:
         return SymmetryReport("condition_a", tol, {}, 0, vacuous=True)
-    eps_denom = default_eps_denom(field)
     rng = np.random.default_rng(seed)
-    grads = field.node_gradients
     interior = [np.arange(1, n - 1) for n in field.grid.counts]
     stats = {}
     for j in range(nalt):
@@ -176,11 +157,9 @@ def test_condition_A(field: ProbabilityField, m: int, tol: float, seed: int = 0)
         idx[j], idx[m] = pair_ij[:, None], pair_im[:, None]
         for col, k in enumerate(off_axes):
             idx[k] = off_combos[None, :, col]
-        nums, dens = grads[j, m][tuple(idx)], grads[m, j][tuple(idx)]
-        ok = np.abs(dens) >= eps_denom
+        ratios = slutsky_ratio(field, j, m)[tuple(idx)]
+        ok = ~np.isnan(ratios)
         usable = ok.sum(axis=1) >= max(2, 0.5 * ok.shape[1])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = nums / dens
         spread = np.where(
             usable,
             np.max(ratios, axis=1, where=ok, initial=-np.inf)
@@ -268,15 +247,11 @@ class RatioFunction:
 
 def ratio_samples(field: ProbabilityField, j: int, m: int) -> tuple[np.ndarray, ...]:
     """(a_j, a_m, ratio) over non-degenerate interior grid nodes."""
-    eps_denom = default_eps_denom(field)
-    grads = field.node_gradients
-    interior = field.interior_slices()
-    num = grads[j, m][interior]
-    den = grads[m, j][interior]
+    ratio = slutsky_ratio(field, j, m)[field.interior_slices()]
     axes = field.grid.axes()
     mesh = np.meshgrid(*[ax[1:-1] for ax in axes], indexing="ij")
-    ok = np.abs(den) >= eps_denom
-    return mesh[j][ok], mesh[m][ok], num[ok] / den[ok]
+    ok = ~np.isnan(ratio)
+    return mesh[j][ok], mesh[m][ok], ratio[ok]
 
 
 def fit_ratio_sieve(

@@ -29,7 +29,7 @@ class TestAcceptance:
         worst = 0.0
         for a in pts:
             for j, m in ((1, 0), (2, 0), (2, 1)):
-                worst = max(worst, abs(symmetry.slutsky_ratio(lin_field, j, m, a) - 1.0))
+                worst = max(worst, abs(symmetry.slutsky_ratio(lin_field, j, m, [a])[0] - 1.0))
         elapsed = time.monotonic() - t0
         ok = worst <= 0.01 and elapsed <= 60.0
         _report(1, ok, f"max |ratio - 1| = {worst:.2e}, {elapsed:.1f}s")
@@ -45,7 +45,7 @@ class TestAcceptance:
         rng = np.random.default_rng(7)
         pts = 1.3 + rng.random((100, 3)) * 2.4
         worst = max(
-            abs(symmetry.slutsky_ratio(log_field, 1, 0, a) - a[1] / (2.0 * a[0]))
+            abs(symmetry.slutsky_ratio(log_field, 1, 0, [a])[0] - a[1] / (2.0 * a[0]))
             for a in pts
         )
         ok = lin_rep["passed"] and not log_rep["passed"] and not dz.passed and worst <= 5e-3

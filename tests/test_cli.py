@@ -265,12 +265,11 @@ def rebuild_in_process(f, meta):
     """identify's library pipeline run again from the record: the reference
     that verify's rebuild from identify.npz must reproduce."""
     axes = f.grid.axes()
-    pivot = meta["pivot"]
     omegas = []
     for j in range(1, f.grid.dims):
-        t = symmetry.fit_ratio_sieve(f, j, pivot, basis=meta["basis"], degree=meta["degree"])
+        t = symmetry.fit_ratio_sieve(f, j, 0, basis=meta["basis"], degree=meta["degree"])
         omegas.append(characteristics.build_omega(
-            t, ((axes[j][0], axes[j][-1]), (axes[pivot][0], axes[pivot][-1])),
+            t, ((axes[j][0], axes[j][-1]), (axes[0][0], axes[0][-1])),
             a_ref=meta["a_ref"][j - 1], resolution=meta["resolution"], j=j,
         ))
     dens = density.reconstruct_density(f, omegas, density.make_v_grid(omegas, n=meta["v_nodes"]))
@@ -322,7 +321,7 @@ class TestVerify:
         assert code == EXIT_INPUT_ERROR
         assert not (tmp_path / "verify_report.json").exists()
 
-    @pytest.mark.parametrize("key", ["pivot", "field_hash", "identify_npz_sha256"])
+    @pytest.mark.parametrize("key", ["basis", "field_hash", "identify_npz_sha256"])
     def test_missing_setting_rejected(self, lin_run, tmp_path, capsys, key):
         # the stamp matches the edited record, so only the missing key is wrong
         meta = json.loads((lin_run / "identify_meta.json").read_text())
@@ -340,7 +339,7 @@ class TestVerify:
         "key, value",
         [
             ("resolution", "21"),
-            ("pivot", True),
+            ("resolution", True),
             ("degree", 1.0),
             ("v_nodes", None),
             ("a_ref", [0.0]),
@@ -360,6 +359,20 @@ class TestVerify:
         assert code == EXIT_INPUT_ERROR
         assert f"wrong type: {key}" in capsys.readouterr().err
         assert not (tmp_path / "verify_report.json").exists()
+
+    def test_record_with_pivot_still_verifies(self, lin_run, tmp_path):
+        # records written while identify took --pivot carry a pivot key;
+        # verify ignores it once the stamp covers it
+        meta = json.loads((lin_run / "identify_meta.json").read_text())
+        assert "pivot" not in meta
+        meta["pivot"] = 0
+        meta["provenance"] = cli._provenance_hash(meta)
+        copy_identify(lin_run, tmp_path, meta)
+        code = run(
+            "verify", "--field", str(lin_run / "field.csv"), "--out", str(tmp_path),
+        )
+        assert code == EXIT_PASS
+        assert json.loads((tmp_path / "verify_report.json").read_text())["passed"]
 
     @pytest.mark.parametrize("case", ["missing", "edited"])
     def test_identify_npz_checked(self, lin_run, tmp_path, case):
@@ -603,7 +616,6 @@ class TestExitCodes:
         [
             ("check", "--pivot", "3"),
             ("check", "--pivot", "-1"),
-            ("identify", "--force", "--pivot", "3"),
             ("identify", "--force", "--resolution", "2"),
             ("identify", "--force", "--degree", "-1"),
             ("identify", "--force", "--v-nodes", "1"),

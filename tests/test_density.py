@@ -264,7 +264,7 @@ def reference_reconstruct_density(field_, omegas, v_grid, route="mixed", alt_k=1
     for j in range(J):
         lo, hi = axis_bounds(j)
         b = inv[j]
-        if density._axis_is_log(lo, hi):
+        if characteristics.axis_is_log(lo, hi):
             m = np.minimum(np.log(b / lo), np.log(hi / b)) / np.log(hi / lo)
         else:
             m = np.minimum(b - lo, hi - b) / (hi - lo)

@@ -6,36 +6,69 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rumkit import field, model, symmetry
-from rumkit.errors import (
-    DegeneratePointError,
-    NegativeRatioError,
-    RankDeficientBasisError,
-)
+from rumkit.errors import NegativeRatioError, RankDeficientBasisError, ValidationError
+
+
+def median_denominator_threshold(f, monkeypatch, den):
+    """Set f's degeneracy threshold to the median of |den|, so that about half
+    of those entries are degenerate; returns the threshold slutsky_ratio uses."""
+    monkeypatch.setattr(f, "gradient_scale", 1e8 * float(np.median(np.abs(den))))
+    return 1e-8 * f.gradient_scale
 
 
 class TestSlutskyRatio:
     def test_linear_utilities_ratio_one(self, lin_field):
-        r = symmetry.slutsky_ratio(lin_field, 0, 1, (0.2, -0.1, 0.4))
-        assert r == pytest.approx(1.0, abs=2e-3)
+        r = symmetry.slutsky_ratio(lin_field, 0, 1, [(0.2, -0.1, 0.4)])
+        assert r.shape == (1,)
+        assert r[0] == pytest.approx(1.0, abs=2e-3)
 
     def test_log_model_pair_10(self, log_field):
         # ratio(1,0) = h_0'(a_0)/h_1'(a_1) = a_1/(2 a_0)
-        r = symmetry.slutsky_ratio(log_field, 1, 0, (2.0, 4.0, 2.0))
-        assert r == pytest.approx(1.0, abs=2e-3)
+        r = symmetry.slutsky_ratio(log_field, 1, 0, [(2.0, 4.0, 2.0)])
+        assert r[0] == pytest.approx(1.0, abs=2e-3)
 
     def test_log_model_pair_20(self, log_field):
-        r = symmetry.slutsky_ratio(log_field, 2, 0, (1.0, 2.0, 1.0))
-        assert r == pytest.approx(2.0, abs=4e-3)
+        r = symmetry.slutsky_ratio(log_field, 2, 0, [(1.0, 2.0, 1.0)])
+        assert r[0] == pytest.approx(2.0, abs=4e-3)
 
-    def test_degenerate_denominator_raises(self, lin_field):
-        with pytest.raises(DegeneratePointError):
-            symmetry.slutsky_ratio(lin_field, 0, 1, (0.0, 0.0, 0.0), 1e6)
+    @pytest.mark.parametrize("mode", ["points", "lattice"])
+    def test_degenerate_entries_are_nan(self, log_field, monkeypatch, mode):
+        pts = 1.0 + 3.0 * np.random.default_rng(2).random((200, 3))
+        if mode == "points":
+            num, den = log_field.fd_stencil(2, (0,), pts), log_field.fd_stencil(0, (2,), pts)
+        else:
+            pts = None
+            num, den = log_field.node_gradients[2, 0], log_field.node_gradients[0, 2]
+        thr = median_denominator_threshold(log_field, monkeypatch, den)
+        r = symmetry.slutsky_ratio(log_field, 2, 0, pts)
+        assert r.shape == den.shape
+        degenerate = np.abs(den) < thr
+        assert 0 < degenerate.sum() < degenerate.size
+        np.testing.assert_array_equal(np.isnan(r), degenerate)
+        assert np.array_equal(r[~degenerate], num[~degenerate] / den[~degenerate])
+
+    def test_lattice_equals_points_at_nodes(self, log_field, monkeypatch):
+        mesh = np.meshgrid(*log_field.grid.axes(), indexing="ij")
+        nodes = np.stack([m.ravel() for m in mesh], axis=-1)
+        # about half of pair (0, 1)'s denominators dq_1/da_0 are degenerate
+        median_denominator_threshold(log_field, monkeypatch, log_field.node_gradients[1, 0])
+        for k, l in ((0, 1), (1, 0), (2, 1)):
+            lattice = symmetry.slutsky_ratio(log_field, k, l)
+            assert lattice.shape == log_field.grid.counts
+            at_nodes = symmetry.slutsky_ratio(log_field, k, l, nodes)
+            assert lattice.ravel().tobytes() == at_nodes.tobytes()
+            if (k, l) == (0, 1):
+                assert np.isnan(lattice).any()
+
+    def test_equal_alternatives_rejected(self, log_field):
+        with pytest.raises(ValidationError):
+            symmetry.slutsky_ratio(log_field, 1, 1)
 
     @given(st.lists(st.floats(1.3, 3.7), min_size=3, max_size=3))
     @settings(max_examples=20, deadline=None)
     def test_reciprocal_identity(self, log_field, a):
-        r = symmetry.slutsky_ratio(log_field, 1, 0, a)
-        r_inv = symmetry.slutsky_ratio(log_field, 0, 1, a)
+        r = symmetry.slutsky_ratio(log_field, 1, 0, [a])[0]
+        r_inv = symmetry.slutsky_ratio(log_field, 0, 1, [a])[0]
         assert abs(r * r_inv - 1.0) <= 1e-4
 
     @given(st.lists(st.floats(1.3, 3.7), min_size=3, max_size=3))
@@ -43,7 +76,7 @@ class TestSlutskyRatio:
     def test_matches_marginal_utility_ratio(self, log_field, a):
         # h_0'/h_1' with h_0 = ln, h_1 = 2 ln; FD error bound 5 h^2 + slack
         h = log_field.grid.spacing[0]
-        r = symmetry.slutsky_ratio(log_field, 1, 0, a)
+        r = symmetry.slutsky_ratio(log_field, 1, 0, [a])[0]
         assert abs(r - a[1] / (2.0 * a[0])) <= 5.0 * h**2 + 1e-4
 
 
@@ -67,25 +100,32 @@ class TestDalyZachary:
         )
         assert edge_dist <= 0.75
 
-    def test_batched_report_matches_pointwise_loop(self, log_field):
-        # reference: slutsky_ratio per point, skipping degenerate denominators
-        # and keeping the first point of largest deviation; the threshold at
-        # the median |dq_2/da_0| makes about half the points degenerate
-        pts = 1.0 + 3.0 * np.random.default_rng(4).random((40, 3))
-        eps = float(np.median(np.abs(log_field.fd_stencil(2, (0,), pts))))
-        rep = symmetry.test_daly_zachary(log_field, points=pts, eps_denom=eps)
+    def test_batched_report_matches_pointwise_loop(self, log_field, monkeypatch):
+        # reference: one fd_stencil call per point and per partial, skipping
+        # degenerate denominators and keeping the first point of largest
+        # deviation; the threshold at the median |dq_2/da_0| over the sample
+        # makes about half the points degenerate for the pairs with alternative 2
+        f, n_points, seed = log_field, 40, 4
+        rng = np.random.default_rng(seed)
+        lo = np.asarray(f.grid.lower) + np.asarray(f.grid.spacing)
+        hi = np.asarray(f.grid.upper) - np.asarray(f.grid.spacing)
+        pts = lo + rng.random((n_points, 3)) * (hi - lo)
+        thr = median_denominator_threshold(f, monkeypatch, f.fd_stencil(2, (0,), pts))
+        rep = symmetry.test_daly_zachary(f, n_points=n_points, seed=seed)
+        assert rep.n_points == n_points
         for key, stat in rep.pair_stats.items():
             k, l = map(int, key.split(","))
             devs, locs = [], []
             for p in pts:
-                try:
-                    devs.append(abs(symmetry.slutsky_ratio(log_field, k, l, p, eps) - 1.0))
-                except DegeneratePointError:
+                den = f.fd_stencil(l, (k,), p[None])[0]
+                if abs(den) < thr:
                     continue
+                devs.append(abs(f.fd_stencil(k, (l,), p[None])[0] / den - 1.0))
                 locs.append(p.tolist())
             assert stat["n_used"] == len(devs)
             assert stat["statistic"] == max(devs)
             assert stat["location"] == locs[int(np.argmax(devs))]
+        assert rep.pair_stats["0,2"]["n_used"] < n_points
 
     def test_single_pair_exact_point(self):
         g = field.GridSpec((-1.0, -1.0), (1.0, 1.0), (11, 11))
@@ -93,8 +133,8 @@ class TestDalyZachary:
         logits = np.stack([mesh[0], mesh[1]], axis=-1)
         w = np.exp(logits)
         f = field.ProbabilityField(g, w / w.sum(axis=-1, keepdims=True))
-        rep = symmetry.test_daly_zachary(f, points=[(0.0, 0.0)], tol=1e-6)
-        assert rep.passed
+        assert abs(symmetry.slutsky_ratio(f, 0, 1, [(0.0, 0.0)])[0] - 1.0) <= 1e-6
+        assert symmetry.test_daly_zachary(f, tol=1e-6).passed
 
 
 class TestConditionA:
