@@ -8,18 +8,16 @@ simulation of the argmax.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, GridMismatchError, NoClosedFormError, ValidationError
-from .field import GridSpec, ProbabilityField
+from .field import GridSpec, ProbabilityField, axis0_slabs
 
 _MONOTONE_SAMPLES = 65
-# offer-draw pairs per Monte Carlo chunk: four (chunk, n) work arrays,
-# about 1.2 MiB together, stay in a 2 MiB L2 cache
-_CHUNK_ENTRIES = 2**16
 
 UTILITY_KINDS = ("linear", "log", "power", "polynomial")
 NOISE_KINDS = ("gumbel_iid", "gaussian_iid", "gaussian_correlated")
@@ -203,12 +201,21 @@ class ChoiceModelSpec:
             fh.write("\n")
 
 
-def _softmax_inplace(logits: np.ndarray) -> np.ndarray:
-    """Turn a writable (..., J+1) logit buffer into probabilities, in place."""
-    logits -= logits.max(axis=-1, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
-    return logits
+def _softmax(planes, values: np.ndarray) -> np.ndarray:
+    """Write the softmax over k of the logit planes, which broadcast to
+    values.shape[:-1], into values[..., k]. Per slab of axis 0: the running
+    maximum over k, exp(u_k - m) and their sum in k order, divided straight
+    into values; nothing reduces over the trailing axis. The bits equal a
+    trailing-axis softmax."""
+    nodes = values.shape[:-1]
+    planes = [np.broadcast_to(p, nodes) for p in planes]
+    for s in axis0_slabs(nodes):
+        m = functools.reduce(np.maximum, [u[s] for u in planes])
+        e = [np.exp(u[s] - m) for u in planes]
+        total = sum(e)
+        for k, ek in enumerate(e):
+            np.divide(ek, total, out=values[s, ..., k])
+    return values
 
 
 def choice_prob_closed_form(model: ChoiceModelSpec, a) -> np.ndarray:
@@ -222,10 +229,8 @@ def choice_prob_closed_form(model: ChoiceModelSpec, a) -> np.ndarray:
         raise ValidationError("offer vector length must equal alternative count")
     for j, aj in enumerate(a):
         model.require_in_domain(j, float(aj))
-    logits = np.array(
-        [u.value(aj) for u, aj in zip(model.utilities, a)]
-    ) / model.noise.scale
-    return _softmax_inplace(logits)
+    logits = [u.value(aj) / model.noise.scale for u, aj in zip(model.utilities, a)]
+    return _softmax(logits, np.empty((1, len(a))))[0]
 
 
 def _noise_draws(model: ChoiceModelSpec, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -279,10 +284,7 @@ def choice_prob_monte_carlo(model: ChoiceModelSpec, a, n: int, seed: int) -> np.
         base[:, j] = u.value(offers[:, j])
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     eps = np.ascontiguousarray(_noise_draws(model, rng, n).T)
-    rows = max(1, _CHUNK_ENTRIES // n)
-    counts = np.concatenate(
-        [_winner_counts(base[s : s + rows], eps) for s in range(0, len(base), rows)]
-    )
+    counts = np.concatenate([_winner_counts(base[s], eps) for s in axis0_slabs((len(base), n))])
     q = counts / float(n)
     return q if a.ndim == 2 else q[0]
 
@@ -307,12 +309,12 @@ def tabulate(
             raise NoClosedFormError(
                 f"no closed form for noise kind {model.noise.kind!r}; use Monte Carlo"
             )
-        values = np.empty(grid.counts + (grid.dims,))
-        for k, (u, ax) in enumerate(zip(model.utilities, grid.axes())):
-            shape = [1] * grid.dims
-            shape[k] = -1
-            values[..., k] = (u.value(ax) / model.noise.scale).reshape(shape)
-        _softmax_inplace(values)
+        # axis k's logit vector, shaped (n_k, 1, ..., 1) to broadcast along axis k
+        logits = [
+            (u.value(ax) / model.noise.scale).reshape((-1,) + (1,) * (grid.dims - 1 - k))
+            for k, (u, ax) in enumerate(zip(model.utilities, grid.axes()))
+        ]
+        values = _softmax(logits, np.empty(grid.counts + (grid.dims,)))
         provenance = f"closed_form:{model_hash(model)}"
     elif method == "monte_carlo":
         offers = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1)
@@ -332,12 +334,8 @@ def tabulate_from_utilities(grid: GridSpec, utilities) -> ProbabilityField:
     terms that break condition-A style restrictions).
     """
     mesh = np.meshgrid(*grid.axes(), indexing="ij")
-    values = np.empty(grid.counts + (len(utilities),))
-    for j, u in enumerate(utilities):
-        values[..., j] = u(mesh)
-    return ProbabilityField(
-        grid=grid, values=_softmax_inplace(values), provenance="custom_softmax"
-    )
+    values = _softmax([u(mesh) for u in utilities], np.empty(grid.counts + (len(utilities),)))
+    return ProbabilityField(grid=grid, values=values, provenance="custom_softmax")
 
 
 def model_hash(model: ChoiceModelSpec) -> str:

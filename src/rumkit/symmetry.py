@@ -281,6 +281,8 @@ def fit_ratio_sieve(
             f"{len(terms)} basis terms but only {len(aj)} usable samples"
         )
     if basis == "log_polynomial":
+        if np.any(aj <= 0) or np.any(am <= 0):
+            raise ValidationError("log_polynomial basis requires positive coordinates a_j, a_m")
         if np.any(r <= 0):
             raise NegativeRatioError(
                 "log_polynomial basis requires strictly positive ratio samples"

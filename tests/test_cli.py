@@ -187,6 +187,23 @@ class TestCheck:
 
 
 class TestIdentify:
+    def test_log_basis_on_nonpositive_axes_is_input_error(self, tmp_path, capfd,
+                                                          lin_model_json):
+        code = run(
+            "simulate", "--model", lin_model_json, "--out", str(tmp_path),
+            "--grid=-6:6:21", "--grid=-6:6:21", "--grid=-6:6:21",
+        )
+        assert code == EXIT_PASS
+        capfd.readouterr()
+        code = run(
+            "identify", "--field", str(tmp_path / "field.csv"), "--out", str(tmp_path),
+            "--basis", "log_polynomial", "--force",
+        )
+        out, err = capfd.readouterr()
+        assert code == EXIT_INPUT_ERROR
+        assert "input error:" in err and "positive coordinates" in err
+        assert "DLASCL" not in out + err
+
     def test_linear_field_artifacts(self, tmp_path, lin_field_csv):
         code = run(
             "identify", "--field", lin_field_csv, "--out", str(tmp_path),
@@ -573,7 +590,7 @@ class TestConvert:
         assert not (tmp_path / "out" / "field_py.csv").exists()
 
     @pytest.mark.parametrize("direction", ["price_to_a", "a_to_price"])
-    def test_rows_not_summing_to_one_rejected(self, tmp_path, direction):
+    def test_rows_not_summing_to_one_rejected(self, tmp_path, capsys, direction):
         src = tmp_path / "prices.csv"
         self.make_price_csv(src)
         if direction == "a_to_price":
@@ -585,8 +602,10 @@ class TestConvert:
         lines[3] = ",".join(cells)
         src.write_text("\n".join(lines) + "\n")
         out = tmp_path / "out"
+        capsys.readouterr()
         code = run("convert", "--field", str(src), "--direction", direction, "--out", str(out))
         assert code == EXIT_INPUT_ERROR
+        assert "input error: field rows must sum to 1" in capsys.readouterr().err
         assert not any(out.glob("field_*.csv"))
 
 

@@ -46,11 +46,11 @@ class TestGridSpec:
 
 
 class TestNonFinite:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_constructor_rejects(self, bad):
         values = np.full((5, 5, 2), 0.5)
         values[2, 3, 1] = bad
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="finite"):
             field.ProbabilityField(grid=half_field().grid, values=values)
 
     def test_csv_nan_cell_rejected(self, tmp_path):
@@ -58,6 +58,46 @@ class TestNonFinite:
         write_nan_field_csv(path)
         with pytest.raises(ValidationError):
             field.read_field_csv(path)
+
+
+def with_rows(rows):
+    """half_field's values with the given (q_0, q_1) rows put at nodes (1, k)."""
+    values = np.full((5, 5, 2), 0.5)
+    for k, row in enumerate(rows):
+        values[1, k] = row
+    return values
+
+
+class TestProbabilityRows:
+    @pytest.mark.parametrize(
+        "rows",
+        [[(-1e-9, 1.0 + 1e-9)], [(1.0 + 1e-9, 0.0)], [(0.45, 0.45), (1.0 + 1e-9, 0.0)]],
+        ids=["below_0", "above_1", "range_before_sum"],
+    )
+    def test_entry_outside_unit_interval(self, rows):
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            field.ProbabilityField(grid=half_field().grid, values=with_rows(rows))
+
+    def test_row_summing_to_point_nine(self):
+        with pytest.raises(ValidationError, match="sum to 1"):
+            field.ProbabilityField(grid=half_field().grid, values=with_rows([(0.45, 0.45)]))
+
+    def test_nan_reported_before_bad_sum(self):
+        # one row holds a NaN and the sum of another is 0.9: finiteness comes first
+        values = with_rows([(np.nan, 0.2), (0.45, 0.45)])
+        with pytest.raises(ValidationError, match="finite"):
+            field.ProbabilityField(grid=half_field().grid, values=values)
+
+    @pytest.mark.parametrize("node", [(0, 0), (2, 1), (4, 4)])
+    def test_every_slab_is_summed(self, monkeypatch, node):
+        # slabs of 2 rows of axis 0 (10 nodes): the last one is ragged
+        monkeypatch.setattr(field, "_CHUNK_ENTRIES", 10)
+        values = np.full((5, 5, 2), 0.5)
+        values[node] = (0.5, 0.5 - 2e-9)
+        with pytest.raises(ValidationError, match="sum to 1"):
+            field.check_probability_rows(values)
+        values[node] = (0.5, 0.5 - 5e-10)
+        field.check_probability_rows(values)
 
 
 class TestContentHash:

@@ -225,7 +225,7 @@ class TestTabulate:
             domain=((-1.0, 3.0),) * 4,
         )
         monkeypatch.setattr(model, "_noise_draws", lambda *args: eps.T.copy())
-        monkeypatch.setattr(model, "_CHUNK_ENTRIES", 3 * 300)
+        monkeypatch.setattr(field, "_CHUNK_ENTRIES", 3 * 300)
         assert np.array_equal(model.choice_prob_monte_carlo(m, base, 300, 0), want / 300.0)
 
     def test_monte_carlo_peak_memory_bounded(self, m_lin):
@@ -245,6 +245,110 @@ class TestTabulate:
         grid = field.GridSpec((0.0001,) * 3, (4.0,) * 3, (5,) * 3)
         with pytest.raises(GridMismatchError):
             model.tabulate(m_log, grid)
+
+
+def reference_softmax(logits):
+    """The softmax along the trailing axis, written out with its reductions."""
+    logits = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    return logits / logits.sum(axis=-1, keepdims=True)
+
+
+def mesh_logits(m, grid):
+    """(..., J+1) logits u_k(a_k) / scale on every node of grid."""
+    mesh = np.meshgrid(*grid.axes(), indexing="ij")
+    return np.stack(
+        [u.value(a) / m.noise.scale for u, a in zip(m.utilities, mesh)], axis=-1
+    )
+
+
+# per alternative k: kinds whose sub-utilities increase on [0.5, 4]
+KIND_PARAMS = {
+    "linear": lambda k: (0.1 * k, 1.0 + 0.5 * k),
+    "log": lambda k: (1.0 + 0.5 * k,),
+    "power": lambda k: (1.0 + 0.2 * k, 0.5 + 0.5 * k),
+    "polynomial": lambda k: (0.1 * k, 1.0, 0.3 * k),
+}
+
+
+class TestSoftmaxKernel:
+    @pytest.mark.parametrize("kind", sorted(KIND_PARAMS))
+    @pytest.mark.parametrize("J", [1, 2, 3])
+    @pytest.mark.parametrize("chunk", [None, 7], ids=["default_slabs", "ragged_slabs"])
+    def test_tabulate_equals_trailing_axis_softmax(self, monkeypatch, kind, J, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(field, "_CHUNK_ENTRIES", chunk)
+        m = model.ChoiceModelSpec(
+            utilities=tuple(
+                model.UtilityPrimitive(kind, KIND_PARAMS[kind](k)) for k in range(J + 1)
+            ),
+            noise=model.NoiseSpec("gumbel_iid", 0.7),
+            domain=((0.5, 4.0),) * (J + 1),
+        )
+        grid = field.GridSpec((0.5,) * (J + 1), (4.0,) * (J + 1), (9, 6, 5, 5)[: J + 1])
+        f = model.tabulate(m, grid)
+        assert np.array_equal(f.values, reference_softmax(mesh_logits(m, grid)))
+
+    def test_mixed_kinds_j3(self):
+        m = model.ChoiceModelSpec(
+            utilities=(
+                model.UtilityPrimitive("power", (1.0, 1.5)),
+                model.UtilityPrimitive("power", (2.0, 0.5)),
+                model.UtilityPrimitive("linear", (0.0, 1.0)),
+                model.UtilityPrimitive("log", (1.0,)),
+            ),
+            noise=model.NoiseSpec("gumbel_iid", 1.0),
+            domain=((1.0, 4.0),) * 4,
+        )
+        grid = field.GridSpec((1.0,) * 4, (1.5,) * 4, (21,) * 4)
+        f = model.tabulate(m, grid)
+        assert np.array_equal(f.values, reference_softmax(mesh_logits(m, grid)))
+
+    def test_planted_field_equals_trailing_axis_softmax(self, planted_interaction_field):
+        grid = planted_interaction_field.grid
+        mesh = np.meshgrid(*grid.axes(), indexing="ij")
+        logits = np.stack([mesh[0], mesh[1] + 0.3 * mesh[1] * mesh[2], mesh[2]], axis=-1)
+        assert np.array_equal(planted_interaction_field.values, reference_softmax(logits))
+
+    def test_closed_form_equals_tabulate_at_nodes(self, m_log):
+        grid = field.GridSpec((0.5,) * 3, (4.0,) * 3, (8,) * 3)
+        f = model.tabulate(m_log, grid)
+        axes = grid.axes()
+        for idx in [(0, 0, 0), (7, 0, 3), (2, 5, 7), (7, 7, 7)]:
+            node = [axes[k][i] for k, i in enumerate(idx)]
+            q = model.choice_prob_closed_form(m_log, node)
+            assert np.array_equal(q, f.values[idx])
+            logits = np.array([u.value(a) for u, a in zip(m_log.utilities, node)])
+            assert np.array_equal(q, reference_softmax(logits))
+
+    def test_sharp_noise_does_not_overflow(self):
+        # scale 0.01 on [-10, 10]: logits reach +-1000, and exp would overflow
+        # without the running maximum
+        m = lin_model()
+        m = model.ChoiceModelSpec(m.utilities, model.NoiseSpec("gumbel_iid", 0.01), m.domain)
+        grid = field.GridSpec((-10.0,) * 3, (10.0,) * 3, (41,) * 3)
+        q = model.tabulate(m, grid).values
+        assert np.all(np.isfinite(q))
+        assert np.max(np.abs(q.sum(axis=-1) - 1.0)) <= 1e-12
+        a = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1)
+        # exp(-gap / 0.01) underflows to 0 once the gap exceeds about 7.5
+        dominated = a.max(axis=-1, keepdims=True) - a > 7.6
+        assert dominated.any()
+        assert np.all(q[dominated] == 0.0)
+        assert np.all(q[a == a.max(axis=-1, keepdims=True)] > 0.0)
+
+    def test_tabulate_peak_memory_bounded(self, m_lin):
+        # the softmax and the row check work in slabs, so no temporary is as
+        # large as a value plane (16 MiB on this 2M-node field); a full-size
+        # row-sum array alone would exceed the bound
+        grid = field.GridSpec((-1.0,) * 3, (1.0,) * 3, (128,) * 3)
+        tracemalloc.start()
+        try:
+            f = model.tabulate(m_lin, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < f.values.nbytes + 8 * 2**20
 
 
 class TestSerialization:

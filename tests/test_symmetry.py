@@ -203,6 +203,20 @@ class TestSieve:
         with pytest.raises(NegativeRatioError):
             symmetry.fit_ratio_sieve(f, 1, 0, basis="log_polynomial", degree=1)
 
+    @pytest.mark.parametrize(
+        "lower", [(-6.0, -6.0, -6.0), (-6.0, 0.5, 0.5), (0.5, -6.0, 0.5)],
+        ids=["both", "a_m", "a_j"],
+    )
+    def test_log_basis_rejects_nonpositive_coordinates(self, capfd, m_lin, lower):
+        # ln a of a coordinate <= 0 is NaN or -inf; it must be refused before
+        # LAPACK sees it (no DLASCL message, no numpy LinAlgError)
+        g = field.GridSpec(lower, (6.0,) * 3, (21,) * 3)
+        f = model.tabulate(m_lin, g)
+        with pytest.raises(ValidationError, match="positive coordinates"):
+            symmetry.fit_ratio_sieve(f, 1, 0, basis="log_polynomial", degree=1)
+        out, err = capfd.readouterr()
+        assert "DLASCL" not in out + err
+
     def test_daly_zachary_pass_implies_constant_sieve(self, lin_field):
         # the no-income-effects aside: symmetric fields have ratio == 1
         rep = symmetry.test_daly_zachary(lin_field, tol=0.01)
