@@ -36,38 +36,56 @@ def axis_is_log(lo: float, hi: float) -> bool:
     return lo > 0 and hi / lo > 20.0
 
 
-def _invert_monotone_vec(ev, fixed, targets: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Safeguarded Newton: solve ev(x, fixed, 0) = targets elementwise on [lo, hi].
+def _invert_monotone_vec(ev, fixed, targets: np.ndarray, knots: np.ndarray) -> np.ndarray:
+    """Safeguarded Newton: solve ev(x, fixed, 0) = targets elementwise on the knots' span.
 
     ev(x, fixed, d) returns the d-th derivative in x (d = 0 or 1) of f(x) =
-    ev(x, fixed, 0) at abscissae x and fixed coordinates of the same shape,
-    elementwise; fixed is broadcast to targets' shape once. Each entry is
+    ev(x, fixed, 0) at abscissae x and fixed coordinates that broadcast
+    together, elementwise; fixed broadcasts to targets' shape. knots is an
+    increasing 1-D array and [knots[0], knots[-1]] the bracket. Each entry is
     monotone in its own direction (one batch may mix rising and falling
-    entries). An entry starts at the secant root between f(lo) and f(hi) and
-    takes Newton steps inside its bracket, bisecting when a step would leave
-    the bracket or the slope is zero or not finite (Numerical Recipes, section
+    entries). f is evaluated once at every knot for each fixed row; an entry
+    starts at the secant root of its own cell [knots[k - 1], knots[k]], k >= 1
+    the first knot where f has reached the target in the entry's direction,
+    and takes Newton steps inside that bracket, bisecting when a step would
+    leave it or the slope is zero or not finite (Numerical Recipes, section
     9.4, rtsafe). Every evaluated point becomes a bracket end, so the bracket
     shrinks each round. An entry stops on its own: on an exact hit, a step of
     at most _INVERT_STEP_RTOL (1 + |x|) or a bracket of at most _INVERT_TOL;
     only the entries still running are evaluated.
 
-    A target below both f(lo) and f(hi) comes back -inf, one above both +inf:
-    the sign says on which side of the attained range the level misses. A NaN
+    A target below both end values comes back -inf, one above both +inf: the
+    sign says on which side of the attained range the level misses. A NaN
     target stays NaN.
     """
     targets = np.asarray(targets, dtype=float)
-    fixed = np.broadcast_to(fixed, targets.shape)
-    f_lo = ev(np.full_like(targets, lo), fixed, 0)
-    f_hi = ev(np.full_like(targets, hi), fixed, 0)
+    fixed = np.asarray(fixed)
+    knots = np.asarray(knots, dtype=float)
+    # one row of knot values per distinct fixed coordinate, found by row index
+    table = np.broadcast_to(ev(knots, fixed[..., None], 0), fixed.shape + knots.shape)
+    table = table.reshape(-1, len(knots))
+    rows = np.broadcast_to(np.arange(len(table)).reshape(fixed.shape), targets.shape)
+    f_lo, f_hi = table[rows, 0], table[rows, -1]
     below = targets < np.minimum(f_lo, f_hi)
     above = targets > np.maximum(f_lo, f_hi)
     out = np.select([below, above], [-np.inf, np.inf], np.nan)
     flat = out.reshape(-1)
     idx = np.flatnonzero(~(below | above | np.isnan(targets)))
-    t, fx, f0, f1 = (np.ravel(arr)[idx] for arr in (targets, fixed, f_lo, f_hi))
-    sign = np.where(f1 >= f0, 1.0, -1.0)
-    a = np.full(idx.size, float(lo))
-    b = np.full(idx.size, float(hi))
+    t, row = (np.ravel(arr)[idx] for arr in (targets, rows))
+    fx = np.ravel(fixed)[row]
+    sign = np.where(table[row, -1] >= table[row, 0], 1.0, -1.0)
+    # k: the first knot past 0 where sign (f - t) >= 0, searched on the open entries
+    k = np.full(idx.size, len(knots) - 1)
+    open_ = np.arange(idx.size)
+    for j in range(1, len(knots) - 1):
+        hit = sign[open_] * (table[row[open_], j] - t[open_]) >= 0.0
+        k[open_[hit]] = j
+        open_ = open_[~hit]
+        if not open_.size:
+            break
+    lo, hi = knots[k - 1], knots[k]
+    f0, f1 = table[row, k - 1], table[row, k]
+    a, b = lo, hi
     with np.errstate(divide="ignore", invalid="ignore"):
         x = lo + (t - f0) * ((hi - lo) / (f1 - f0))
         x = np.where(np.isfinite(x), np.clip(x, lo, hi), 0.5 * (lo + hi))
@@ -136,7 +154,7 @@ def _hermite_crossing(y0, y1, m0, m1, h, target):
         )
 
     states = np.arange(y0.size)
-    theta = _invert_monotone_vec(ev, states, np.full(y0.size, float(target)), 0.0, 1.0)
+    theta = _invert_monotone_vec(ev, states, np.full(y0.size, float(target)), np.array([0.0, 1.0]))
     miss = np.abs(ev(theta, states, 0) - target)
     if np.any(miss > 1e-9 * (1.0 + abs(target))):
         raise NumericalFailure(
@@ -292,9 +310,8 @@ class OmegaFunction:
         shape (n, m) against a_j of shape (n, 1) inverts one row of levels per
         a_j in one call.
         """
-        _, (a0_lo, a0_hi) = self.domain
         return _invert_monotone_vec(
-            lambda x, aj, d: self._spline.ev(aj, x, dy=d), a_j, v, a0_lo, a0_hi
+            lambda x, aj, d: self._spline.ev(aj, x, dy=d), a_j, v, self.a0_lattice
         )
 
     def invert_aj_many(self, v: np.ndarray, a_0) -> np.ndarray:
@@ -305,9 +322,8 @@ class OmegaFunction:
         broadcasts to v's shape, e.g. v of shape (n_ref, n_v) against a_0 of
         shape (n_ref, 1) inverts every level at every reference in one call.
         """
-        (aj_lo, aj_hi), _ = self.domain
         return _invert_monotone_vec(
-            lambda x, a0, d: self._spline.ev(x, a0, dx=d), a_0, v, aj_lo, aj_hi
+            lambda x, a0, d: self._spline.ev(x, a0, dx=d), a_0, v, self.aj_lattice
         )
 
     def export_csv(self, path, n: int = 101) -> None:

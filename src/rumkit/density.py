@@ -179,6 +179,39 @@ def _level_map(omegas, v_axes, references, bounds) -> list:
     return out
 
 
+def _deepest_reference(depth, on_node):
+    """Per v-node, the first deepest reference and whether any is valid.
+
+    depth[j][c, i] is how deep reference c maps level i of axis j inside its
+    bounds, in [0, 0.5], or -1 where it misses. A node's score under c is its
+    shallowest axis; a valid node reference (on_node[c]) beats every off-node
+    one. The references are folded in order with a strict >, so the first of
+    equal keys wins as argmax does, and no (n_ref,) + lattice array is formed.
+    """
+    shape = tuple(d.shape[1] for d in depth)
+    planes = [
+        d.reshape((len(d),) + tuple(n if i == j else 1 for i, n in enumerate(shape)))
+        for j, d in enumerate(depth)
+    ]
+    score = np.empty(shape)
+    key = np.empty(shape)
+    best_key = np.full(shape, -np.inf)
+    best_score = np.full(shape, -np.inf)
+    first = np.zeros(shape, dtype=np.intp)
+    for c, node in enumerate(on_node):
+        np.copyto(score, planes[0][c])
+        for p in planes[1:]:
+            np.minimum(score, p[c], out=score)
+        np.maximum(best_score, score, out=best_score)
+        np.copyto(key, score)
+        if node:
+            np.add(key, 2.0, out=key, where=score >= 0.0)  # depth spans [0, 0.5]
+        better = key > best_key
+        np.copyto(best_key, key, where=better)
+        np.copyto(first, c, where=better)
+    return first, best_score >= 0.0
+
+
 def reconstruct_density(field: ProbabilityField, omegas, v_grid, via: int = 0) -> DensityGrid:
     """Density grid over v_grid (tuple of axes) from the field and omega maps.
 
@@ -208,25 +241,16 @@ def reconstruct_density(field: ProbabilityField, omegas, v_grid, via: int = 0) -
     inv = _level_map(omegas, v_grid, candidates, bounds)  # inv[j]: (n_cand, n_v_j)
     shape = tuple(len(ax) for ax in v_grid)
 
-    # score each candidate per node by how deep every inverted coordinate
-    # sits inside its axis; pick the deepest, mask nodes with no valid choice
-    score = np.full((len(candidates),) + shape, np.inf)
+    # how deep every inverted coordinate sits inside its axis, -1 where it misses
+    depth = []
     for j, (lo, hi) in enumerate(bounds):
         b = inv[j]
         if axis_is_log(lo, hi):
             m = np.minimum(np.log(b / lo), np.log(hi / b)) / np.log(hi / lo)
         else:
             m = np.minimum(b - lo, hi - b) / (hi - lo)
-        m = np.where(np.isnan(m), -1.0, m)
-        reshape = [len(candidates)] + [1] * J
-        reshape[1 + j] = shape[j]
-        score = np.minimum(score, m.reshape(reshape))
-    # any valid node reference beats every off-node one (depth spans [0, 0.5])
-    bonus = np.where(
-        (score >= 0.0) & node_mask.reshape((-1,) + (1,) * J), 2.0, 0.0
-    )
-    first = np.argmax(score + bonus, axis=0)
-    support = np.max(score, axis=0) >= 0.0
+        depth.append(np.where(np.isnan(m), -1.0, m))
+    first, support = _deepest_reference(depth, node_mask)
     if not support.any():
         raise SupportError("no v-node maps into the field interior")
 

@@ -8,7 +8,6 @@ simulation of the argmax.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 
@@ -204,17 +203,26 @@ class ChoiceModelSpec:
 def _softmax(planes, values: np.ndarray) -> np.ndarray:
     """Write the softmax over k of the logit planes, which broadcast to
     values.shape[:-1], into values[..., k]. Per slab of axis 0: the running
-    maximum over k, exp(u_k - m) and their sum in k order, divided straight
-    into values; nothing reduces over the trailing axis. The bits equal a
-    trailing-axis softmax."""
+    maximum over k, exp(u_k - m) in place and their sum in k order into the
+    spent maximum, divided straight into values; nothing reduces over the
+    trailing axis, and a slab's arrays are gone before the next one's. The
+    bits equal a trailing-axis softmax."""
     nodes = values.shape[:-1]
     planes = [np.broadcast_to(p, nodes) for p in planes]
     for s in axis0_slabs(nodes):
-        m = functools.reduce(np.maximum, [u[s] for u in planes])
-        e = [np.exp(u[s] - m) for u in planes]
-        total = sum(e)
+        m = planes[0][s].copy()
+        for u in planes[1:]:
+            np.maximum(m, u[s], out=m)
+        e = [np.subtract(u[s], m) for u in planes]
+        for ek in e:
+            np.exp(ek, out=ek)
+        # the maximum is spent: its buffer takes the sum, in k order
+        np.copyto(m, e[0])
+        for ek in e[1:]:
+            np.add(m, ek, out=m)
         for k, ek in enumerate(e):
-            np.divide(ek, total, out=values[s, ..., k])
+            np.divide(ek, m, out=values[s, ..., k])
+        del m, e, ek
     return values
 
 

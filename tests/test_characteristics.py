@@ -354,6 +354,9 @@ def _bisect_reference(f, targets, lo, hi):
     return np.select([below, above, np.isnan(targets)], [-np.inf, np.inf, np.nan], 0.5 * (a + b))
 
 
+_UNIT = np.array([0.0, 1.0])
+
+
 def _linear_ev(x, rising, d):
     # f = x on rising entries, 1 - x on falling ones
     return np.where(rising, 1.0, -1.0) if d else np.where(rising, x, 1.0 - x)
@@ -375,9 +378,9 @@ class TestInvertMonotone:
         # in its own direction, as a single-row call does
         rising = np.array([[True], [False]])
         targets = np.array([targets, targets])
-        batch = characteristics._invert_monotone_vec(_linear_ev, rising, targets, 0.0, 1.0)
+        batch = characteristics._invert_monotone_vec(_linear_ev, rising, targets, _UNIT)
         rows = [
-            characteristics._invert_monotone_vec(_linear_ev, r, targets[i], 0.0, 1.0)
+            characteristics._invert_monotone_vec(_linear_ev, r, targets[i], _UNIT)
             for i, r in enumerate((True, False))
         ]
         assert np.array_equal(batch, np.stack(rows), equal_nan=True)
@@ -396,9 +399,52 @@ class TestInvertMonotone:
             return np.maximum(x, 0.0) ** 2
 
         targets = np.array([0.25, 0.01, 0.16])
-        x = characteristics._invert_monotone_vec(ev, 0.0, targets, -1.0, 1.0)
+        x = characteristics._invert_monotone_vec(ev, 0.0, targets, np.array([-1.0, 1.0]))
         assert zero_slopes[0] == len(targets)
         assert np.allclose(x, np.sqrt(targets), rtol=0, atol=1e-9)
+
+    def test_many_knots_match_two_knots(self):
+        # rows alternate rising and falling, with a curvature per row; seeding
+        # from 17 knots changes the start, not the root or the miss pattern
+        rng = np.random.default_rng(5)
+        rising = np.arange(6) % 2 == 0
+        power = np.linspace(0.5, 3.0, 6)
+        rows = np.arange(6)[:, None]
+
+        def ev(x, i, d):
+            # row i: x^p rising or 1 - x^p falling
+            p = power[i]
+            g = p * x ** (p - 1.0) if d else x ** p
+            return np.where(rising[i], g, -g if d else 1.0 - g)
+
+        targets = rng.uniform(-0.2, 1.2, (6, 50))
+        targets[2, 7] = np.nan
+        two = characteristics._invert_monotone_vec(ev, rows, targets, _UNIT)
+        many = characteristics._invert_monotone_vec(ev, rows, targets, np.linspace(0.0, 1.0, 17))
+        for pattern in (np.isnan, np.isposinf, np.isneginf):
+            assert np.array_equal(pattern(many), pattern(two))
+        fin = np.isfinite(two)
+        assert fin.sum() > targets.size // 2
+        assert np.max(np.abs(many[fin] - two[fin])) <= 1e-12
+
+    def test_flat_stretch_over_several_knots(self):
+        # f = max(x, 0)^2 is flat on the first five of the nine knots
+        def ev(x, _, d):
+            return 2.0 * np.maximum(x, 0.0) if d else np.maximum(x, 0.0) ** 2
+
+        targets = np.array([0.25, 0.01, 0.16, 1e-6, 0.0, 1.0])
+        x = characteristics._invert_monotone_vec(ev, 0.0, targets, np.linspace(-1.0, 1.0, 9))
+        assert np.all(np.abs(ev(x, 0.0, 0) - targets) <= 1e-9)
+        assert np.allclose(x[:4], np.sqrt(targets[:4]), rtol=0, atol=1e-9)
+
+    def test_target_at_a_knot_returns_that_knot(self):
+        knots = np.geomspace(0.1, 10.0, 11)
+
+        def ev(x, _, d):
+            return 1.0 / x + 1.0 if d else np.log(x) + x
+
+        x = characteristics._invert_monotone_vec(ev, 0.0, ev(knots, 0.0, 0), knots)
+        assert np.allclose(x, knots, rtol=1e-12, atol=0)
 
 
 @pytest.fixture(scope="module")
@@ -449,4 +495,23 @@ class TestNewtonMatchesBisection:
             lambda x: om._spline.ev(x, np.broadcast_to(a0, x.shape)), v, aj_lo, aj_hi
         )
         self._assert_match(om.invert_aj_many(v, a0), ref)
+
+    def test_lattice_seed_needs_few_value_rounds(self, wide_log_omega, monkeypatch):
+        # seeded in its own lattice cell, each level converges in a few
+        # Newton rounds; the knot table is one of the counted calls
+        om = wide_log_omega
+
+        class Counting:
+            values = 0
+
+            def ev(self, x, y, dx=0, dy=0):
+                Counting.values += dx == dy == 0
+                return spline.ev(x, y, dx=dx, dy=dy)
+
+        spline = om._spline
+        monkeypatch.setattr(om, "_spline", Counting())
+        (_, _), (a0_lo, a0_hi) = om.domain
+        a0 = np.geomspace(a0_lo, a0_hi, 40)[:, None]
+        om.invert_aj_many(np.broadcast_to(self._levels(om, 301), (40, 301)), a0)
+        assert Counting.values <= 6
 

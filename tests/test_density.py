@@ -1,5 +1,7 @@
 """Heterogeneity CDF and density reconstruction from field + omega maps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,89 @@ class TestDensityGridValidation:
             density.DensityGrid(
                 axes=tuple(axes), support_mask=np.ones((5, 5), dtype=bool), **arrays
             )
+
+
+def cube_selection(depth, on_node):
+    """The reference choice as a (candidates,) + lattice cube: bonus, argmax, max."""
+    shape = tuple(d.shape[1] for d in depth)
+    score = np.full((len(on_node),) + shape, np.inf)
+    for j, d in enumerate(depth):
+        reshape = [len(on_node)] + [1] * len(shape)
+        reshape[1 + j] = shape[j]
+        score = np.minimum(score, d.reshape(reshape))
+    bonus = np.where((score >= 0.0) & on_node.reshape((-1,) + (1,) * len(shape)), 2.0, 0.0)
+    return np.argmax(score + bonus, axis=0), np.max(score, axis=0) >= 0.0
+
+
+class TestReferenceFold:
+    """The folded reference choice equals the candidate cube bit for bit."""
+
+    @staticmethod
+    def assert_same(depth, on_node):
+        got = density._deepest_reference(depth, on_node)
+        want = cube_selection(depth, on_node)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        return got
+
+    @pytest.mark.parametrize("shape", [(9,), (5, 6), (4, 3, 5)])
+    def test_exact_ties(self, shape):
+        # depths from a five-value set, so most nodes tie between candidates
+        rng = np.random.default_rng(len(shape))
+        levels = np.array([-1.0, 0.0, 0.125, 0.25, 0.5])
+        depth = [levels[rng.integers(0, 5, (7, n))] for n in shape]
+        depth[0][:, 0] = -1.0  # no candidate reaches level 0 of axis 1
+        first, support = self.assert_same(depth, np.arange(7) < 3)
+        assert support.any() and not support[0].any()
+
+    def test_valid_node_beats_deeper_off_node(self):
+        # candidate 1 is the only node one: shallow but valid, it wins column
+        # 0; in column 1 it misses and the deepest off-node candidate wins
+        depth = [
+            np.array([[0.4], [0.01], [0.5]]),
+            np.array([[0.45, 0.3], [0.02, -1.0], [0.5, 0.49]]),
+        ]
+        first, support = self.assert_same(depth, np.array([False, True, False]))
+        assert first.tolist() == [[1, 2]] and support.all()
+
+    def test_node_without_valid_candidate(self):
+        depth = [np.array([[0.2, -1.0], [0.3, -1.0]]), np.array([[0.1], [-1.0]])]
+        first, support = self.assert_same(depth, np.array([True, False]))
+        assert support.tolist() == [[True], [False]]
+        assert first.tolist() == [[0], [0]]
+
+    @pytest.mark.parametrize("via", [0, 1, 2])
+    def test_support_masks_on_narrow_field(self, narrow_density, via):
+        # the support the cube picks from the same level map, and its size
+        f, omegas, d = narrow_density
+        got = density.reconstruct_density(f, omegas, d.axes, via=via)
+        axes_a, spacing = f.grid.axes(), f.grid.spacing
+        candidates, on_node = density._interior_a0_candidates(f, margin_steps=int(via > 0))
+        bounds = [
+            (axes_a[j][0] + (j != via) * spacing[j], axes_a[j][-1] - (j != via) * spacing[j])
+            for j in (1, 2)
+        ]
+        depth = []
+        for b, (lo, hi) in zip(density._level_map(omegas, d.axes, candidates, bounds), bounds):
+            m = np.minimum(np.log(b / lo), np.log(hi / b)) / np.log(hi / lo)
+            depth.append(np.where(np.isnan(m), -1.0, m))
+        assert np.array_equal(got.support_mask, cube_selection(depth, on_node)[1])
+        assert int(got.support_mask.sum()) == (6842, 7012, 6957)[via]
+
+    def test_peak_memory_bounded(self):
+        # 105 candidate references on a 201^2 v lattice: the cube and its
+        # score + bonus copies alone would take over 100 MiB
+        f = model.tabulate(log_model(), field.GridSpec((1.0,) * 3, (4.0,) * 3, (41,) * 3))
+        omegas = analytic_omegas([(1.0, 4.0)] * 3)
+        v_grid = density.make_v_grid(omegas, n=201)
+        density.reconstruct_density(f, omegas, v_grid)  # warm the field's caches
+        tracemalloc.start()
+        try:
+            density.reconstruct_density(f, omegas, v_grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 # -- the per-reference level map as it stood before the batched one ----------
