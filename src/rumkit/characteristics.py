@@ -61,7 +61,7 @@ def _invert_monotone_vec(ev, fixed, targets: np.ndarray, knots: np.ndarray) -> n
     targets = np.asarray(targets, dtype=float)
     fixed = np.asarray(fixed)
     knots = np.asarray(knots, dtype=float)
-    # one row of knot values per distinct fixed coordinate, found by row index
+    # one row of knot values per fixed coordinate; each target finds its row by index
     table = np.broadcast_to(ev(knots, fixed[..., None], 0), fixed.shape + knots.shape)
     table = table.reshape(-1, len(knots))
     rows = np.broadcast_to(np.arange(len(table)).reshape(fixed.shape), targets.shape)
@@ -83,12 +83,11 @@ def _invert_monotone_vec(ev, fixed, targets: np.ndarray, knots: np.ndarray) -> n
         open_ = open_[~hit]
         if not open_.size:
             break
-    lo, hi = knots[k - 1], knots[k]
+    a, b = knots[k - 1], knots[k]
     f0, f1 = table[row, k - 1], table[row, k]
-    a, b = lo, hi
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = lo + (t - f0) * ((hi - lo) / (f1 - f0))
-        x = np.where(np.isfinite(x), np.clip(x, lo, hi), 0.5 * (lo + hi))
+        x = a + (t - f0) * ((b - a) / (f1 - f0))
+        x = np.where(np.isfinite(x), np.clip(x, a, b), 0.5 * (a + b))
         for _ in range(_INVERT_MAX_ITER):
             if not idx.size:
                 break

@@ -187,29 +187,27 @@ def _deepest_reference(depth, on_node):
     shallowest axis; a valid node reference (on_node[c]) beats every off-node
     one. The references are folded in order with a strict >, so the first of
     equal keys wins as argmax does, and no (n_ref,) + lattice array is formed.
+    A key is negative exactly where its score is, so the best key says
+    whether any reference is valid.
     """
     shape = tuple(d.shape[1] for d in depth)
     planes = [
         d.reshape((len(d),) + tuple(n if i == j else 1 for i, n in enumerate(shape)))
         for j, d in enumerate(depth)
     ]
-    score = np.empty(shape)
     key = np.empty(shape)
-    best_key = np.full(shape, -np.inf)
-    best_score = np.full(shape, -np.inf)
+    best = np.full(shape, -np.inf)
     first = np.zeros(shape, dtype=np.intp)
     for c, node in enumerate(on_node):
-        np.copyto(score, planes[0][c])
+        np.copyto(key, planes[0][c])
         for p in planes[1:]:
-            np.minimum(score, p[c], out=score)
-        np.maximum(best_score, score, out=best_score)
-        np.copyto(key, score)
+            np.minimum(key, p[c], out=key)
         if node:
-            np.add(key, 2.0, out=key, where=score >= 0.0)  # depth spans [0, 0.5]
-        better = key > best_key
-        np.copyto(best_key, key, where=better)
+            np.add(key, 2.0, out=key, where=key >= 0.0)  # depth spans [0, 0.5]
+        better = key > best
+        np.copyto(best, key, where=better)
         np.copyto(first, c, where=better)
-    return first, best_score >= 0.0
+    return first, best >= 0.0
 
 
 def reconstruct_density(field: ProbabilityField, omegas, v_grid, via: int = 0) -> DensityGrid:

@@ -510,7 +510,7 @@ class TestNewtonMatchesBisection:
 
         spline = om._spline
         monkeypatch.setattr(om, "_spline", Counting())
-        (_, _), (a0_lo, a0_hi) = om.domain
+        _, (a0_lo, a0_hi) = om.domain
         a0 = np.geomspace(a0_lo, a0_hi, 40)[:, None]
         om.invert_aj_many(np.broadcast_to(self._levels(om, 301), (40, 301)), a0)
         assert Counting.values <= 6

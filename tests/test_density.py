@@ -293,7 +293,10 @@ class TestReferenceFold:
         ]
         depth = []
         for b, (lo, hi) in zip(density._level_map(omegas, d.axes, candidates, bounds), bounds):
-            m = np.minimum(np.log(b / lo), np.log(hi / b)) / np.log(hi / lo)
+            if characteristics.axis_is_log(lo, hi):
+                m = np.minimum(np.log(b / lo), np.log(hi / b)) / np.log(hi / lo)
+            else:
+                m = np.minimum(b - lo, hi - b) / (hi - lo)
             depth.append(np.where(np.isnan(m), -1.0, m))
         assert np.array_equal(got.support_mask, cube_selection(depth, on_node)[1])
         assert int(got.support_mask.sum()) == (6842, 7012, 6957)[via]
