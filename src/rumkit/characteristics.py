@@ -60,7 +60,6 @@ def _invert_monotone_vec(ev, fixed, targets: np.ndarray, knots: np.ndarray) -> n
     """
     targets = np.asarray(targets, dtype=float)
     fixed = np.asarray(fixed)
-    knots = np.asarray(knots, dtype=float)
     # one row of knot values per fixed coordinate; each target finds its row by index
     table = np.broadcast_to(ev(knots, fixed[..., None], 0), fixed.shape + knots.shape)
     table = table.reshape(-1, len(knots))

@@ -496,9 +496,12 @@ class TestNewtonMatchesBisection:
         )
         self._assert_match(om.invert_aj_many(v, a0), ref)
 
-    def test_lattice_seed_needs_few_value_rounds(self, wide_log_omega, monkeypatch):
+
+class TestLatticeSeed:
+    def test_invert_aj_many_value_rounds(self, wide_log_omega, monkeypatch):
         # seeded in its own lattice cell, each level converges in a few
-        # Newton rounds; the knot table is one of the counted calls
+        # Newton rounds; the knot table is one of the counted calls (seeded
+        # between the two domain ends, this omega took 2 + 18)
         om = wide_log_omega
 
         class Counting:
@@ -512,6 +515,6 @@ class TestNewtonMatchesBisection:
         monkeypatch.setattr(om, "_spline", Counting())
         _, (a0_lo, a0_hi) = om.domain
         a0 = np.geomspace(a0_lo, a0_hi, 40)[:, None]
-        om.invert_aj_many(np.broadcast_to(self._levels(om, 301), (40, 301)), a0)
+        v = np.geomspace(om.lattice_values.min(), om.lattice_values.max(), 301)
+        om.invert_aj_many(np.broadcast_to(v, (40, 301)), a0)
         assert Counting.values <= 6
-
