@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .errors import (
     CoverageError,
@@ -228,6 +227,7 @@ class OmegaFunction:
     worst_monotone_violation: float = dc_field(init=False)
 
     def __post_init__(self):
+        from scipy.interpolate import RectBivariateSpline  # only omega builders load scipy
         d_a0 = np.diff(self.lattice_values, axis=1)
         d_aj = np.diff(self.lattice_values, axis=0)
         self.monotone_ok = bool(np.all(d_a0 > 0) and np.all(d_aj < 0))

@@ -372,20 +372,14 @@ def _resample_to_lattice(data, p_cols, y_col, q_cols, grid_specs) -> field_mod.P
     source lattice; an explicit --grid whose preimages leave it is rejected,
     so interpolation never extrapolates.
     """
-    from scipy.interpolate import RegularGridInterpolator
-
     J = len(p_cols)
-    y_vals = np.unique(data[:, y_col])
-    p_axes = [np.unique(data[:, c]) for c in p_cols]
-    shape = (len(y_vals),) + tuple(len(ax) for ax in p_axes)
-    if np.prod(shape) != len(data):
-        raise ValidationError("resampling needs a complete (y, p) lattice")
-    order = np.lexsort(
-        tuple(data[:, c] for c in reversed(p_cols)) + (data[:, y_col],)
-    )
-    q = data[order][:, q_cols].reshape(shape + (J + 1,))
-    src = (y_vals, *p_axes)
-    interp = RegularGridInterpolator(src, q)
+    src = (np.unique(data[:, y_col]), *(np.unique(data[:, c]) for c in p_cols))
+    rows = data[np.lexsort(tuple(data[:, c] for c in reversed(p_cols)) + (data[:, y_col],))]
+    mesh = np.stack(np.meshgrid(*src, indexing="ij"), axis=-1).reshape(-1, J + 1)
+    if not np.array_equal(rows[:, [y_col, *p_cols]], mesh):
+        raise ValidationError("resampling needs a complete (y, p) lattice, each node once")
+    q = rows[:, q_cols].reshape(tuple(map(len, src)) + (J + 1,))
+    y_vals, p_axes = src[0], src[1:]
     if grid_specs:
         grid = _parse_grid(grid_specs)
     else:
@@ -399,14 +393,12 @@ def _resample_to_lattice(data, p_cols, y_col, q_cols, grid_specs) -> field_mod.P
         lower = [y_lo] + [y_hi - ax[-1] for ax in p_axes]
         upper = [y_hi] + [y_lo - ax[0] for ax in p_axes]
         grid = field_mod.GridSpec(tuple(lower), tuple(upper), (11,) * (J + 1))
-    axes = grid.axes()
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1).reshape(-1, grid.dims)
     pre = np.column_stack([pts[:, 0], pts[:, :1] - pts[:, 1:]])
     lo, hi = [ax[0] for ax in src], [ax[-1] for ax in src]
     if pre.shape[1] != J + 1 or np.any((pre < lo) | (pre > hi)):
         raise ValidationError(f"--grid needs {J + 1} axes that map inside the source lattice")
-    vals = interp(pre)
+    vals = field_mod.multilinear(q, src, pre.T, ())
     vals = np.clip(vals, 0.0, 1.0)
     vals = vals / vals.sum(axis=-1, keepdims=True)
     return field_mod.ProbabilityField(

@@ -1,7 +1,7 @@
 """Tabulated choice probabilities on rectangular grids.
 
-Provides multilinear interpolation, one finite-difference stencil (np.gradient
-on the lattice, whose partials fd_stencil interpolates multilinearly off it),
+Provides the one multilinear kernel, one finite-difference stencil (np.gradient
+on the lattice, whose partials fd_stencil interpolates with that kernel),
 monotonicity/cross-partial shape checks, the field CSV wire format with its
 .npz sidecar, and the plain table and .npz writers behind the other artifacts.
 """
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import ExtrapolationError, GridMismatchError, ValidationError
 
@@ -34,6 +33,36 @@ def axis0_slabs(shape: tuple[int, ...]) -> list[slice]:
     """Slices of axis 0 into slabs of about _CHUNK_ENTRIES entries, one row or more."""
     rows = max(1, _CHUNK_ENTRIES // math.prod(shape[1:]))
     return [slice(s, s + rows) for s in range(0, shape[0], rows)]
+
+
+def multilinear(table, axes, points, lead):
+    """table interpolated multilinearly at points, the one such kernel.
+
+    table's axes are one per lead entry (an index array), one per axes entry
+    (increasing coordinates, interpolated at the matching points array), then
+    any trailing axes, carried whole; lead and points broadcast together.
+    Points are clamped to their axes (so +/-inf reads the last/first node)
+    and searchsorted picks the cell. Each of the 2^d corners is gathered by
+    one flat index into the raveled table and summed in itertools.product
+    order, weights multiplied in axis order: RegularGridInterpolator's sum.
+    """
+    inner = table.shape[: len(lead) + len(axes)]
+    strides = [math.prod(inner[k + 1 :]) for k in range(len(inner))]
+    rows = table.reshape((-1,) + table.shape[len(inner) :])  # copies a strided view
+    at = sum(np.asarray(i) * s for i, s in zip(lead, strides))
+    sides = []
+    for ax, x, s in zip(axes, points, strides[len(lead) :]):
+        x = np.clip(x, ax[0], ax[-1])
+        i = np.clip(np.searchsorted(ax, x, side="right") - 1, 0, len(ax) - 2)
+        at = at + i * s
+        frac = (x - ax[i]) / (ax[i + 1] - ax[i])
+        sides.append(((1.0 - frac, 0), (frac, s)))
+    trail = (...,) + (None,) * (rows.ndim - 1)  # weights broadcast over trailing axes
+    out = 0.0
+    for corner in itertools.product(*sides):
+        weight = np.asarray(math.prod((w for w, _ in corner), start=1.0))
+        out = out + weight[trail] * rows.take(at + sum(o for _, o in corner), axis=0)
+    return out
 
 
 @dataclass(frozen=True)
@@ -161,15 +190,15 @@ class ProbabilityField:
         leading shape with the J+1 probabilities last.
         """
         a = np.asarray(a, dtype=float)
-        q = np.stack([self.fd_stencil(j, (), a) for j in range(self.n_alternatives)], axis=-1)
+        q = multilinear(self.values, self.grid.axes(), self._hull_points(a).T, ())
         q = q / q.sum(axis=-1, keepdims=True)
         return q if a.ndim > 1 else q[0]
 
     def fd_stencil(self, r: int, axes: tuple[int, ...], points) -> np.ndarray:
         """Partial of q_r over distinct axes at (n, dims) points; m = 0 gives q_r.
 
-        The multilinear interpolant, built once per (r, axes), of the lattice
-        partial: node_gradients[r, k] for one axis, else node_mixed_partial.
+        The multilinear interpolant of the lattice partial: the values, then
+        node_gradients[r, k], then node_mixed_partial (cached per (r, axes)).
         At least one spacing inside the hull on every differentiated axis it
         equals the central difference of the interpolated q_r with step equal
         to the spacing; nearer the edge it interpolates the one-sided edge
@@ -178,18 +207,19 @@ class ProbabilityField:
         axes = tuple(axes)
         if len(set(axes)) != len(axes):
             raise ValidationError("stencil axes must be distinct")
-        pts = self._hull_points(points)
-        cache = self._lattice_interpolators
-        if (r, axes) not in cache:
-            if len(axes) == 1:
-                lattice = self.node_gradients[r, axes[0]]
-            else:  # values[..., r] itself when axes is empty
-                lattice = self.node_mixed_partial(r, axes)
-            cache[r, axes] = RegularGridInterpolator(self.grid.axes(), lattice)
-        return cache[r, axes](pts)
+        pts = self._hull_points(points).T
+        if not axes:  # every alternative's row is gathered at once
+            return multilinear(self.values, self.grid.axes(), pts, ())[:, r]
+        if len(axes) == 1:
+            lattice = self.node_gradients[r, axes[0]]
+        elif (r, axes) in self._lattice_partials:
+            lattice = self._lattice_partials[r, axes]
+        else:
+            lattice = self._lattice_partials[r, axes] = self.node_mixed_partial(r, axes)
+        return multilinear(lattice, self.grid.axes(), pts, ())
 
     @cached_property
-    def _lattice_interpolators(self) -> dict:
+    def _lattice_partials(self) -> dict:
         return {}
 
     def interior_slices(self) -> tuple[slice, ...]:

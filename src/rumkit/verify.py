@@ -10,14 +10,13 @@ them are invariant under adding a common scalar to every offer.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .density import DensityGrid
 from .errors import UnnormalizedDensityError, ValidationError
-from .field import ProbabilityField
+from .field import ProbabilityField, multilinear
 
 _MASS_WINDOW = (0.95, 1.05)
 
@@ -64,28 +63,6 @@ def _lerp_tables(lo, hi, frac):
     return np.where(np.isinf(lo) & np.isinf(hi), lo, w)
 
 
-def _multilinear(table, axes, points, lead):
-    """table interpolated multilinearly over its trailing axes at points.
-
-    points holds one coordinate array per axis in axes, all broadcasting
-    together, each clamped to its axis; lead indexes the leading axes of
-    table directly.
-    """
-    cells = []
-    for ax, x in zip(axes, points):
-        x = np.clip(x, ax[0], ax[-1])
-        i = np.clip(np.searchsorted(ax, x, side="right") - 1, 0, len(ax) - 2)
-        cells.append((i, (x - ax[i]) / (ax[i + 1] - ax[i])))
-    out = 0.0
-    for corner in itertools.product((0, 1), repeat=len(cells)):
-        weight, idx = 1.0, lead
-        for (i, frac), c in zip(cells, corner):
-            weight = weight * (frac if c else 1.0 - frac)
-            idx = idx + (i + c,)
-        out = out + weight * table[idx]
-    return out
-
-
 def _threshold_quadrature(utilities, density: DensityGrid, offers, tables):
     """Decided mass per alternative and undecidable mass, per offer.
 
@@ -108,18 +85,18 @@ def _threshold_quadrature(utilities, density: DensityGrid, offers, tables):
 
     cut = [tau(k, offers[:, :1]) for k in range(J)]
     top = [tau(k, np.inf) for k in range(J)]
-    c_top = _multilinear(cum, axes, top, ())
+    c_top = multilinear(cum, axes, top, ())
     one_above = sum(
-        _multilinear(cum, axes, top[:k] + [np.inf] + top[k + 1 :], ()) - c_top
+        multilinear(cum, axes, top[:k] + [np.inf] + top[k + 1 :], ()) - c_top
         for k in range(J)
     )
-    counts = [_multilinear(cum, axes, cut, ())[:, 0]]
+    counts = [multilinear(cum, axes, cut, ())[:, 0]]
     for j, (v, t) in enumerate(zip(axes, tables)):
         lo, hi = v[:-1], v[1:]
         start = np.clip(cut[j], lo, hi)
         w = _lerp_tables(t[:, :-1], t[:, 1:], (0.5 * (start + hi) - lo) / (hi - lo))
         others = [k for k in range(J) if k != j]
-        slab = _multilinear(
+        slab = multilinear(
             np.moveaxis(np.diff(cum, axis=j), j, 0),
             [axes[k] for k in others],
             [tau(k, w) for k in others],

@@ -535,12 +535,13 @@ class TestConvert:
         assert code == EXIT_INPUT_ERROR
         assert not any(out.glob("field_*.csv"))
 
-    def make_price_lattice(self, path):
+    @staticmethod
+    def make_price_lattice(path, n=11):
         """A genuine (y, p) lattice, y in [-2, 2] and p in [-1, 1]: probabilities
         from the linear model at the a-space preimage of each (y, p) node."""
         m = lin_model()
-        ys = np.linspace(-2.0, 2.0, 11)
-        ps = np.linspace(-1.0, 1.0, 11)
+        ys = np.linspace(-2.0, 2.0, n)
+        ps = np.linspace(-1.0, 1.0, n)
         lines = ["p_1,p_2,y,q_0,q_1,q_2"]
         for y in ys:
             for p1 in ps:
@@ -565,6 +566,19 @@ class TestConvert:
         )
         exact = model.choice_prob_closed_form(m, mid)
         assert np.max(np.abs(back.interpolate(mid) - exact)) <= 5e-3
+
+    def test_resample_repeated_node_rejected(self, tmp_path):
+        # node (y, p_1, p_2) = (-2, -1, -1) replaced by a second copy of
+        # (-2, -1, 0): the row count and every axis still fill the 3^3 lattice
+        src = tmp_path / "prices.csv"
+        self.make_price_lattice(src, n=3)
+        lines = src.read_text().splitlines()
+        lines[1] = lines[2]
+        src.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code = run("convert", "--field", str(src), "--resample", "--out", str(out))
+        assert code == EXIT_INPUT_ERROR
+        assert not any(out.glob("field_*.csv"))
 
     def test_resample_grid_outside_source_rejected(self, tmp_path):
         # a_0 = y = 1 with a_1 = -0.5 maps back to p_1 = 1.5, past p <= 1
@@ -607,6 +621,46 @@ class TestConvert:
         assert code == EXIT_INPUT_ERROR
         assert "input error: field rows must sum to 1" in capsys.readouterr().err
         assert not any(out.glob("field_*.csv"))
+
+
+IMPORT_PROBE = """
+import sys
+import rumkit, rumkit.cli
+
+model, prices, out = sys.argv[1:]
+field = out + "/field.csv"
+for argv in (
+    ["simulate", "--model", model, "--out", out, *["--grid=-1:1:9"] * 3],
+    ["check", "--field", field, "--out", out],
+    ["convert", "--field", prices, "--resample", "--out", out],
+):
+    code = rumkit.cli.main(argv)
+    print(argv[0], code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+code = rumkit.cli.main(["identify", "--field", field, "--out", out, "--force",
+                        "--resolution", "11", "--v-nodes", "11"])
+print("identify", code, "scipy.interpolate" in sys.modules)
+"""
+
+
+def test_scipy_loaded_only_where_an_omega_is_built(tmp_path, lin_model_json):
+    # a fresh interpreter: the import and simulate, check and convert --resample
+    # load no scipy module at all; identify builds omegas and loads the spline
+    prices = tmp_path / "prices.csv"
+    TestConvert.make_price_lattice(prices, n=5)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, lin_model_json, str(prices), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stdout.splitlines() if line.split(" ")[0] in (
+        "simulate", "check", "convert", "identify")]
+    assert lines == [
+        "simulate 0 []", "check 0 []", "convert 0 []", "identify 0 True",
+    ], proc.stdout
 
 
 class TestExitCodes:

@@ -155,6 +155,61 @@ class TestInterpolate:
         assert abs(q.sum() - 1.0) <= 1e-12
 
 
+class TestMultilinear:
+    """field.multilinear, the one multilinear kernel (fd_stencil, interpolate,
+    verify's quadrature and convert --resample all call it)."""
+
+    @staticmethod
+    def table_and_axes(dims, geometric, trailing=()):
+        rng = np.random.default_rng(dims)
+        counts = (7, 5, 6, 5)[:dims]
+        if geometric:
+            axes = [np.geomspace(0.05, 12.0 + k, n) for k, n in enumerate(counts)]
+        else:
+            axes = [np.linspace(-1.0 - k, 1.0, n) for k, n in enumerate(counts)]
+        table = rng.normal(size=counts + trailing)
+        table.setflags(write=False)  # as the field's values and node gradients are
+        return table, axes, rng
+
+    @pytest.mark.parametrize("geometric", [False, True], ids=["uniform", "geometric"])
+    @pytest.mark.parametrize("dims", [2, 3, 4], ids=["J1", "J2", "J3"])
+    def test_equals_regular_grid_interpolator(self, dims, geometric):
+        # bit for bit: the same cell rule, corner order and weight products
+        for trailing in ((), (3,)):
+            table, axes, rng = self.table_and_axes(dims, geometric, trailing)
+            pts = np.column_stack([rng.uniform(ax[0], ax[-1], 500) for ax in axes])
+            got = field.multilinear(table, axes, pts.T, ())
+            np.testing.assert_array_equal(got, RegularGridInterpolator(axes, table)(pts))
+
+    @pytest.mark.parametrize("geometric", [False, True], ids=["uniform", "geometric"])
+    def test_exact_at_nodes(self, geometric):
+        table, axes, _ = self.table_and_axes(3, geometric)
+        nodes = np.meshgrid(*axes, indexing="ij")
+        got = field.multilinear(table, axes, [m.ravel() for m in nodes], ())
+        np.testing.assert_array_equal(got, table.ravel())
+
+    def test_infinite_points_read_the_end_nodes(self):
+        # verify's quadrature passes +/-inf levels and relies on the clamp
+        table, axes, rng = self.table_and_axes(3, False)
+        x1 = rng.uniform(axes[1][0], axes[1][-1], 50)
+        x2 = rng.uniform(axes[2][0], axes[2][-1], 50)
+        for inf, end in ((np.inf, axes[0][-1]), (-np.inf, axes[0][0])):
+            np.testing.assert_array_equal(
+                field.multilinear(table, axes, [inf, x1, x2], ()),
+                field.multilinear(table, axes, [np.full(50, end), x1, x2], ()),
+            )
+
+    def test_lead_indexes_leading_axes(self):
+        # one call over a batch of slabs equals one call per slab
+        table, axes, rng = self.table_and_axes(3, True)
+        sub = axes[1:]
+        pts = [rng.uniform(ax[0], ax[-1], (20, len(table))) for ax in sub]
+        got = field.multilinear(table, sub, pts, (np.arange(len(table)),))
+        for i, slab in enumerate(table):
+            want = field.multilinear(slab, sub, [p[:, i] for p in pts], ())
+            np.testing.assert_array_equal(got[:, i], want)
+
+
 def corner_stencil(f, r, axes, pts):
     """Central difference of the multilinear interpolant of q_r over its 2^m
     corners, step equal to the grid spacing: valid one spacing inside the hull."""
@@ -200,6 +255,12 @@ class TestDerivatives:
     def test_outside_hull_rejected(self, lin_field, axes):
         with pytest.raises(ExtrapolationError):
             lin_field.fd_stencil(0, axes, [(0.0, 0.0, 0.0), (0.0, 1.01, 0.0)])
+
+    @pytest.mark.parametrize("axes", [(), (0,), (1, 2)])
+    def test_nan_point_rejected(self, lin_field, axes):
+        # the kernel clamps every point, so the hull check alone keeps NaN out
+        with pytest.raises(ExtrapolationError):
+            lin_field.fd_stencil(0, axes, [(0.0, 0.0, 0.0), (0.0, np.nan, 0.0)])
 
     def test_mixed_partial_softmax_identity(self, lin_field):
         # d^2 q_0 / d a_1 d a_2 = 2 q_0 q_1 q_2 = 2/27 at the symmetric point
