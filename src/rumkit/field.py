@@ -197,8 +197,8 @@ class ProbabilityField:
     def fd_stencil(self, r: int, axes: tuple[int, ...], points) -> np.ndarray:
         """Partial of q_r over distinct axes at (n, dims) points; m = 0 gives q_r.
 
-        The multilinear interpolant of the lattice partial: the values, then
-        node_gradients[r, k], then node_mixed_partial (cached per (r, axes)).
+        The multilinear interpolant of the lattice partial: the values (m = 0),
+        node_gradients[r, k] (m = 1) or node_mixed_partial, cached (m >= 2).
         At least one spacing inside the hull on every differentiated axis it
         equals the central difference of the interpolated q_r with step equal
         to the spacing; nearer the edge it interpolates the one-sided edge
