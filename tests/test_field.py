@@ -168,7 +168,9 @@ class TestMultilinear:
         else:
             axes = [np.linspace(-1.0 - k, 1.0, n) for k, n in enumerate(counts)]
         table = rng.normal(size=counts + trailing)
-        table.setflags(write=False)  # as the field's values and node gradients are
+        # read-only like the field's arrays: RegularGridInterpolator's fast
+        # path for a writeable 2-D table multiplies in another order
+        table.setflags(write=False)
         return table, axes, rng
 
     @pytest.mark.parametrize("geometric", [False, True], ids=["uniform", "geometric"])
