@@ -24,9 +24,7 @@ BOX = ((1.0, 4.0), (1.0, 4.0))
 
 def t_10():
     # ratio of marginal utilities for the log pair (alpha_1 = 2, alpha_0 = 1)
-    return symmetry.RatioFunction.from_callable(
-        lambda aj, a0: aj / (2.0 * a0), BOX, j=1, m=0
-    )
+    return lambda aj, a0: aj / (2.0 * a0)
 
 
 def rk4_table():

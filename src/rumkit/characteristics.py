@@ -215,7 +215,7 @@ class OmegaFunction:
     """
 
     j: int
-    ratio: object  # RatioFunction or compatible callable
+    ratio: object  # t(a_j, a_0): a RatioFunction or any callable
     a_ref: float
     domain: tuple[tuple[float, float], tuple[float, float]]
     aj_lattice: np.ndarray
@@ -255,34 +255,29 @@ class OmegaFunction:
 
     # -- derivatives by central finite differences on the level surface ----
 
-    def _delta(self, lattice, points, delta):
-        """FD half-step: fixed spacing, or proportional on log lattices."""
+    def _central_difference(self, axis: int, a_j, a_0, delta):
+        """d omega / d a_j (axis 0) or d a_0 (axis 1), both half-steps clamped to
+        the domain. The half-step is delta, else one lattice spacing,
+        proportional to the point on log lattices."""
+        x = np.broadcast_arrays(np.asarray(a_j, dtype=float), np.asarray(a_0, dtype=float))
+        lattice = (self.aj_lattice, self.a0_lattice)[axis]
         if delta is not None:
-            return np.full_like(points, delta)
-        if self.log_axes:
-            rel = np.log(lattice[1] / lattice[0])
-            return points * rel
-        return np.full_like(points, lattice[1] - lattice[0])
+            d = np.full_like(x[axis], delta)
+        elif self.log_axes:
+            d = x[axis] * np.log(lattice[1] / lattice[0])
+        else:
+            d = np.full_like(x[axis], lattice[1] - lattice[0])
+        lo, hi = self.domain[axis]
+        up, dn = list(x), list(x)
+        up[axis] = np.minimum(x[axis] + d, hi)
+        dn[axis] = np.maximum(x[axis] - d, lo)
+        return (self._spline.ev(*up) - self._spline.ev(*dn)) / (up[axis] - dn[axis])
 
-    def d_aj(self, a_j, a_0, delta: float | None = None):
-        (aj_lo, aj_hi), _ = self.domain
-        a_j, a_0 = np.broadcast_arrays(
-            np.asarray(a_j, dtype=float), np.asarray(a_0, dtype=float)
-        )
-        d = self._delta(self.aj_lattice, a_j, delta)
-        up = np.minimum(a_j + d, aj_hi)
-        dn = np.maximum(a_j - d, aj_lo)
-        return (self._spline.ev(up, a_0) - self._spline.ev(dn, a_0)) / (up - dn)
+    def d_aj(self, a_j, a_0):
+        return self._central_difference(0, a_j, a_0, None)
 
-    def d_a0(self, a_j, a_0, delta: float | None = None):
-        _, (a0_lo, a0_hi) = self.domain
-        a_j, a_0 = np.broadcast_arrays(
-            np.asarray(a_j, dtype=float), np.asarray(a_0, dtype=float)
-        )
-        d = self._delta(self.a0_lattice, a_0, delta)
-        up = np.minimum(a_0 + d, a0_hi)
-        dn = np.maximum(a_0 - d, a0_lo)
-        return (self._spline.ev(a_j, up) - self._spline.ev(a_j, dn)) / (up - dn)
+    def d_a0(self, a_j, a_0):
+        return self._central_difference(1, a_j, a_0, None)
 
     def pde_residual(self) -> np.ndarray:
         """|d_omega/d_a0 + t * d_omega/d_aj| on an inset 41 x 41 validation lattice."""
@@ -296,8 +291,8 @@ class OmegaFunction:
             aj = np.linspace(aj_lo + delta, aj_hi - delta, 41)
             a0 = np.linspace(a0_lo + delta, a0_hi - delta, 41)
         AJ, A0 = np.meshgrid(aj, a0, indexing="ij")
-        d0 = self.d_a0(AJ.ravel(), A0.ravel(), delta).reshape(AJ.shape)
-        dj = self.d_aj(AJ.ravel(), A0.ravel(), delta).reshape(AJ.shape)
+        d0 = self._central_difference(1, AJ.ravel(), A0.ravel(), delta).reshape(AJ.shape)
+        dj = self._central_difference(0, AJ.ravel(), A0.ravel(), delta).reshape(AJ.shape)
         tv = np.asarray(self.ratio(AJ, A0), dtype=float)
         return np.abs(d0 + dj * tv)
 

@@ -320,6 +320,10 @@ def cmd_convert(args: argparse.Namespace) -> int:
     a non-lattice scatter, so --resample interpolates the probabilities back
     onto a rectangular a-lattice through the exact inverse map.
     """
+    if args.resample and args.direction != "price_to_a":
+        raise ValidationError("--resample needs --direction price_to_a")
+    if args.grid and not args.resample:
+        raise ValidationError("--grid needs --resample")
     src, base, dst, dst_base, base_first, file_name = _DIRECTIONS[args.direction]
     header, data = field_mod.read_csv_table(args.field_path)
     if "p_0" in header and np.any(data[:, header.index("p_0")] != 0.0):
@@ -349,7 +353,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
     coords.insert(at, y)
     names.insert(at, dst_base)
     resampled = None
-    if args.resample and src == "p":
+    if args.resample:
         resampled = _resample_to_lattice(data, cols, y_col, q_cols, args.grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -401,9 +405,7 @@ def _resample_to_lattice(data, p_cols, y_col, q_cols, grid_specs) -> field_mod.P
     vals = field_mod.multilinear(q, src, pre.T, ())
     vals = np.clip(vals, 0.0, 1.0)
     vals = vals / vals.sum(axis=-1, keepdims=True)
-    return field_mod.ProbabilityField(
-        grid, vals.reshape(grid.counts + (J + 1,)), provenance="convert:resampled"
-    )
+    return field_mod.ProbabilityField(grid, vals.reshape(grid.counts + (J + 1,)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,14 +415,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *options):
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--grid", action="append", default=[],
-                       help="axis as lo:hi:n, repeat per axis")
+        if "seed" in options:
+            p.add_argument("--seed", type=int, default=0)
+        if "grid" in options:
+            p.add_argument("--grid", action="append", default=[],
+                           help="axis as lo:hi:n, repeat per axis")
 
     p = sub.add_parser("simulate", help="tabulate a model onto a field CSV")
-    common(p)
+    common(p, "seed", "grid")
     p.add_argument("--model", dest="model_path", required=True)
     p.add_argument("--method", choices=["closed_form", "monte_carlo"],
                    default="closed_form")
@@ -446,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true")
 
     p = sub.add_parser("verify", help="round-trip check against identify artifacts")
-    common(p)
+    common(p, "seed")
     p.add_argument("--field", dest="field_path", required=True)
     p.add_argument("--tol-round-trip", type=float, default=0.02)
     p.add_argument("--integrator", choices=["grid_quadrature", "monte_carlo"],
@@ -454,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--draws", type=int, default=100_000)
 
     p = sub.add_parser("convert", help="translate price-income rows to a-coordinates")
-    common(p)
+    common(p, "grid")
     p.add_argument("--field", dest="field_path", required=True, help="input CSV")
     p.add_argument("--direction", choices=["price_to_a", "a_to_price"],
                    default="price_to_a")

@@ -11,13 +11,13 @@ internal consistency check.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .characteristics import axis_is_log
 from .errors import NegativeDensityError, SupportError, ValidationError
-from .field import ProbabilityField, write_csv_table
+from .field import ProbabilityField, record_dict, write_csv_table
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class MassReport:
     min_raw_density: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return record_dict(self)
 
 
 @dataclass

@@ -3,7 +3,8 @@
 Provides the one multilinear kernel, one finite-difference stencil (np.gradient
 on the lattice, whose partials fd_stencil interpolates with that kernel),
 monotonicity/cross-partial shape checks, the field CSV wire format with its
-.npz sidecar, and the plain table and .npz writers behind the other artifacts.
+.npz sidecar, the plain table and .npz writers behind the other artifacts, and
+the JSON form of the result records.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 import math
 import os
 import zipfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -136,7 +137,6 @@ class ProbabilityField:
 
     grid: GridSpec
     values: np.ndarray  # shape grid.counts + (J+1,)
-    provenance: str = ""
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -254,16 +254,7 @@ class ShapeReport:
         return bool(self.monotone_ok.all() and self.cross_partial_sign_ok.all())
 
     def to_dict(self) -> dict:
-        return {
-            "monotone_ok": self.monotone_ok.tolist(),
-            "boundary_attainment": self.boundary_attainment.tolist(),
-            "cross_partial_sign_ok": self.cross_partial_sign_ok.tolist(),
-            "worst_monotone_violation": self.worst_monotone_violation,
-            "worst_cross_partial": self.worst_cross_partial,
-            "mono_tol": self.mono_tol,
-            "cross_tol": self.cross_tol,
-            "passed": self.passed,
-        }
+        return record_dict(self, "passed")
 
 
 def check_shape(field: ProbabilityField) -> ShapeReport:
@@ -348,14 +339,18 @@ def subsample(field: ProbabilityField, strides) -> ProbabilityField:
     )
     grid = GridSpec(lower=field.grid.lower, upper=upper, counts=counts)
     sl = tuple(slice(0, (c - 1) * s + 1, s) for c, s in zip(counts, strides))
-    return ProbabilityField(
-        grid=grid,
-        values=field.values[sl].copy(),
-        provenance=f"subsample:{strides}:{field.provenance}",
-    )
+    return ProbabilityField(grid=grid, values=field.values[sl].copy())
 
 
-# -- CSV wire format ------------------------------------------------------
+# -- JSON and CSV wire formats --------------------------------------------
+
+
+def record_dict(record, *extras: str) -> dict:
+    """A result record as JSON-ready data: its dataclass fields, then the
+    named computed properties, with every array turned into a list."""
+    d = asdict(record)
+    d.update((name, getattr(record, name)) for name in extras)
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in d.items()}
 
 
 def _field_header(nalt: int) -> list[str]:
@@ -477,7 +472,7 @@ def _sidecar_field(path):
         return None
     try:
         grid = GridSpec(tuple(lower), tuple(upper), values.shape[:-1])
-        return ProbabilityField(grid, values, provenance=f"file:{path}")
+        return ProbabilityField(grid, values)
     except ValidationError:
         return None
 
@@ -556,4 +551,4 @@ def read_field_csv(path) -> ProbabilityField:
     values[tuple(idx)] = probs
     if np.any(np.isnan(values)):
         raise GridMismatchError("field CSV is missing lattice nodes")
-    return ProbabilityField(grid=grid, values=values, provenance=f"file:{path}")
+    return ProbabilityField(grid=grid, values=values)

@@ -253,20 +253,20 @@ def _noise_draws(model: ChoiceModelSpec, rng: np.random.Generator, n: int) -> np
     return noise.scale * (z @ chol.T)
 
 
-def _winner_counts(base: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Per-offer counts of argmax_j [base[i, j] + eps[j, d]] over the draws d.
+def winners(planes) -> np.ndarray:
+    """Index of the first maximal plane, for utility planes that broadcast together.
 
-    base is (n_offers, k) and eps (k, n). A running strict > maximum over the
-    alternatives keeps argmax's rule of taking the first of equal maxima.
+    A running strict > maximum over the planes keeps argmax's rule of taking
+    the first of equal maxima. The index has the smallest unsigned dtype that
+    holds len(planes) - 1.
     """
-    best = base[:, :1] + eps[0]
-    who = np.zeros(best.shape, dtype=np.min_scalar_type(len(eps) - 1))
-    for j in range(1, len(eps)):
-        u = base[:, j, None] + eps[j]
+    best = np.array(np.broadcast_arrays(*planes)[0], dtype=float)
+    who = np.zeros(best.shape, dtype=np.min_scalar_type(len(planes) - 1))
+    for j, u in enumerate(planes[1:], start=1):
         # j exceeds every index already in who, so the maximum sets it where u wins
         np.maximum(who, np.multiply(u > best, j, dtype=who.dtype), out=who)
         np.maximum(best, u, out=best)
-    return np.stack([np.count_nonzero(who == j, axis=1) for j in range(len(eps))], axis=1)
+    return who
 
 
 def choice_prob_monte_carlo(model: ChoiceModelSpec, a, n: int, seed: int) -> np.ndarray:
@@ -292,7 +292,11 @@ def choice_prob_monte_carlo(model: ChoiceModelSpec, a, n: int, seed: int) -> np.
         base[:, j] = u.value(offers[:, j])
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     eps = np.ascontiguousarray(_noise_draws(model, rng, n).T)
-    counts = np.concatenate([_winner_counts(base[s], eps) for s in axis0_slabs((len(base), n))])
+    counts = np.empty(offers.shape, dtype=np.intp)
+    for s in axis0_slabs((len(base), n)):
+        who = winners([base[s, j, None] + eps[j] for j in range(k)])
+        for j in range(k):
+            counts[s, j] = np.count_nonzero(who == j, axis=1)
     q = counts / float(n)
     return q if a.ndim == 2 else q[0]
 
@@ -323,16 +327,14 @@ def tabulate(
             for k, (u, ax) in enumerate(zip(model.utilities, grid.axes()))
         ]
         values = _softmax(logits, np.empty(grid.counts + (grid.dims,)))
-        provenance = f"closed_form:{model_hash(model)}"
     elif method == "monte_carlo":
         offers = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1)
         # one batch of every node's offer, in C order
         values = choice_prob_monte_carlo(model, offers.reshape(-1, grid.dims), n, seed)
         values = values.reshape(offers.shape)
-        provenance = f"monte_carlo:crn:n={n}:seed={seed}:{model_hash(model)}"
     else:
         raise ValidationError(f"unknown tabulation method {method!r}")
-    return ProbabilityField(grid=grid, values=values, provenance=provenance)
+    return ProbabilityField(grid=grid, values=values)
 
 
 def tabulate_from_utilities(grid: GridSpec, utilities) -> ProbabilityField:
@@ -343,7 +345,7 @@ def tabulate_from_utilities(grid: GridSpec, utilities) -> ProbabilityField:
     """
     mesh = np.meshgrid(*grid.axes(), indexing="ij")
     values = _softmax([u(mesh) for u in utilities], np.empty(grid.counts + (len(utilities),)))
-    return ProbabilityField(grid=grid, values=values, provenance="custom_softmax")
+    return ProbabilityField(grid=grid, values=values)
 
 
 def model_hash(model: ChoiceModelSpec) -> str:

@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import NegativeRatioError, RankDeficientBasisError, ValidationError
-from .field import ProbabilityField
+from .field import ProbabilityField, record_dict
 
 BASIS_KINDS = ("polynomial", "log_polynomial")
 _MAX_FAMILIES = 200  # (a_j, a_m) node pairs sampled per condition-A pair
@@ -78,16 +78,7 @@ class SymmetryReport:
         return self.worst <= self.tol
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "tol": self.tol,
-            "pair_stats": self.pair_stats,
-            "n_points": self.n_points,
-            "vacuous": self.vacuous,
-            "worst": self.worst,
-            "passed": self.passed,
-            "inconclusive": self.inconclusive,
-        }
+        return record_dict(self, "worst", "passed", "inconclusive")
 
 
 def test_daly_zachary(
@@ -190,29 +181,23 @@ def _basis_terms(degree: int) -> list[tuple[int, int]]:
 
 @dataclass
 class RatioFunction:
-    """Bivariate ratio surface t_jm(a_j, a_m) >= 0 on a domain rectangle.
-
-    form is one of:
-      sieve    -- least-squares polynomial (or log-polynomial) fit
-      callable -- arbitrary function supplied by the caller
-    """
+    """Bivariate ratio surface t_jm(a_j, a_m) >= 0 on a domain rectangle: the
+    least-squares polynomial (or log-polynomial) sieve fit, form "sieve".
+    build_omega takes any callable t(a_j, a_m) in its place."""
 
     j: int
     pivot: int
     form: str
     domain: tuple[tuple[float, float], tuple[float, float]]  # (a_j range, a_m range)
-    basis: str | None = None
-    degree: int | None = None
-    coefficients: np.ndarray | None = None
-    fn: object = None
+    basis: str
+    degree: int
+    coefficients: np.ndarray
     fit_rms: float | None = None
     fit_max_residual: float | None = None
 
     def __call__(self, a_j, a_m):
         a_j = np.asarray(a_j, dtype=float)
         a_m = np.asarray(a_m, dtype=float)
-        if self.form == "callable":
-            return np.maximum(np.asarray(self.fn(a_j, a_m), dtype=float), 0.0)
         if self.basis == "log_polynomial":
             xj, xm = np.log(a_j), np.log(a_m)
         else:
@@ -225,24 +210,8 @@ class RatioFunction:
             return np.exp(acc)
         return np.maximum(acc, 0.0)
 
-    @classmethod
-    def from_callable(cls, fn, domain, j: int = 1, m: int = 0) -> "RatioFunction":
-        return cls(j=j, pivot=m, form="callable", domain=tuple(domain), fn=fn)
-
     def to_dict(self) -> dict:
-        if self.form != "sieve":
-            raise ValidationError("only sieve ratio functions serialize to JSON")
-        return {
-            "j": self.j,
-            "pivot": self.pivot,
-            "form": self.form,
-            "basis": self.basis,
-            "degree": self.degree,
-            "coefficients": [float(c) for c in self.coefficients],
-            "domain": [list(self.domain[0]), list(self.domain[1])],
-            "fit_rms": self.fit_rms,
-            "fit_max_residual": self.fit_max_residual,
-        }
+        return record_dict(self)
 
 
 def ratio_samples(field: ProbabilityField, j: int, m: int) -> tuple[np.ndarray, ...]:

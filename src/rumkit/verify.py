@@ -16,7 +16,8 @@ import numpy as np
 
 from .density import DensityGrid
 from .errors import UnnormalizedDensityError, ValidationError
-from .field import ProbabilityField, multilinear
+from .field import ProbabilityField, multilinear, record_dict
+from .model import winners
 
 _MASS_WINDOW = (0.95, 1.05)
 
@@ -33,21 +34,6 @@ def _utility_tables(utilities, density: DensityGrid, offers):
         u.omega.invert_a0_many(offers[:, j, None], np.broadcast_to(v, (len(offers), len(v))))
         for j, (u, v) in enumerate(zip(utilities, density.axes), start=1)
     ]
-
-
-def _winners(ws, a0):
-    """Argmax alternative over utility arrays that broadcast together.
-
-    The outside option holds utility a0 and wins ties; -1 marks undecidable
-    entries, where more than one alternative sits at +inf.
-    """
-    best, who, n_top = a0, 0, 0
-    for j, w in enumerate(ws, start=1):
-        take = w > best
-        best = np.where(take, w, best)
-        who = np.where(take, j, who)
-        n_top = n_top + (w == np.inf)
-    return np.where(n_top > 1, -1, who)
 
 
 def _lerp_tables(lo, hi, frac):
@@ -157,8 +143,9 @@ def rationalized_choice_prob(
         counts, skipped = _threshold_quadrature(utilities, density, offers, tables)
     else:
         # one draw set shared by every offer (common random numbers), then one
-        # winner rule and one tally per offer; bin 0 collects the undecidable
-        # draws, and every draw carries total / n
+        # winner rule and one tally per offer; the outside option holds utility
+        # a_0 and wins ties, bin 0 collects the undecidable draws (more than one
+        # alternative at +inf), and every draw carries total / n
         flat = masses.ravel()
         rng = np.random.default_rng(seed)
         cells = np.unravel_index(rng.choice(len(flat), size=n, p=flat / flat.sum()), masses.shape)
@@ -166,7 +153,9 @@ def rationalized_choice_prob(
         tally = np.empty((len(offers), J + 2))
         for i, offer in enumerate(offers):
             ws = [_lerp_tables(t[i][c], t[i][c + 1], uj) for t, c, uj in zip(tables, cells, u)]
-            tally[i] = np.bincount(_winners(ws, offer[0]) + 1, None, J + 2) * (total / n)
+            bins = winners([offer[0], *ws]).astype(np.intp) + 1
+            bins[sum(w == np.inf for w in ws) > 1] = 0
+            tally[i] = np.bincount(bins, None, J + 2) * (total / n)
         skipped, counts = tally[:, 0], tally[:, 1:]
     decided = counts.sum(axis=1)
     q = counts / np.where(decided > 0, decided, 1.0)[:, None]
@@ -195,16 +184,7 @@ class VerifyReport:
         return float(np.max(self.max_abs_error))
 
     def to_dict(self) -> dict:
-        return {
-            "max_abs_error": self.max_abs_error.tolist(),
-            "mean_abs_error": self.mean_abs_error.tolist(),
-            "worst_point": list(self.worst_point),
-            "mass": self.mass,
-            "passed": self.passed,
-            "tol": self.tol,
-            "method": self.method,
-            "metadata": self.metadata,
-        }
+        return record_dict(self)
 
 
 def round_trip_report(

@@ -67,9 +67,7 @@ class TestAcceptance:
         _report(3, ok, f"separable spread = {rep.worst:.2e}, planted = {spread:.3f}")
 
     def test_criterion_4_characteristic_ode(self):
-        t = symmetry.RatioFunction.from_callable(
-            lambda aj, a0: aj / (2.0 * a0), ((1.0, 4.0), (1.0, 4.0)), j=1, m=0
-        )
+        t = lambda aj, a0: aj / (2.0 * a0)
         # the march build_omega runs: node (a_1, a_0) = (1, 1) meets the
         # anchor a_1 = 2 at a_0 = 4 on the trace a_1 = sqrt(a_0)
         errs = []
@@ -83,9 +81,7 @@ class TestAcceptance:
         _report(4, ok, f"endpoint error = {errs[0]:.2e}, halving ratio = {ratio:.1f}")
 
     def test_criterion_5_omega_reconstruction(self):
-        t = symmetry.RatioFunction.from_callable(
-            lambda aj, a0: aj / (2.0 * a0), ((1.0, 4.0), (1.0, 4.0)), j=1, m=0
-        )
+        t = lambda aj, a0: aj / (2.0 * a0)
         om = characteristics.build_omega(t, ((1.0, 4.0), (1.0, 4.0)), a_ref=1.0, j=1)
         residual = float(np.max(om.pde_residual()))
         aj = np.linspace(1.05, 3.95, 31)

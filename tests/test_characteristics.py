@@ -12,15 +12,11 @@ BOX = ((1.0, 4.0), (1.0, 4.0))
 
 
 def t_10():
-    return symmetry.RatioFunction.from_callable(
-        lambda aj, a0: aj / (2.0 * a0), BOX, j=1, m=0
-    )
+    return lambda aj, a0: aj / (2.0 * a0)
 
 
 def t_20():
-    return symmetry.RatioFunction.from_callable(
-        lambda aj, a0: 2.0 * aj / a0, BOX, j=2, m=0
-    )
+    return lambda aj, a0: 2.0 * aj / a0
 
 
 def _node_omega(t, a_ref, step, domain=BOX, resolution=4):
@@ -52,13 +48,13 @@ class TestIntegrateCharacteristic:
 
     def test_flat_characteristic(self):
         # a_j stays constant, so no node off the anchor line reaches it
-        t = symmetry.RatioFunction.from_callable(lambda aj, a0: 0.0 * aj, BOX)
+        t = lambda aj, a0: 0.0 * aj
         with pytest.raises(CoverageError):
             _node_omega(t, 2.5, 0.5)
 
     def test_unit_slope_characteristic(self):
         # da_j/da_0 = 1: a_j - a_0 constant (no-income-effect geometry)
-        t = symmetry.RatioFunction.from_callable(lambda aj, a0: 1.0 + 0.0 * aj, BOX)
+        t = lambda aj, a0: 1.0 + 0.0 * aj
         aj, a0, values = _node_omega(t, 2.0, 0.05, resolution=11)
         assert np.max(np.abs(values - (a0 - aj + 2.0))) <= 1e-12
 
@@ -144,9 +140,7 @@ class TestBuildOmega:
     def test_coverage_error_reported(self):
         # a nearly flat ratio cannot carry far-off nodes to the anchor line
         # within the guarded a_0 span
-        t = symmetry.RatioFunction.from_callable(
-            lambda aj, a0: 0.001 + 0.0 * aj, BOX
-        )
+        t = lambda aj, a0: 0.001 + 0.0 * aj
         with pytest.raises(CoverageError):
             characteristics.build_omega(t, BOX, a_ref=2.5, j=1, resolution=11, step=0.5)
 

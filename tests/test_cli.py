@@ -603,6 +603,25 @@ class TestConvert:
         assert code == EXIT_INPUT_ERROR
         assert not (tmp_path / "out" / "field_py.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--direction", "a_to_price", "--resample"), ("--grid=0:1:5",)],
+        ids=["a_to_price_resample", "grid_without_resample"],
+    )
+    def test_ignored_flag_rejected(self, tmp_path, capsys, flags):
+        # a flag the conversion would not read is an input error, not a no-op
+        src = tmp_path / "prices.csv"
+        self.make_price_csv(src)
+        if "a_to_price" in flags:
+            run("convert", "--field", str(src), "--out", str(tmp_path))
+            src = tmp_path / "field_a.csv"
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run("convert", "--field", str(src), "--out", str(out), *flags)
+        assert code == EXIT_INPUT_ERROR
+        assert "needs" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("direction", ["price_to_a", "a_to_price"])
     def test_rows_not_summing_to_one_rejected(self, tmp_path, capsys, direction):
         src = tmp_path / "prices.csv"
@@ -675,6 +694,20 @@ class TestExitCodes:
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            ("check", "--seed=1"), ("check", "--grid=0:1:5"),
+            ("identify", "--seed=1"), ("identify", "--grid=0:1:5"),
+            ("verify", "--grid=0:1:5"), ("convert", "--seed=1"),
+        ],
+    )
+    def test_option_the_command_does_not_read_rejected(self, tmp_path, command, option):
+        # each command declares only the options it reads: argparse exits 2
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--field", str(tmp_path / "field.csv"), "--out", str(tmp_path), option)
+        assert exc.value.code == EXIT_INPUT_ERROR
 
     @pytest.mark.parametrize("tol", ["-0.5", "nan"])
     def test_tolerances_must_be_positive(self, tmp_path, log_field_csv, tol):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rumkit import characteristics, density, field, model, symmetry
+from rumkit import characteristics, density, field, model
 from rumkit.errors import SupportError, ValidationError
 
 from conftest import log_model, oracle_cdf, oracle_density
@@ -13,12 +13,8 @@ from conftest import log_model, oracle_cdf, oracle_density
 
 def analytic_omegas(boxes, a_ref=1.0, **kw):
     """Omega pair for the log model from the exact ratio surfaces."""
-    t1 = symmetry.RatioFunction.from_callable(
-        lambda aj, a0: aj / (2.0 * a0), (boxes[0], boxes[-1]), j=1, m=0
-    )
-    t2 = symmetry.RatioFunction.from_callable(
-        lambda aj, a0: 2.0 * aj / a0, (boxes[1], boxes[-1]), j=2, m=0
-    )
+    t1 = lambda aj, a0: aj / (2.0 * a0)
+    t2 = lambda aj, a0: 2.0 * aj / a0
     return [
         characteristics.build_omega(t1, (boxes[0], boxes[-1]), a_ref=a_ref, j=1, **kw),
         characteristics.build_omega(t2, (boxes[1], boxes[-1]), a_ref=a_ref, j=2, **kw),
@@ -154,9 +150,7 @@ class TestReconstructDensity:
         )
         grid = field.GridSpec((0.002, 0.04), (50.0, 12.0), (641, 480))
         f = model.tabulate(m, grid)
-        t1 = symmetry.RatioFunction.from_callable(
-            lambda aj, a0: aj / (2.0 * a0), ((0.04, 12.0), (0.002, 50.0)), j=1, m=0
-        )
+        t1 = lambda aj, a0: aj / (2.0 * a0)
         om = characteristics.build_omega(
             t1, ((0.04, 12.0), (0.002, 50.0)), a_ref=1.0, resolution=161, j=1
         )
@@ -404,9 +398,7 @@ def j1_setup():
         domain=((1e-3, 200.0),) * 2,
     )
     f = model.tabulate(m, field.GridSpec((0.002, 0.04), (50.0, 12.0), (161, 121)))
-    t1 = symmetry.RatioFunction.from_callable(
-        lambda aj, a0: aj / (2.0 * a0), ((0.04, 12.0), (0.002, 50.0)), j=1, m=0
-    )
+    t1 = lambda aj, a0: aj / (2.0 * a0)
     om = characteristics.build_omega(t1, ((0.04, 12.0), (0.002, 50.0)), a_ref=1.0,
                                      resolution=81, j=1)
     return f, [om], (np.geomspace(0.01, 100.0, 101),)

@@ -508,7 +508,6 @@ class TestSidecar:
         assert hit.content_hash() == parsed.content_hash()
         assert np.array_equal(hit.values.view(np.uint64), parsed.values.view(np.uint64))
         assert np.array_equal(hit.values.view(np.uint64), f.values.view(np.uint64))
-        assert hit.provenance == parsed.provenance
 
     def test_csv_table_ignores_sidecar(self, tmp_path, monkeypatch):
         path = tmp_path / "field.csv"

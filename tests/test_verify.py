@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rumkit import characteristics, density, field, model, symmetry, verify
+from rumkit import characteristics, density, field, model, verify
 from rumkit.errors import UnnormalizedDensityError, ValidationError
 
 from conftest import log_model, oracle_prob
@@ -90,12 +90,8 @@ class TestRationalizedChoiceProb:
         grid = field.GridSpec((1.0,) * 3, (4.0,) * 3, (41,) * 3)
         f = model.tabulate(m, grid)
         boxes = ((1.0, 4.0), (1.0, 4.0))
-        t1 = symmetry.RatioFunction.from_callable(
-            lambda aj, a0: aj / (2.0 * a0), boxes, j=1, m=0
-        )
-        t2 = symmetry.RatioFunction.from_callable(
-            lambda aj, a0: 2.0 * aj / a0, boxes, j=2, m=0
-        )
+        t1 = lambda aj, a0: aj / (2.0 * a0)
+        t2 = lambda aj, a0: 2.0 * aj / a0
         omegas = [
             characteristics.build_omega(t1, boxes, a_ref=1.0, j=1, resolution=81),
             characteristics.build_omega(t2, boxes, a_ref=1.0, j=2, resolution=81),
