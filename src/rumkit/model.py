@@ -253,16 +253,19 @@ def _noise_draws(model: ChoiceModelSpec, rng: np.random.Generator, n: int) -> np
     return noise.scale * (z @ chol.T)
 
 
-def winners(planes) -> np.ndarray:
-    """Index of the first maximal plane, for utility planes that broadcast together.
+def winners(planes, count: int) -> np.ndarray:
+    """Index of the first maximal plane among count utility planes.
 
-    A running strict > maximum over the planes keeps argmax's rule of taking
-    the first of equal maxima. The index has the smallest unsigned dtype that
-    holds len(planes) - 1.
+    planes yields the planes in order, so each may be built only when the
+    kernel reaches it. The first has the result's shape and becomes the
+    running maximum (the kernel writes into it); the others broadcast to it.
+    A strict > keeps argmax's rule of taking the first of equal maxima. The
+    index has the smallest unsigned dtype that holds count - 1.
     """
-    best = np.array(np.broadcast_arrays(*planes)[0], dtype=float)
-    who = np.zeros(best.shape, dtype=np.min_scalar_type(len(planes) - 1))
-    for j, u in enumerate(planes[1:], start=1):
+    planes = iter(planes)
+    best = next(planes)
+    who = np.zeros(best.shape, dtype=np.min_scalar_type(count - 1))
+    for j, u in enumerate(planes, start=1):
         # j exceeds every index already in who, so the maximum sets it where u wins
         np.maximum(who, np.multiply(u > best, j, dtype=who.dtype), out=who)
         np.maximum(best, u, out=best)
@@ -294,7 +297,7 @@ def choice_prob_monte_carlo(model: ChoiceModelSpec, a, n: int, seed: int) -> np.
     eps = np.ascontiguousarray(_noise_draws(model, rng, n).T)
     counts = np.empty(offers.shape, dtype=np.intp)
     for s in axis0_slabs((len(base), n)):
-        who = winners([base[s, j, None] + eps[j] for j in range(k)])
+        who = winners((base[s, j, None] + eps[j] for j in range(k)), k)
         for j in range(k):
             counts[s, j] = np.count_nonzero(who == j, axis=1)
     q = counts / float(n)

@@ -153,7 +153,7 @@ def rationalized_choice_prob(
         tally = np.empty((len(offers), J + 2))
         for i, offer in enumerate(offers):
             ws = [_lerp_tables(t[i][c], t[i][c + 1], uj) for t, c, uj in zip(tables, cells, u)]
-            bins = winners([offer[0], *ws]).astype(np.intp) + 1
+            bins = winners([np.full(n, offer[0]), *ws], J + 1).astype(np.intp) + 1
             bins[sum(w == np.inf for w in ws) > 1] = 0
             tally[i] = np.bincount(bins, None, J + 2) * (total / n)
         skipped, counts = tally[:, 0], tally[:, 1:]

@@ -217,13 +217,14 @@ class TestTabulate:
         eps = rng.integers(0, 3, size=(4, 300)).astype(float)
         eps[:, :5] = 0.0
         want = np.array([np.bincount(np.argmax(b + eps.T, 1), minlength=4) for b in base])
-        who = model.winners([base[:, j, None] + eps[j] for j in range(4)])
+        who = model.winners((base[:, j, None] + eps[j] for j in range(4)), 4)
         assert who.dtype == np.uint8
         assert np.array_equal(np.argmax(base[:, :, None] + eps[None], axis=1), who)
-        # a scalar plane (verify's a_0) broadcasts against the others; equal
-        # maxima and +inf go to the first of them
-        p1, p2 = np.array([0.5, 1.0, -np.inf, 0.5]), np.array([np.inf, 0.0, np.inf, 0.5])
-        assert model.winners([0.5, p1, p2]).tolist() == [2, 1, 2, 0]
+        # equal maxima and +inf go to the first of them; the other planes
+        # broadcast to the first
+        p0 = np.array([[0.5, 0.5, 0.5, 0.5]])
+        p1, p2 = np.array([0.5, 1.0, -np.inf, 0.5]), np.array([[np.inf, 0.0, np.inf, 0.5]])
+        assert model.winners([p0, p1, p2], 3).tolist() == [[2, 1, 2, 0]]
         # the same through the kernel, in chunks of 3 offers (the last one short)
         m = model.ChoiceModelSpec(
             utilities=tuple(model.UtilityPrimitive("linear", (0.0, 1.0)) for _ in range(4)),
