@@ -1,11 +1,14 @@
-"""Size census of the package source: lines, defaulted parameters, CLI options.
+"""Size census of the package source: lines, defaulted parameters, CLI
+options, dataclass constructor fields.
 
 Lines are counted as `cat src/rumkit/*.py | wc -l` counts them (newlines).
 Defaulted parameters are len(args.defaults) plus the non-None kw_defaults of
 every function and lambda in an ast.walk of each src/rumkit/*.py. CLI options
 are the actions other than --help of each subcommand of rumkit.cli's
 build_parser(), summed over the subcommands (an option that two commands
-declare counts twice).
+declare counts twice). Dataclass constructor fields are the annotated class
+attributes of every @dataclass class in src/rumkit/*.py, except those
+declared with init=False.
 
 Usage: python scripts/census.py
 """
@@ -32,8 +35,30 @@ def cli_options() -> int:
     )
 
 
+def _is_dataclass(node) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def _init_field(stmt) -> bool:
+    """Whether a class-body statement is a field the constructor takes."""
+    if not isinstance(stmt, ast.AnnAssign):
+        return False
+    value = stmt.value
+    return not (
+        isinstance(value, ast.Call)
+        and any(
+            k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+            for k in value.keywords
+        )
+    )
+
+
 def main():
-    lines = defaults = 0
+    lines = defaults = fields = 0
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
         lines += text.count("\n")
@@ -42,9 +67,12 @@ def main():
                 args = node.args
                 defaults += len(args.defaults)
                 defaults += sum(d is not None for d in args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields += sum(map(_init_field, node.body))
     print(f"src lines: {lines}")
     print(f"defaulted parameters: {defaults}")
     print(f"CLI options: {cli_options()}")
+    print(f"dataclass constructor fields: {fields}")
 
 
 if __name__ == "__main__":

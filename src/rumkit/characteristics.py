@@ -28,11 +28,17 @@ _BOX_MARGIN = 0.2  # a_j box enlargement for the march, as a fraction of the a_j
 _INVERT_TOL = 1e-9  # bracket width at which an inversion stops
 _INVERT_STEP_RTOL = 1e-12  # Newton step, relative to 1 + |x|, at which it stops
 _INVERT_MAX_ITER = 100
+CSV_NODES = 101  # nodes per axis of the omega and utility CSV exports
 
 
 def axis_is_log(lo: float, hi: float) -> bool:
     """Whether an axis on [lo, hi] is treated in ln: positive and wider than a factor 20."""
     return lo > 0 and hi / lo > 20.0
+
+
+def _log_march(domain) -> bool:
+    """build_omega's march rule: log lattices and ln a_0 steps iff aj_lo > 0 and a_0 is log."""
+    return domain[0][0] > 0 and axis_is_log(*domain[1])
 
 
 def _invert_monotone_vec(ev, fixed, targets: np.ndarray, knots: np.ndarray) -> np.ndarray:
@@ -215,14 +221,11 @@ class OmegaFunction:
     """
 
     j: int
-    ratio: object  # t(a_j, a_0): a RatioFunction or any callable
     a_ref: float
-    domain: tuple[tuple[float, float], tuple[float, float]]
     aj_lattice: np.ndarray
     a0_lattice: np.ndarray
     lattice_values: np.ndarray  # shape (n_aj, n_a0)
     step: float  # in ln a_0 units when log_axes, else in a_0 units
-    log_axes: bool = False
     monotone_ok: bool = dc_field(init=False)
     worst_monotone_violation: float = dc_field(init=False)
 
@@ -237,6 +240,16 @@ class OmegaFunction:
         self._spline = RectBivariateSpline(
             self.aj_lattice, self.a0_lattice, self.lattice_values, kx=3, ky=3, s=0
         )
+
+    @property
+    def domain(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """((aj_lo, aj_hi), (a0_lo, a0_hi)): the lattices' end nodes, build_omega's domain."""
+        return tuple((float(ax[0]), float(ax[-1])) for ax in (self.aj_lattice, self.a0_lattice))
+
+    @property
+    def log_axes(self) -> bool:
+        """Whether the lattices are log-spaced and step is in ln a_0."""
+        return _log_march(self.domain)
 
     def __call__(self, a_j, a_0):
         a_j = np.asarray(a_j, dtype=float)
@@ -279,8 +292,8 @@ class OmegaFunction:
     def d_a0(self, a_j, a_0):
         return self._central_difference(1, a_j, a_0, None)
 
-    def pde_residual(self) -> np.ndarray:
-        """|d_omega/d_a0 + t * d_omega/d_aj| on an inset 41 x 41 validation lattice."""
+    def pde_residual(self, t) -> np.ndarray:
+        """|d_omega/d_a0 + t * d_omega/d_aj| for ratio t on an inset 41 x 41 lattice."""
         (aj_lo, aj_hi), (a0_lo, a0_hi) = self.domain
         if self.log_axes:
             delta = None  # proportional FD half-steps
@@ -293,7 +306,7 @@ class OmegaFunction:
         AJ, A0 = np.meshgrid(aj, a0, indexing="ij")
         d0 = self._central_difference(1, AJ.ravel(), A0.ravel(), delta).reshape(AJ.shape)
         dj = self._central_difference(0, AJ.ravel(), A0.ravel(), delta).reshape(AJ.shape)
-        tv = np.asarray(self.ratio(AJ, A0), dtype=float)
+        tv = np.asarray(t(AJ, A0), dtype=float)
         return np.abs(d0 + dj * tv)
 
     def invert_a0_many(self, a_j, v: np.ndarray) -> np.ndarray:
@@ -319,10 +332,10 @@ class OmegaFunction:
             lambda x, a0, d: self._spline.ev(x, a0, dx=d), a_0, v, self.aj_lattice
         )
 
-    def export_csv(self, path, n: int = 101) -> None:
+    def export_csv(self, path) -> None:
         (aj_lo, aj_hi), (a0_lo, a0_hi) = self.domain
-        aj = np.linspace(aj_lo, aj_hi, n)
-        a0 = np.linspace(a0_lo, a0_hi, n)
+        aj = np.linspace(aj_lo, aj_hi, CSV_NODES)
+        a0 = np.linspace(a0_lo, a0_hi, CSV_NODES)
         AJ, A0 = np.meshgrid(aj, a0, indexing="ij")
         vals = self._spline.ev(AJ.ravel(), A0.ravel())
         write_csv_table(path, ("a_j", "a_0", "omega"), (AJ.ravel(), A0.ravel(), vals))
@@ -353,7 +366,7 @@ def build_omega(
         raise ValidationError(f"resolution {resolution} < 4: the omega spline is bicubic")
     if step is not None and not (np.isfinite(step) and step > 0):
         raise ValidationError(f"step {step!r} must be finite and > 0")
-    use_log = aj_lo > 0 and axis_is_log(a0_lo, a0_hi)
+    use_log = _log_march(domain)
     if a_ref is None:
         a_ref = np.sqrt(aj_lo * aj_hi) if use_log else 0.5 * (aj_lo + aj_hi)
     if not aj_lo <= a_ref <= aj_hi:
@@ -410,14 +423,11 @@ def build_omega(
         )
     return OmegaFunction(
         j=j if j is not None else getattr(t, "j", 1),
-        ratio=t,
         a_ref=float(a_ref),
-        domain=((aj_lo, aj_hi), (a0_lo, a0_hi)),
         aj_lattice=aj_lattice,
         a0_lattice=a0_lattice,
         lattice_values=values,
         step=float(step),
-        log_axes=use_log,
     )
 
 
@@ -428,13 +438,13 @@ class UtilityFunction:
     j: int
     omega: OmegaFunction
 
-    def export_csv(self, path, n: int = 101) -> None:
-        """n a_j rows, each of n levels spanning the range attained at that a_j."""
+    def export_csv(self, path) -> None:
+        """CSV_NODES rows of a_j, each of CSV_NODES levels spanning the range attained there."""
         (aj_lo, aj_hi), (a0_lo, a0_hi) = self.omega.domain
-        aj = np.linspace(aj_lo, aj_hi, n)
-        vs = np.linspace(self.omega(aj, a0_lo), self.omega(aj, a0_hi), n, axis=1)
+        aj = np.linspace(aj_lo, aj_hi, CSV_NODES)
+        vs = np.linspace(self.omega(aj, a0_lo), self.omega(aj, a0_hi), CSV_NODES, axis=1)
         ws = self.omega.invert_a0_many(aj[:, None], vs)
         write_csv_table(
-            path, ("a_j", "v", "w"), (np.repeat(aj, n), vs.ravel(), ws.ravel())
+            path, ("a_j", "v", "w"), (np.repeat(aj, CSV_NODES), vs.ravel(), ws.ravel())
         )
 

@@ -34,26 +34,16 @@ EXIT_NUMERICAL = 3
 _SETTINGS = ("basis", "degree", "resolution", "v_nodes", "a_ref")
 
 
-def _ranges(a):
-    """A domain, ((lo, hi), (lo, hi)), from its 2-D array."""
-    return tuple(map(tuple, a.tolist()))
-
-
 # identify.npz layout: per object, the constructor fields it stores and how
 # each is read back; _write_identify_npz and _load_identify both walk these
-_RATIO_FIELDS = {
-    "pivot": int, "form": str, "basis": str, "degree": int,
-    "coefficients": np.asarray, "domain": _ranges,
-}
 _OMEGA_FIELDS = {
-    "a_ref": float, "domain": _ranges, "aj_lattice": np.asarray, "a0_lattice": np.asarray,
-    "lattice_values": np.asarray, "step": float, "log_axes": bool,
+    "a_ref": float, "aj_lattice": np.asarray, "a0_lattice": np.asarray,
+    "lattice_values": np.asarray, "step": float,
 }
 _DENSITY_FIELDS = {
     "f_values": np.asarray, "F_values": np.asarray, "support_mask": np.asarray,
-    "clipped_nodes": int, "min_raw_density": float, "a_ref": lambda a: tuple(a.tolist()),
+    "clipped_nodes": int, "min_raw_density": float,
 }
-_DENSITY_PROVENANCE = {"via": int, "field_hash": str}
 
 
 def _parse_grid(specs) -> field_mod.GridSpec:
@@ -162,9 +152,9 @@ def cmd_identify(args: argparse.Namespace) -> int:
     axes = field.grid.axes()
     sieve_field = field
     if field.grid.n_nodes > 500_000:
-        # node-wise gradient caches on huge fields cost dims^2 copies of the
-        # value array; the sieve is a global least-squares fit and loses
-        # nothing meaningful on a strided sub-lattice
+        # condition A has already built the full field's node gradients, so
+        # the sub-lattice only shrinks the sieve's fit: a global least-squares
+        # fit that loses nothing meaningful on a strided sub-lattice
         strides = tuple(max(1, (n - 1) // 60) for n in field.grid.counts)
         sieve_field = field_mod.subsample(field, strides)
     ratios, omegas = [], []
@@ -187,7 +177,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
     dens.export_csv(out / "density.csv")
     mass = density_mod.check_normalization(dens)
     _write_json(out / "mass_report.json", mass.to_dict())
-    _write_identify_npz(out / "identify.npz", ratios, omegas, dens)
+    _write_identify_npz(out / "identify.npz", omegas, dens)
     meta = {
         **{k: getattr(args, k) for k in _SETTINGS},
         "a_ref": [om.a_ref for om in omegas],  # defaults resolved
@@ -201,15 +191,11 @@ def cmd_identify(args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
-def _write_identify_npz(path: Path, ratios, omegas, dens) -> None:
+def _write_identify_npz(path: Path, omegas, dens) -> None:
     """Everything verify needs to rebuild identify's splines, as plain arrays."""
-    arrays = {}
-    for t, om in zip(ratios, omegas):
-        arrays.update((f"ratio_{t.j}.{k}", getattr(t, k)) for k in _RATIO_FIELDS)
-        arrays.update((f"omega_{om.j}.{k}", getattr(om, k)) for k in _OMEGA_FIELDS)
+    arrays = {f"omega_{om.j}.{k}": getattr(om, k) for om in omegas for k in _OMEGA_FIELDS}
     arrays.update((f"density.axis_{k}", ax) for k, ax in enumerate(dens.axes, start=1))
     arrays.update((f"density.{k}", getattr(dens, k)) for k in _DENSITY_FIELDS)
-    arrays.update((f"density.provenance.{k}", dens.provenance[k]) for k in _DENSITY_PROVENANCE)
     field_mod.write_npz(path, arrays)
 
 
@@ -232,14 +218,11 @@ def _load_identify(path: Path, meta: dict, n_alternatives: int):
     try:
         with np.load(io.BytesIO(data), allow_pickle=False) as npz:
             for j in range(1, n_alternatives):
-                ratio = symmetry.RatioFunction(j=j, **_unpack(npz, f"ratio_{j}.", _RATIO_FIELDS))
-                omega = characteristics.OmegaFunction(
-                    j=j, ratio=ratio, **_unpack(npz, f"omega_{j}.", _OMEGA_FIELDS)
-                )
+                fields = _unpack(npz, f"omega_{j}.", _OMEGA_FIELDS)
+                omega = characteristics.OmegaFunction(j=j, **fields)
                 utilities.append(characteristics.UtilityFunction(j=j, omega=omega))
             dens = density_mod.DensityGrid(
                 axes=tuple(npz[f"density.axis_{k}"] for k in range(1, n_alternatives)),
-                provenance=_unpack(npz, "density.provenance.", _DENSITY_PROVENANCE),
                 **_unpack(npz, "density.", _DENSITY_FIELDS),
             )
     except (KeyError, ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:

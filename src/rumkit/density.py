@@ -11,7 +11,7 @@ internal consistency check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,8 +44,6 @@ class DensityGrid:
     support_mask: np.ndarray
     clipped_nodes: int = 0
     min_raw_density: float = 0.0
-    a_ref: tuple = ()
-    provenance: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         shape = tuple(len(ax) for ax in self.axes)
@@ -107,7 +105,7 @@ class DensityGrid:
         )
 
 
-def make_v_grid(omegas, n: int = 101) -> tuple:
+def make_v_grid(omegas, n: int) -> tuple:
     """Axes for the v lattice from the attained omega ranges.
 
     Log-spaced per axis when the attained range is positive and spans more
@@ -282,8 +280,6 @@ def reconstruct_density(field: ProbabilityField, omegas, v_grid, via: int = 0) -
         support_mask=support,
         clipped_nodes=int(np.sum(f_node < 0)),
         min_raw_density=min_raw,
-        a_ref=tuple(om.a_ref for om in omegas),
-        provenance={"via": via, "field_hash": field.content_hash()},
     )
 
 

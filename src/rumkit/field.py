@@ -321,8 +321,9 @@ def check_shape(field: ProbabilityField) -> ShapeReport:
 def subsample(field: ProbabilityField, strides) -> ProbabilityField:
     """Every stride-th node per axis: a coarser field on a valid sub-lattice.
 
-    Used to keep node-wise derivative caches affordable on very large fields;
-    the sub-lattice keeps the lower corner and stays uniformly spaced.
+    Keeps the sieve's fit affordable on very large fields; the sub-lattice
+    keeps the lower corner and stays uniformly spaced. Unit strides return
+    the field itself (fields are immutable), its caches included.
     """
     strides = tuple(int(s) for s in strides)
     if len(strides) != field.grid.dims or any(s < 1 for s in strides):
@@ -332,6 +333,8 @@ def subsample(field: ProbabilityField, strides) -> ProbabilityField:
     )
     if any(c < 5 for c in counts):
         raise ValidationError("subsampled field would drop below 5 nodes per axis")
+    if all(s == 1 for s in strides):
+        return field
     spacing = field.grid.spacing
     upper = tuple(
         lo + (c - 1) * s * h

@@ -83,7 +83,7 @@ class TestAcceptance:
     def test_criterion_5_omega_reconstruction(self):
         t = lambda aj, a0: aj / (2.0 * a0)
         om = characteristics.build_omega(t, ((1.0, 4.0), (1.0, 4.0)), a_ref=1.0, j=1)
-        residual = float(np.max(om.pde_residual()))
+        residual = float(np.max(om.pde_residual(t)))
         aj = np.linspace(1.05, 3.95, 31)
         a0 = np.linspace(1.05, 3.95, 31)
         AJ, A0 = np.meshgrid(aj, a0, indexing="ij")

@@ -128,7 +128,7 @@ class TestBuildOmega:
         assert np.max(np.abs(got - exact)) <= 1e-4
 
     def test_pde_residual_bound(self, omega1):
-        res = omega1.pde_residual()
+        res = omega1.pde_residual(t_10())
         assert np.max(res) <= 5.0 * omega1.step**2
 
     def test_characteristic_invariance(self, omega1):
@@ -154,9 +154,9 @@ class TestBuildOmega:
 
     def test_csv_export(self, omega1, tmp_path):
         path = tmp_path / "omega.csv"
-        omega1.export_csv(path, n=11)
+        omega1.export_csv(path)
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert rows.shape == (121, 3)
+        assert rows.shape == (characteristics.CSV_NODES**2, 3)
 
 
 def _sweep_column(t, a0_start, aj_states, a_ref, step, direction, a0_limit, aj_box):
@@ -306,7 +306,7 @@ class TestUtilityInversion:
     def test_export_matches_per_row_inversion(self, w1, tmp_path):
         # reference: the row's level range from omega at the a_0 domain ends,
         # then one inversion per a_j row
-        n = 11
+        n = characteristics.CSV_NODES
         (aj_lo, aj_hi), (a0_lo, a0_hi) = w1.omega.domain
         rows = []
         for x in np.linspace(aj_lo, aj_hi, n):
@@ -316,7 +316,7 @@ class TestUtilityInversion:
         ref = tmp_path / "ref.csv"
         field.write_csv_table(ref, ("a_j", "v", "w"), np.concatenate(rows).T)
         path = tmp_path / "w.csv"
-        w1.export_csv(path, n=n)
+        w1.export_csv(path)
         assert path.read_bytes() == ref.read_bytes()
 
     @given(st.floats(1.1, 3.9), st.floats(1.1, 3.9))

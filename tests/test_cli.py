@@ -408,6 +408,18 @@ class TestVerify:
         assert code == EXIT_INPUT_ERROR
         assert not (tmp_path / "verify_report.json").exists()
 
+    def test_identify_npz_holds_only_what_verify_reads(self, lin_run):
+        # each omega's anchor, lattices, values and step, and the density grid;
+        # the domains and the march rule follow from the lattices
+        with np.load(lin_run / "identify.npz", allow_pickle=False) as npz:
+            names = set(npz.files)
+        omega = ("a_ref", "aj_lattice", "a0_lattice", "lattice_values", "step")
+        dens = ("axis_1", "axis_2", "f_values", "F_values", "support_mask",
+                "clipped_nodes", "min_raw_density")
+        assert names == {f"omega_{j}.{k}" for j in (1, 2) for k in omega} | {
+            f"density.{k}" for k in dens
+        }
+
     @pytest.mark.parametrize(
         "flags",
         [(), ("--integrator", "monte_carlo", "--draws", "20000")],

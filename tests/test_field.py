@@ -365,6 +365,9 @@ class TestSubsample:
         assert np.array_equal(sub.values, log_field.values[::2, ::2, ::2])
         assert np.allclose(sub.grid.axes()[0], log_field.grid.axes()[0][::2])
 
+    def test_unit_strides_return_the_field(self, log_field):
+        assert field.subsample(log_field, (1,) * log_field.grid.dims) is log_field
+
     def test_too_coarse_rejected(self, log_field):
         with pytest.raises(ValidationError):
             field.subsample(log_field, (20, 1, 1))

@@ -12,7 +12,7 @@ from conftest import log_model, oracle_prob
 
 
 @pytest.fixture(scope="module")
-def atom_density(wide_density):
+def atom_density():
     """Unit mass concentrated at one interior v-node of a small lattice."""
     v_star = (2.0, 0.5)
     axes = (
@@ -30,8 +30,6 @@ def atom_density(wide_density):
         support_mask=np.ones((5, 5), dtype=bool),
         clipped_nodes=0,
         min_raw_density=0.0,
-        a_ref=wide_density.a_ref,
-        provenance="atom",
     )
 
 
