@@ -1,7 +1,8 @@
 """Tabulated choice probabilities on rectangular grids.
 
-Provides the one multilinear kernel, one finite-difference stencil (np.gradient
-on the lattice, whose partials fd_stencil interpolates with that kernel),
+Provides the one multilinear kernel, one finite-difference stencil (_difference,
+np.gradient's edge_order=2 rule written in place on the lattice, whose partials
+fd_stencil interpolates with that kernel),
 monotonicity/cross-partial shape checks, the field CSV wire format with its
 .npz sidecar, the plain table and .npz writers behind the other artifacts, and
 the JSON form of the result records.
@@ -63,6 +64,20 @@ def multilinear(table, axes, points, lead):
     for corner in itertools.product(*sides):
         weight = np.asarray(math.prod((w for w, _ in corner), start=1.0))
         out = out + weight[trail] * rows.take(at + sum(o for _, o in corner), axis=0)
+    return out
+
+
+def _difference(arr, h, axis, out):
+    """np.gradient(arr, h, axis=axis, edge_order=2) written into out, bit for
+    bit: the same operations in the same order, with plane-sized temporaries."""
+    a, o = np.moveaxis(arr, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(a[2:], a[:-2], out=o[1:-1])
+    o[1:-1] /= 2.0 * h
+    for edge, (f0, f1, f2), (wa, wb, wc) in ((o[:1], a[:3], (-1.5, 2.0, -0.5)),
+                                              (o[-1:], a[-3:], (0.5, -2.0, 1.5))):
+        np.multiply(wa / h, f0, out=edge)
+        edge += (wb / h) * f1
+        edge += (wc / h) * f2
     return out
 
 
@@ -158,21 +173,56 @@ class ProbabilityField:
         out = np.empty((self.n_alternatives, self.n_alternatives) + self.grid.counts)
         for j in range(self.n_alternatives):
             for k in range(self.n_alternatives):
-                out[j, k] = self.node_mixed_partial(j, (k,))
+                _difference(self.values[..., j], self.grid.spacing[k], k, out[j, k])
         out.setflags(write=False)  # fd_stencil interpolates views of it
         return out
 
     def node_mixed_partial(self, r: int, axes: tuple[int, ...]) -> np.ndarray:
-        """Nested central differences of q_r on the whole lattice (edges one-sided)."""
+        """Nested central differences of q_r on the whole lattice (edges one-sided).
+
+        The nested np.gradient(..., edge_order=2) calls, bit for bit, with the
+        steps alternating between two lattice buffers (one when m = 1).
+        """
         arr = self.values[..., r]
-        for k in axes:
-            arr = np.gradient(arr, self.grid.spacing[k], axis=k, edge_order=2)
+        buffers = [np.empty(self.grid.counts) for _ in axes[:2]]
+        for i, k in enumerate(axes):
+            arr = _difference(arr, self.grid.spacing[k], k, buffers[i % 2])
         return arr
 
     @cached_property
     def gradient_scale(self) -> float:
-        """Median |d q_j / d a_k| over every node and (j, k): the derivative scale."""
-        return float(np.median(np.abs(self.node_gradients), overwrite_input=True))
+        """Median |d q_j / d a_k| over every node and (j, k): the derivative scale.
+
+        np.median's value, from a float32 copy of the magnitudes: rounding to
+        float32 keeps their order, so partitioning the copy brackets the middle
+        rank(s), and the float64 magnitudes inside that bracket, gathered plane
+        by plane, give the exact middle values. Beyond the copy, the work
+        arrays are plane-sized unless many magnitudes round to the bracket
+        (a constant field, say); the gathered set never outgrows a float64 copy.
+        """
+        planes = self.node_gradients.reshape((-1,) + self.grid.counts)
+        mags = np.empty(planes.shape, dtype=np.float32)
+        for i, p in enumerate(planes):
+            np.abs(p, out=mags[i], casting="same_kind")
+        mags = mags.reshape(-1)
+        mid = [(mags.size - 1) // 2, mags.size // 2]
+        mags.partition(mid + [-1])  # the -1 puts a NaN, if any, last
+        if np.isnan(mags[-1]):
+            return float("nan")
+        lo, hi = mags[mid]
+        rows = mags.reshape(len(planes), -1)  # counted a plane at a time
+        below = sum(np.count_nonzero(r < lo) for r in rows)
+        size = sum(np.count_nonzero(r <= hi) for r in rows) - below
+        del mags, rows
+        inside, at = np.empty(size), 0
+        work = np.empty(self.grid.counts, dtype=np.float32)
+        for p in planes:
+            np.abs(p, out=work, casting="same_kind")
+            got = p[(work >= lo) & (work <= hi)]
+            np.abs(got, out=inside[at : at + got.size])
+            at += got.size
+        inside.sort()
+        return float(np.mean(inside[mid[0] - below : mid[1] - below + 1]))
 
     def _hull_points(self, points) -> np.ndarray:
         """(n, dims) float array of the points; raises if any lies outside the hull."""

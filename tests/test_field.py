@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -245,7 +246,7 @@ class TestDerivatives:
 
     def test_near_edge_interpolates_one_sided_edge_partials(self, lin_field):
         # within one step of the edge the partial is interpolated between
-        # np.gradient's one-sided edge value and the next node's central one
+        # the stencil's one-sided edge value and the next node's central one
         grads = lin_field.node_gradients[0, 0]
         h = lin_field.grid.spacing[0]
         d = lin_field.fd_stencil(0, (0,), [(-1.0, 0.0, 0.0), (-1.0 + 0.25 * h, 0.0, 0.0)])
@@ -323,6 +324,104 @@ class TestDerivatives:
         assert f.gradient_scale == float(np.median(np.abs(before)))
         assert np.array_equal(f.node_gradients, before)
         assert not f.node_gradients.flags.writeable  # fd_stencil interpolates views of it
+
+
+def _random_field(counts, seed=0):
+    rng = np.random.default_rng(seed)
+    upper = tuple(rng.uniform(0.5, 3.0, len(counts)))
+    vals = rng.random(tuple(counts) + (len(counts),))
+    return field.ProbabilityField(
+        field.GridSpec((-1.0,) * len(counts), upper, counts), vals / vals.sum(-1, keepdims=True)
+    )
+
+
+def _nested_gradient(f, r, axes):
+    arr = f.values[..., r]
+    for k in axes:
+        arr = np.gradient(arr, f.grid.spacing[k], axis=k, edge_order=2)
+    return arr
+
+
+def _affine_field(counts):
+    # every q_j affine in every coordinate: |d q_j / d a_k| is 0.05, 0.1 or
+    # 0.2 up to round-off, so thousands of magnitudes share a float32 value
+    g = field.GridSpec((0.0,) * 3, (1.0,) * 3, counts)
+    x = np.meshgrid(*g.axes(), indexing="ij")
+    q1 = 0.3 + 0.1 * (x[0] - x[1] + 0.5 * x[2])
+    q2 = 0.3 + 0.1 * (x[0] + x[1] - x[2])
+    return field.ProbabilityField(g, np.stack([1.0 - q1 - q2, q1, q2], axis=-1))
+
+
+class TestStencilBits:
+    """The in-place stencil reproduces np.gradient(..., edge_order=2) bit for bit."""
+
+    @pytest.mark.parametrize("counts", [(9, 5), (5, 8, 6), (7, 5, 6, 8)], ids=["J1", "J2", "J3"])
+    def test_mixed_partials_equal_nested_gradient(self, counts):
+        f = _random_field(counts)
+        for r in range(f.n_alternatives):
+            for m in range(1, f.n_alternatives + 1):  # up to every axis, in every order
+                for axes in itertools.permutations(range(f.n_alternatives), m):
+                    got = f.node_mixed_partial(r, axes)
+                    assert np.array_equal(got, _nested_gradient(f, r, axes)), (r, axes)
+
+    @pytest.mark.parametrize("counts", [(9, 5), (5, 8, 6), (7, 5, 6, 8)], ids=["J1", "J2", "J3"])
+    def test_node_gradient_planes_equal_gradient(self, counts):
+        f = _random_field(counts, seed=1)
+        for j, k in itertools.product(range(f.n_alternatives), repeat=2):
+            assert np.array_equal(f.node_gradients[j, k], _nested_gradient(f, j, (k,)))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: _random_field((7, 5, 6), seed=2),  # 9 * 210 entries: even
+            lambda: _random_field((7, 5, 9), seed=3),  # 9 * 315 entries: odd
+            lambda: field.ProbabilityField(  # every magnitude 0 or round-off
+                field.GridSpec((0.0,) * 3, (1.0,) * 3, (5, 6, 7)), np.full((5, 6, 7, 3), 1 / 3)
+            ),
+            lambda: _affine_field((9, 9, 9)),
+            lambda: _affine_field((9, 9, 8)),
+        ],
+        ids=["even", "odd", "constant", "ties-odd", "ties-even"],
+    )
+    def test_gradient_scale_equals_median(self, make):
+        f = make()
+        assert f.gradient_scale == float(np.median(np.abs(f.node_gradients)))
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+LATTICE_60 = 8 * 60**3  # bytes of one float64 array on the 60^3 lattice
+
+
+@pytest.mark.parametrize(
+    "name, bound",
+    [
+        # two lattice buffers, never a result plus a temporary per step
+        ("node_mixed_partial", 2 * LATTICE_60 + 2**20),
+        # each plane written into its slot of the block
+        ("node_gradients", 9 * LATTICE_60 + 2**20),
+        # a float32 copy of |d q| plus plane-sized work arrays
+        ("gradient_scale", 0.5 * 9 * LATTICE_60 + 2 * LATTICE_60),
+    ],
+    ids=["node_mixed_partial", "node_gradients", "gradient_scale"],
+)
+def test_derivative_allocation_bounds(name, bound):
+    f = _softmax_field(3, 60)
+    if name != "node_gradients":
+        f.node_gradients  # built before tracing
+    call = {
+        "node_mixed_partial": lambda: f.node_mixed_partial(0, (1, 2)),
+        "node_gradients": lambda: f.node_gradients,
+        "gradient_scale": lambda: f.gradient_scale,
+    }[name]
+    assert _traced_peak(call) <= bound
 
 
 class TestCheckShape:
