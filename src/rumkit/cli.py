@@ -152,9 +152,10 @@ def cmd_identify(args: argparse.Namespace) -> int:
     axes = field.grid.axes()
     sieve_field = field
     if field.grid.n_nodes > 500_000:
-        # condition A has already built the full field's node gradients, so
-        # the sub-lattice only shrinks the sieve's fit: a global least-squares
-        # fit that loses nothing meaningful on a strided sub-lattice
+        # condition A leaves only the full field's cached gradient_scale (no
+        # node_gradients block), so the sub-lattice shrinks the sieve's ratio
+        # planes and its fit: a global least-squares fit that loses nothing
+        # meaningful on a strided sub-lattice
         strides = tuple(max(1, (n - 1) // 60) for n in field.grid.counts)
         sieve_field = field_mod.subsample(field, strides)
     ratios, omegas = [], []

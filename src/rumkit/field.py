@@ -177,52 +177,116 @@ class ProbabilityField:
         out.setflags(write=False)  # fd_stencil interpolates views of it
         return out
 
+    def _gradient_plane(self, j: int, k: int, out=None) -> np.ndarray:
+        """node_gradients[j, k]: a view of the block once something built it,
+        else differenced into out (a new lattice when None)."""
+        if "node_gradients" in self.__dict__:
+            return self.node_gradients[j, k]
+        if out is None:
+            out = np.empty(self.grid.counts)
+        return _difference(self.values[..., j], self.grid.spacing[k], k, out)
+
     def node_mixed_partial(self, r: int, axes: tuple[int, ...]) -> np.ndarray:
         """Nested central differences of q_r on the whole lattice (edges one-sided).
 
-        The nested np.gradient(..., edge_order=2) calls, bit for bit, with the
-        steps alternating between two lattice buffers (one when m = 1).
+        The nested np.gradient(..., edge_order=2) calls, bit for bit, into one
+        output lattice. The steps run slab by slab along axis 0 through
+        axis0_slabs-sized buffers when none of them differentiates it; else
+        the first step runs on the whole lattice into the output and the
+        others slab by slab along its axis.
         """
-        arr = self.values[..., r]
-        buffers = [np.empty(self.grid.counts) for _ in axes[:2]]
-        for i, k in enumerate(axes):
-            arr = _difference(arr, self.grid.spacing[k], k, buffers[i % 2])
-        return arr
+        h, out = self.grid.spacing, np.empty(self.grid.counts)
+        src, steps, lead = self.values[..., r], list(axes), 0
+        if lead in axes:
+            lead = steps.pop(0)
+            src = _difference(src, h[lead], lead, out)
+            if not steps:
+                return out
+        src_s, out_s = np.moveaxis(src, lead, 0), np.moveaxis(out, lead, 0)
+        slabs = axis0_slabs(out_s.shape)
+        rows = slabs[0].stop - slabs[0].start
+        buffers = [np.empty((rows,) + out_s.shape[1:]) for _ in steps[1:3]]
+        for s in slabs:
+            # a slab of the output is copied before the step that overwrites it
+            arr = src_s[s].copy() if src is out else src_s[s]
+            for i, k in enumerate(steps):
+                dst = out_s[s] if i == len(steps) - 1 else buffers[i % 2][: len(arr)]
+                arr = _difference(arr, h[k], k + (k < lead), dst)
+        return out
 
     @cached_property
     def gradient_scale(self) -> float:
         """Median |d q_j / d a_k| over every node and (j, k): the derivative scale.
 
-        np.median's value, from a float32 copy of the magnitudes: rounding to
-        float32 keeps their order, so partitioning the copy brackets the middle
-        rank(s), and the float64 magnitudes inside that bracket, gathered plane
-        by plane, give the exact middle values. Beyond the copy, the work
-        arrays are plane-sized unless many magnitudes round to the bracket
-        (a constant field, say); the gathered set never outgrows a float64 copy.
+        np.median's value, by a radix selection: non-negative floats order as
+        their bit patterns do as unsigned integers, so each middle rank is
+        narrowed 16 bits a round. The high 32-bit words are kept (half a
+        float64 copy of the planes) and serve the first two rounds. The full
+        keys come from the planes that hold the chosen high word, differenced
+        again unless node_gradients is built: sorted when at most `step` of
+        them share it, else narrowed by two more rounds. Beyond the copy the
+        work arrays are one plane and `step`-sized pieces, however many
+        magnitudes tie.
         """
-        planes = self.node_gradients.reshape((-1,) + self.grid.counts)
-        mags = np.empty(planes.shape, dtype=np.float32)
-        for i, p in enumerate(planes):
-            np.abs(p, out=mags[i], casting="same_kind")
-        mags = mags.reshape(-1)
-        mid = [(mags.size - 1) // 2, mags.size // 2]
-        mags.partition(mid + [-1])  # the -1 puts a NaN, if any, last
-        if np.isnan(mags[-1]):
-            return float("nan")
-        lo, hi = mags[mid]
-        rows = mags.reshape(len(planes), -1)  # counted a plane at a time
-        below = sum(np.count_nonzero(r < lo) for r in rows)
-        size = sum(np.count_nonzero(r <= hi) for r in rows) - below
-        del mags, rows
-        inside, at = np.empty(size), 0
-        work = np.empty(self.grid.counts, dtype=np.float32)
-        for p in planes:
-            np.abs(p, out=work, casting="same_kind")
-            got = p[(work >= lo) & (work <= hi)]
-            np.abs(got, out=inside[at : at + got.size])
-            at += got.size
-        inside.sort()
-        return float(np.mean(inside[mid[0] - below : mid[1] - below + 1]))
+        n, step = self.n_alternatives, _CHUNK_ENTRIES // 2
+        # a lattice to difference into, unless the planes are views of the block
+        plane = None if "node_gradients" in self.__dict__ else np.empty(self.grid.counts)
+
+        def signed(i):  # plane i of d q_j / d a_k as bit patterns, sign bit included
+            return self._gradient_plane(i // n, i % n, plane).reshape(-1).view(np.uint64)
+
+        high = np.empty((n * n, math.prod(self.grid.counts)), dtype=np.uint32)
+        for i in range(n * n):
+            bits = signed(i)
+            np.right_shift(bits, 32, out=high[i], casting="same_kind")
+            high[i] &= 0x7FFFFFFF  # the high word of the magnitude
+            if high[i].max() >= 0x7FF00000 and np.isnan(bits.view(np.float64)).any():
+                return float("nan")  # as np.median gives
+
+        def pieces(prefix, done):  # the keys whose top `done` bits are prefix
+            if done < 32:  # their high words
+                flat = high.reshape(-1)
+                chunks = (flat[s : s + step] for s in range(0, flat.size, step))
+            else:
+                word = prefix >> (done - 32)
+                chunks = (
+                    k[s : s + step] & 0x7FFFFFFFFFFFFFFF
+                    for i in range(n * n) if (high[i] == word).any()
+                    for k in [signed(i)] for s in range(0, k.size, step)
+                )
+            for c in chunks:
+                yield c[c >> (32 - done % 32) == prefix] if done else c
+
+        digit = np.empty(step, dtype=np.intp)
+
+        def split(ranks, prefix, done):  # (digit, first rank, end rank) per bin hit
+            cum = np.zeros(1 << 16, dtype=np.intp)
+            for c in pieces(prefix, done):
+                d = np.right_shift(c, 16 - done % 32, out=digit[: c.size], casting="unsafe")
+                d &= 0xFFFF
+                counts = np.bincount(d)
+                cum[: counts.size] += counts
+                del counts  # before the next piece is cut
+            np.cumsum(cum, out=cum)
+            hit = dict.fromkeys(np.searchsorted(cum, ranks, side="right").tolist())
+            return [(d, int(cum[d - 1]) if d else 0, int(cum[d])) for d in hit]
+
+        # each entry: ranks (sorted, global), keys below its bin, the bin's
+        # top `done` bits, done, and how many keys it holds
+        mid = sorted({(high.size - 1) // 2, high.size // 2})
+        at, todo = {}, [(mid, 0, 0, 0, high.size)]
+        while todo:
+            ranks, below, prefix, done, size = todo.pop()
+            if done == 64:
+                at.update((r, prefix) for r in ranks)
+            elif done >= 32 and size <= step:
+                found = np.sort(np.concatenate(list(pieces(prefix, done))))
+                at.update((r, int(found[r - below])) for r in ranks)
+            else:
+                for d, lo, hi in split([r - below for r in ranks], prefix, done):
+                    inside = [r for r in ranks if lo <= r - below < hi]
+                    todo.append((inside, below + lo, prefix << 16 | d, done + 16, hi - lo))
+        return float(np.mean(np.array([at[r] for r in mid], dtype=np.uint64).view(np.float64)))
 
     def _hull_points(self, points) -> np.ndarray:
         """(n, dims) float array of the points; raises if any lies outside the hull."""

@@ -37,12 +37,15 @@ def slutsky_ratio(field: ProbabilityField, k: int, l: int, points=None) -> np.nd
     if k == l:
         raise ValidationError("ratio needs two distinct alternatives")
     if points is None:
-        num, den = field.node_gradients[k, l], field.node_gradients[l, k]
+        num, den = field._gradient_plane(k, l), field._gradient_plane(l, k)
     else:
         num, den = field.fd_stencil(k, (l,), points), field.fd_stencil(l, (k,), points)
+    floor = 1e-8 * max(field.gradient_scale, 1e-300)  # after fd_stencil built any block
+    # planes differenced for this call are overwritten: the quotient into num,
+    # the magnitudes into den
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = num / den
-    ratio[np.abs(den) < 1e-8 * max(field.gradient_scale, 1e-300)] = np.nan
+        ratio = np.divide(num, den, out=num if num.flags.writeable else None)
+    ratio[np.abs(den, out=den if den.flags.writeable else None) < floor] = np.nan
     return ratio
 
 
@@ -217,10 +220,15 @@ class RatioFunction:
 def ratio_samples(field: ProbabilityField, j: int, m: int) -> tuple[np.ndarray, ...]:
     """(a_j, a_m, ratio) over non-degenerate interior grid nodes."""
     ratio = slutsky_ratio(field, j, m)[field.interior_slices()]
-    axes = field.grid.axes()
-    mesh = np.meshgrid(*[ax[1:-1] for ax in axes], indexing="ij")
     ok = ~np.isnan(ratio)
-    return mesh[j][ok], mesh[m][ok], ratio[ok]
+    axes = field.grid.axes()
+
+    def coordinate(k):  # a_k at the kept nodes, broadcast rather than meshed
+        along = [1] * ratio.ndim
+        along[k] = -1
+        return np.broadcast_to(axes[k][1:-1].reshape(along), ratio.shape)[ok]
+
+    return coordinate(j), coordinate(m), ratio[ok]
 
 
 def fit_ratio_sieve(
@@ -261,7 +269,10 @@ def fit_ratio_sieve(
     else:
         y = r
         xj, xm = aj, am
-    design = np.stack([xj**p * xm**q for p, q in terms], axis=-1)
+    design = np.empty((len(y), len(terms)))
+    for col, (p, q) in enumerate(terms):
+        np.multiply(xj**p, xm**q, out=design[:, col])
+    del aj, am, r, xj, xm  # the design holds what lstsq needs
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < len(terms):
         raise RankDeficientBasisError(

@@ -149,7 +149,7 @@ def wide_field(m_log):
 @pytest.fixture(scope="session")
 def wide_ratios(wide_field):
     # sieve is a global least-squares fit; a strided sub-lattice loses
-    # nothing and keeps the node-gradient cache off the 11M-node array
+    # nothing and keeps the ratio planes and gradient_scale off the 11M-node array
     sub = field.subsample(wide_field, (5, 4, 2))
     return [
         symmetry.fit_ratio_sieve(sub, j, 0, basis="log_polynomial", degree=1)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
-from rumkit import field, model
+from rumkit import field, model, symmetry
 from rumkit.errors import ExtrapolationError, ValidationError
 
 from conftest import (
@@ -342,9 +342,15 @@ def _nested_gradient(f, r, axes):
     return arr
 
 
+def _constant_field(counts):
+    # every magnitude 0 or round-off
+    g = field.GridSpec((0.0,) * 3, (1.0,) * 3, counts)
+    return field.ProbabilityField(g, np.full(tuple(counts) + (3,), 1 / 3))
+
+
 def _affine_field(counts):
     # every q_j affine in every coordinate: |d q_j / d a_k| is 0.05, 0.1 or
-    # 0.2 up to round-off, so thousands of magnitudes share a float32 value
+    # 0.2 up to round-off, so thousands of magnitudes share their high bits
     g = field.GridSpec((0.0,) * 3, (1.0,) * 3, counts)
     x = np.meshgrid(*g.axes(), indexing="ij")
     q1 = 0.3 + 0.1 * (x[0] - x[1] + 0.5 * x[2])
@@ -375,9 +381,7 @@ class TestStencilBits:
         [
             lambda: _random_field((7, 5, 6), seed=2),  # 9 * 210 entries: even
             lambda: _random_field((7, 5, 9), seed=3),  # 9 * 315 entries: odd
-            lambda: field.ProbabilityField(  # every magnitude 0 or round-off
-                field.GridSpec((0.0,) * 3, (1.0,) * 3, (5, 6, 7)), np.full((5, 6, 7, 3), 1 / 3)
-            ),
+            lambda: _constant_field((5, 6, 7)),
             lambda: _affine_field((9, 9, 9)),
             lambda: _affine_field((9, 9, 8)),
         ],
@@ -386,6 +390,27 @@ class TestStencilBits:
     def test_gradient_scale_equals_median(self, make):
         f = make()
         assert f.gradient_scale == float(np.median(np.abs(f.node_gradients)))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: _random_field((9, 5), seed=4),
+            lambda: _random_field((5, 8, 6), seed=4),
+            lambda: _random_field((7, 5, 6, 8), seed=4),
+            lambda: _constant_field((5, 6, 7)),
+            lambda: _affine_field((9, 9, 9)),
+            lambda: _affine_field((9, 9, 8)),
+        ],
+        ids=["J1", "J2", "J3", "constant", "ties-odd", "ties-even"],
+    )
+    def test_planes_without_the_block_equal_its_views(self, make):
+        streamed, block = make(), make()
+        block.node_gradients
+        assert streamed.gradient_scale == block.gradient_scale
+        for k, l in itertools.permutations(range(block.n_alternatives), 2):
+            got = symmetry.slutsky_ratio(streamed, k, l)
+            assert got.tobytes() == symmetry.slutsky_ratio(block, k, l).tobytes(), (k, l)
+        assert "node_gradients" not in streamed.__dict__
 
 
 def _traced_peak(fn):
@@ -398,24 +423,32 @@ def _traced_peak(fn):
 
 
 LATTICE_60 = 8 * 60**3  # bytes of one float64 array on the 60^3 lattice
+LATTICE_80 = 8 * 80**3
+HALF_BLOCK_60 = 0.5 * 9 * LATTICE_60  # the high words of every |d q_j / d a_k|
 
 
 @pytest.mark.parametrize(
-    "name, bound",
+    "name, make, bound",
     [
-        # two lattice buffers, never a result plus a temporary per step
-        ("node_mixed_partial", 2 * LATTICE_60 + 2**20),
+        # one output lattice plus axis0_slabs-sized buffers, never a second lattice
+        ("node_mixed_partial", lambda: _softmax_field(3, 80), LATTICE_80 + 2**20),
         # each plane written into its slot of the block
-        ("node_gradients", 9 * LATTICE_60 + 2**20),
-        # a float32 copy of |d q| plus plane-sized work arrays
-        ("gradient_scale", 0.5 * 9 * LATTICE_60 + 2 * LATTICE_60),
+        ("node_gradients", lambda: _softmax_field(3, 60), 9 * LATTICE_60 + 2**20),
+        # with no block built: half of it plus plane-sized work arrays, ties or not
+        ("gradient_scale", lambda: _softmax_field(3, 60), HALF_BLOCK_60 + 2 * LATTICE_60),
+        ("gradient_scale", lambda: _constant_field((60,) * 3), HALF_BLOCK_60 + 2 * LATTICE_60),
+        ("gradient_scale", lambda: _affine_field((60,) * 3), HALF_BLOCK_60 + 2 * LATTICE_60),
     ],
-    ids=["node_mixed_partial", "node_gradients", "gradient_scale"],
+    ids=[
+        "node_mixed_partial",
+        "node_gradients",
+        "gradient_scale",
+        "gradient_scale-constant",
+        "gradient_scale-affine",
+    ],
 )
-def test_derivative_allocation_bounds(name, bound):
-    f = _softmax_field(3, 60)
-    if name != "node_gradients":
-        f.node_gradients  # built before tracing
+def test_derivative_allocation_bounds(name, make, bound):
+    f = make()
     call = {
         "node_mixed_partial": lambda: f.node_mixed_partial(0, (1, 2)),
         "node_gradients": lambda: f.node_gradients,

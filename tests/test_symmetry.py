@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rumkit import field, model, symmetry
+from rumkit import characteristics, density, field, model, symmetry
 from rumkit.errors import NegativeRatioError, RankDeficientBasisError, ValidationError
 
 
@@ -224,3 +224,22 @@ class TestSieve:
         t = symmetry.fit_ratio_sieve(lin_field, 1, 0, basis="polynomial", degree=1)
         assert t.coefficients[0] == pytest.approx(1.0, abs=5e-3)
         assert np.max(np.abs(t.coefficients[1:])) <= 5e-3
+
+
+def test_identification_path_builds_no_node_gradient_block(log_field):
+    # condition A, the sieve and the density read only the planes they use
+    f = field.ProbabilityField(log_field.grid, log_field.values)  # fresh caches
+    assert symmetry.test_condition_A(f, 0, tol=5e-3).passed
+    axes = f.grid.axes()
+    omegas = [
+        characteristics.build_omega(
+            symmetry.fit_ratio_sieve(f, j, 0, basis="log_polynomial"),
+            ((axes[j][0], axes[j][-1]), (axes[0][0], axes[0][-1])),
+            resolution=21,
+            j=j,
+        )
+        for j in (1, 2)
+    ]
+    density.reconstruct_density(f, omegas, density.make_v_grid(omegas, n=21))
+    assert "node_gradients" not in f.__dict__
+    assert f.gradient_scale == float(np.median(np.abs(log_field.node_gradients)))
