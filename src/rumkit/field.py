@@ -5,7 +5,8 @@ np.gradient's edge_order=2 rule written in place on the lattice, whose partials
 fd_stencil interpolates with that kernel),
 monotonicity/cross-partial shape checks, the field CSV wire format with its
 .npz sidecar, the plain table and .npz writers behind the other artifacts, and
-the JSON form of the result records.
+the JSON form of the result records. Both CSV writers format each distinct
+number of a block once when at most half its entries are distinct.
 """
 
 from __future__ import annotations
@@ -487,12 +488,36 @@ def _sidecar_path(path) -> str:
     return os.fspath(path) + ".npz"
 
 
+def _distinct_strings(values, fmt):
+    """fmt of every entry of the float array values, as an object array of
+    its shape, calling fmt once per distinct bit pattern (so -0.0 and 0.0
+    keep their own strings); None when more than half the entries are
+    distinct. One argsort of the patterns ranks every entry among them.
+    """
+    keys = np.ascontiguousarray(values, dtype=float).view(np.uint64).reshape(-1)
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new = np.empty(keys.size, dtype=bool)  # where a distinct pattern starts
+    new[0], new[1:] = True, ordered[1:] != ordered[:-1]
+    rank = np.cumsum(new, dtype=np.intp)
+    if 2 * rank[-1] > keys.size:
+        return None
+    rank -= 1
+    index = np.empty_like(order)
+    index[order] = rank
+    del order, rank  # before the strings exist: this sets the writer's peak
+    table = np.array(list(map(fmt, ordered[new].view(np.float64).tolist())), dtype=object)
+    return table[index].reshape(values.shape)
+
+
 def write_field_csv(field: ProbabilityField, path) -> None:
     """Header a_0..a_J,q_0..q_J; one row per node, lexicographic node order.
 
     Every number is written as its shortest round-trip repr and every line
     ends in CRLF (the bytes csv.writer produces). Coordinates are formatted
-    once per axis; rows are formatted and written one axis-0 slab at a time.
+    once per axis, probabilities once per distinct value of an axis0_slabs
+    block that repeats values (_distinct_strings), else entry by entry; rows
+    are written one axis-0 slab at a time.
 
     Then the sidecar <path>.npz replaces any earlier one: the SHA-256 of the
     bytes just written, the grid bounds and the values, from which
@@ -511,10 +536,16 @@ def write_field_csv(field: ProbabilityField, path) -> None:
             fh.write(data)
 
         emit(",".join(_field_header(nalt)) + "\r\n")
-        for a0, slab in zip(coords[0], field.values):
-            probs = [map(repr, col) for col in slab.reshape(-1, nalt).T.tolist()]
-            rows = map(",".join, zip(map(a0.__add__, tails), *probs))
-            emit("\r\n".join(rows) + "\r\n")
+        for s in axis0_slabs(field.values.shape):
+            block = field.values[s]
+            strings = _distinct_strings(block, repr)
+            for i, a0 in enumerate(coords[0][s]):
+                if strings is None:
+                    probs = [map(repr, col) for col in block[i].reshape(-1, nalt).T.tolist()]
+                else:
+                    probs = strings[i].reshape(-1, nalt).T
+                rows = map(",".join, zip(map(a0.__add__, tails), *probs))
+                emit("\r\n".join(rows) + "\r\n")
     write_npz(
         _sidecar_path(path),
         {
@@ -547,8 +578,10 @@ def write_csv_table(path, names, columns) -> None:
     """Write equal-length columns under a header of names, each number as %.12g.
 
     The bytes np.savetxt writes for the column-stacked floats (a bool column
-    reads 1 / 0): each row is formatted by one template, and the rows are
-    converted and written _CSV_CHUNK_ROWS at a time, which bounds the memory.
+    reads 1 / 0): cells joined by commas, each line ended by a newline. The
+    rows are converted and written _CSV_CHUNK_ROWS at a time, which bounds the
+    memory. A chunk's column that repeats values formats each distinct value
+    once (_distinct_strings); a row template formats the others, if any.
     """
     if len(names) != len(columns):
         raise ValueError(f"{len(names)} header names for {len(columns)} columns")
@@ -556,12 +589,19 @@ def write_csv_table(path, names, columns) -> None:
     n = len(cols[0]) if cols else 0
     if any(len(col) != n for col in cols):
         raise ValueError("columns differ in length")
-    row = ",".join(["%.12g"] * len(cols)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
         for lo in range(0, n, _CSV_CHUNK_ROWS):
-            chunk = [col[lo : lo + _CSV_CHUNK_ROWS].tolist() for col in cols]
-            fh.write("".join(map(row.__mod__, zip(*chunk))))
+            chunk, row = [], []
+            for col in cols:
+                part = col[lo : lo + _CSV_CHUNK_ROWS]
+                strings = _distinct_strings(part, "%.12g".__mod__)
+                chunk.append(part.tolist() if strings is None else strings.tolist())
+                row.append("%.12g" if strings is None else "%s")
+            if "%.12g" in row:  # one template formats the floats, places the strings
+                fh.write("".join(map((",".join(row) + "\n").__mod__, zip(*chunk))))
+            else:  # every cell is a string already
+                fh.write("\n".join(map(",".join, zip(*chunk))) + "\n")
 
 
 def _sidecar_field(path):

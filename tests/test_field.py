@@ -576,6 +576,21 @@ def _single_alternative_field():
     return field.ProbabilityField(grid, np.ones((9, 1)))
 
 
+def _lin_gumbel_field():
+    # no income effects: q depends on a only through a_j - a_0, so values repeat
+    grid = field.GridSpec((-6.0,) * 3, (6.0,) * 3, (21,) * 3)
+    return model.tabulate(lin_model(), grid)
+
+
+def _signed_zero_field():
+    # every node a permutation of (1.0, 0.0, -0.0) but two softmax rows
+    rows = np.array(list(itertools.permutations([1.0, 0.0, -0.0])))
+    values = rows[np.arange(6 * 7 * 8) % len(rows)].reshape(6, 7, 8, 3)
+    values[2, 3, 4] = values[5, 6, 7] = (0.25, 0.5, 0.25)
+    grid = field.GridSpec((-1.0,) * 3, (1.0,) * 3, (6, 7, 8))
+    return field.ProbabilityField(grid, values)
+
+
 class TestWriterEquivalence:
     """The slab-streamed writer produces the reference writer's bytes."""
 
@@ -591,8 +606,11 @@ class TestWriterEquivalence:
                 method="monte_carlo", n=300, seed=3,
             ),
             _single_alternative_field,
+            _lin_gumbel_field,
+            _signed_zero_field,
         ],
-        ids=["J1", "J2", "J3", "exponent_form", "monte_carlo", "single_alternative"],
+        ids=["J1", "J2", "J3", "exponent_form", "monte_carlo", "single_alternative",
+             "lin_gumbel_table", "signed_zero_table"],
     )
     def test_bytes_match_reference(self, tmp_path, monkeypatch, make):
         f = make()
@@ -607,6 +625,32 @@ class TestWriterEquivalence:
         assert hit.content_hash() == parsed.content_hash()
         assert np.array_equal(hit.values.view(np.uint64), parsed.values.view(np.uint64))
         assert np.array_equal(hit.values, f.values)
+
+
+class TestDistinctStrings:
+    """_distinct_strings: one fmt call per distinct bit pattern, or None."""
+
+    def test_one_call_per_bit_pattern(self):
+        values = np.array([[0.5, -0.0, 0.0], [0.0, 0.5, -0.0], [0.5, 0.5, 0.25]])
+        calls = []
+        strings = field._distinct_strings(values, lambda x: calls.append(x) or repr(x))
+        assert strings.shape == values.shape
+        assert strings.tolist() == [[repr(x) for x in row] for row in values.tolist()]
+        assert strings[0, 1] == "-0.0" and strings[0, 2] == "0.0"
+        assert len(calls) == 4
+        assert {x.hex() for x in calls} == {x.hex() for x in (0.5, -0.0, 0.0, 0.25)}
+
+    def test_none_when_most_entries_distinct(self):
+        fmt = "%.12g".__mod__
+        assert field._distinct_strings(np.arange(5.0), fmt) is None
+        assert field._distinct_strings(np.array([1.0, 1.0, 2.0, 2.0, 3.0]), fmt) is None
+        assert field._distinct_strings(np.array([1.0, 1.0, 2.0, 2.0]), fmt) is not None
+
+    @pytest.mark.parametrize("make", [_lin_gumbel_field, _signed_zero_field])
+    def test_table_fields_take_the_table(self, make):
+        f = make()
+        for s in field.axis0_slabs(f.values.shape):
+            assert field._distinct_strings(f.values[s], repr) is not None
 
 
 def _planted_field(dims):
@@ -765,11 +809,18 @@ def test_csv_table_bytes_match_savetxt(tmp_path, monkeypatch, chunk_rows):
         np.concatenate([[-0.0, 5e-324, 1.0 - 2.0**-53], rng.random(32)]),
         np.arange(35),
         rng.random(35) > 0.5,
+        # runs of repeats with both zeros: the table path, across chunk ends
+        np.repeat([0.0, -0.0, 0.25, 0.0, 1.0 / 3.0, -0.0, 2.5e-7], 5),
     ]
-    names = ["v_1", "v_2", "f", "k", "in_support"]
-    field.write_csv_table(tmp_path / "new.csv", names, columns)
-    np.savetxt(
-        tmp_path / "ref.csv", np.column_stack(columns), delimiter=",",
-        header=",".join(names), comments="", fmt="%.12g",
-    )
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    names = ["v_1", "v_2", "f", "k", "in_support", "mass"]
+    for lo in range(0, 35, chunk_rows):
+        assert field._distinct_strings(columns[-1][lo : lo + chunk_rows], str) is not None
+    # all columns (chunks mixing tables and floats), then only repeating ones
+    for keep in (range(len(columns)), (0, 4, 5)):
+        cols, header = [columns[i] for i in keep], [names[i] for i in keep]
+        field.write_csv_table(tmp_path / "new.csv", header, cols)
+        np.savetxt(
+            tmp_path / "ref.csv", np.column_stack(cols), delimiter=",",
+            header=",".join(header), comments="", fmt="%.12g",
+        )
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
