@@ -210,14 +210,80 @@ def _sweep_crossings(
         idx, a0, y = idx[keep], (a0 + h)[keep], y_new[keep]
 
 
+class _Bicubic:
+    """The bicubic spline interpolant of values z on the lattice x times y.
+
+    The not-a-knot interpolant (de Boor, A Practical Guide to Splines) with
+    FITPACK's s = 0 knots [x0]*4 + x[2:-2] + [x_end]*4 on each axis (Dierckx,
+    Curve and Surface Fitting with Splines, 1993): the spline scipy's
+    RectBivariateSpline(x, y, z, kx=3, ky=3, s=0) builds. The coefficients come
+    from one dense collocation solve per axis; ev clamps its points to the
+    lattice rectangle, as FITPACK's fpbisp does.
+    """
+
+    def __init__(self, x, y, z):
+        x, y = (np.asarray(a, dtype=float) for a in (x, y))
+        self._axes = (self._axis(x), self._axis(y))
+        coef = np.asarray(z, dtype=float)
+        for axis, a in enumerate((x, y)):
+            cell, weights = self._weights(axis, a, 0)
+            colloc = np.zeros((len(a), len(a)))
+            for r, w in enumerate(weights):
+                colloc[np.arange(len(a)), cell + r] = w
+            coef = np.linalg.solve(colloc, coef).T  # along x, then along y and back
+        self._stride = len(y)
+        self._coef = coef.ravel()
+
+    @staticmethod
+    def _axis(a):
+        """(interior knots, the six knots t[l-2..l+3] of each cell l, lo, hi) of one axis."""
+        t = np.concatenate([np.repeat(a[0], 4), a[2:-2], np.repeat(a[-1], 4)])
+        return a[2:-2], np.stack([t[l - 2:l + 4] for l in range(3, len(a))]), a[0], a[-1]
+
+    def _weights(self, axis, x, d):
+        """Each clamped point's cell and its four cubic B-spline values (d = 0) or slopes (d = 1).
+
+        de Boor's BSPLVB recursion through the linear and quadratic B-splines
+        of the cell, with dl_i = x - t[l+1-i] and dr_i = t[l+i] - x.
+        """
+        inner, cells, lo, hi = self._axes[axis]
+        x = np.clip(x, lo, hi)
+        cell = np.searchsorted(inner, x, side="right")
+        t = cells[cell]
+        dl3, dl2, dl1 = (x - t[..., i] for i in range(3))
+        dr1, dr2, dr3 = (t[..., i] - x for i in range(3, 6))
+        s0 = 1.0 / (dr1 + dl1)
+        p0, p1 = dr1 * s0, dl1 * s0
+        s0, s1 = p0 / (dr1 + dl2), p1 / (dr2 + dl1)
+        q0, q1, q2 = dr1 * s0, dl2 * s0 + dr2 * s1, dl1 * s1
+        # each quadratic over its knot span: the cubics' values and slopes both use them
+        s0, s1, s2 = q0 / (dr1 + dl3), q1 / (dr2 + dl2), q2 / (dr3 + dl1)
+        if d:
+            return cell, (-3.0 * s0, 3.0 * (s0 - s1), 3.0 * (s1 - s2), 3.0 * s2)
+        return cell, (dr1 * s0, dl3 * s0 + dr2 * s1, dl2 * s1 + dr3 * s2, dl1 * s2)
+
+    def ev(self, x, y, dx=0, dy=0):
+        """The spline (dx = dy = 0) or a first partial at the points (x, y), which broadcast."""
+        cx, wx = self._weights(0, np.asarray(x, dtype=float), dx)
+        cy, wy = self._weights(1, np.asarray(y, dtype=float), dy)
+        corner = cx * self._stride + cy
+        out = 0.0
+        for a in range(4):
+            row = 0.0
+            for b in range(4):
+                row = row + wy[b] * self._coef.take(corner + (a * self._stride + b))
+            out = out + wx[a] * row
+        return out
+
+
 @dataclass
 class OmegaFunction:
     """Characteristic level function omega(a_j, a_0) on a domain rectangle.
 
     Backed by a lattice of per-node crossing integrations wrapped in a bicubic
-    spline. Increasing in a_0, decreasing in a_j (monotone_ok reports whether
-    the lattice is, and worst_monotone_violation by how much it is not);
-    omega(a_ref, a_0) = a_0 by the anchoring convention.
+    spline (_Bicubic). Increasing in a_0, decreasing in a_j (monotone_ok
+    reports whether the lattice is, and worst_monotone_violation by how much
+    it is not); omega(a_ref, a_0) = a_0 by the anchoring convention.
     """
 
     j: int
@@ -230,16 +296,13 @@ class OmegaFunction:
     worst_monotone_violation: float = dc_field(init=False)
 
     def __post_init__(self):
-        from scipy.interpolate import RectBivariateSpline  # only omega builders load scipy
         d_a0 = np.diff(self.lattice_values, axis=1)
         d_aj = np.diff(self.lattice_values, axis=0)
         self.monotone_ok = bool(np.all(d_a0 > 0) and np.all(d_aj < 0))
         self.worst_monotone_violation = max(
             float(np.max(-d_a0, initial=0.0)), float(np.max(d_aj, initial=0.0))
         )
-        self._spline = RectBivariateSpline(
-            self.aj_lattice, self.a0_lattice, self.lattice_values, kx=3, ky=3, s=0
-        )
+        self._spline = _Bicubic(self.aj_lattice, self.a0_lattice, self.lattice_values)
 
     @property
     def domain(self) -> tuple[tuple[float, float], tuple[float, float]]:

@@ -159,6 +159,51 @@ class TestBuildOmega:
         assert rows.shape == (characteristics.CSV_NODES**2, 3)
 
 
+class TestBicubicMatchesFitpack:
+    """_Bicubic against FITPACK's s = 0 interpolant, scipy's
+    RectBivariateSpline(kx=3, ky=3, s=0), which is only a test reference:
+    values and both first partials within 1e-12 of the largest reference
+    magnitude, at every site, the four corners, random interior points and
+    points 1e-9 of the span outside the domain, where both clamp."""
+
+    @staticmethod
+    def _sites(n, spacing, lo, hi):
+        return np.linspace(lo, hi, n) if spacing == "uniform" else np.geomspace(lo, hi, n)
+
+    @pytest.mark.parametrize("spacing", ["uniform", "geometric"])
+    @pytest.mark.parametrize("n", [4, 5, 21, 81])
+    def test_values_and_partials(self, n, spacing):
+        from scipy.interpolate import RectBivariateSpline
+
+        x = self._sites(n, spacing, 0.05, 12.0)
+        y = self._sites(n + 3, spacing, 0.002, 96.0)
+        X, Y = np.meshgrid(x, y, indexing="ij")
+        z = np.sin(3.0 * X) * np.log(Y) + X * np.sqrt(Y)
+        ref = RectBivariateSpline(x, y, z, kx=3, ky=3, s=0)
+        spline = characteristics._Bicubic(x, y, z)
+        rng = np.random.default_rng(n)
+        ex, ey = 1e-9 * (x[-1] - x[0]), 1e-9 * (y[-1] - y[0])
+        px = np.concatenate([X.ravel(), x[[0, 0, -1, -1]], rng.uniform(x[0], x[-1], 500),
+                             [x[0] - ex, x[-1] + ex, x[0] - ex, x[-1] + ex, x[n // 2]]])
+        py = np.concatenate([Y.ravel(), y[[0, -1, 0, -1]], rng.uniform(y[0], y[-1], 500),
+                             [y[0] - ey, y[-1] + ey, y[n // 2], y[-1] + ey, y[0] - ey]])
+        for dx, dy in ((0, 0), (1, 0), (0, 1)):
+            want = ref.ev(px, py, dx=dx, dy=dy)
+            got = spline.ev(px, py, dx=dx, dy=dy)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (dx, dy)
+
+    def test_broadcast_points(self):
+        # a row of abscissae against a column of fixed coordinates, as the
+        # inverter's knot table asks for it, and a 0-d pair
+        x = np.linspace(-1.0, 2.0, 9)
+        y = np.geomspace(0.5, 30.0, 11)
+        spline = characteristics._Bicubic(x, y, np.add.outer(x**3, np.log(y)))
+        grid = spline.ev(x, y[:, None])
+        assert grid.shape == (11, 9)
+        assert np.allclose(grid, (x**3)[None, :] + np.log(y)[:, None], rtol=0, atol=1e-12)
+        assert spline.ev(2.0, 30.0).shape == ()
+
+
 def _sweep_column(t, a0_start, aj_states, a_ref, step, direction, a0_limit, aj_box):
     """Reference: the per-column sweep, all states sharing one start a_0."""
     n = len(aj_states)

@@ -654,28 +654,31 @@ class TestConvert:
         assert not any(out.glob("field_*.csv"))
 
 
-IMPORT_PROBE = """
+NO_SCIPY_PROBE = """
 import sys
-import rumkit, rumkit.cli
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import rumkit.cli
 
 model, prices, out = sys.argv[1:]
 field = out + "/field.csv"
+# [-3, 3] holds the taste mass verify needs, and the tolerances fit a 9-node
+# lattice's finite differences, so every command exits 0
 for argv in (
-    ["simulate", "--model", model, "--out", out, *["--grid=-1:1:9"] * 3],
-    ["check", "--field", field, "--out", out],
+    ["simulate", "--model", model, "--out", out, *["--grid=-3:3:9"] * 3],
+    ["check", "--field", field, "--out", out, "--tol-symmetry", "0.2", "--tol-condition-a", "0.2"],
+    ["identify", "--field", field, "--out", out, "--tol-condition-a", "0.2",
+     "--resolution", "11", "--v-nodes", "11"],
+    ["verify", "--field", field, "--out", out, "--tol-round-trip", "0.1"],
     ["convert", "--field", prices, "--resample", "--out", out],
 ):
-    code = rumkit.cli.main(argv)
-    print(argv[0], code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-code = rumkit.cli.main(["identify", "--field", field, "--out", out, "--force",
-                        "--resolution", "11", "--v-nodes", "11"])
-print("identify", code, "scipy.interpolate" in sys.modules)
+    print(argv[0], rumkit.cli.main(argv))
+print("scipy", sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod))
 """
 
 
-def test_scipy_loaded_only_where_an_omega_is_built(tmp_path, lin_model_json):
-    # a fresh interpreter: the import and simulate, check and convert --resample
-    # load no scipy module at all; identify builds omegas and loads the spline
+def test_pipeline_runs_without_scipy(tmp_path, lin_model_json):
+    # a fresh interpreter in which scipy cannot be imported runs every
+    # command end to end: no code path of rumkit needs scipy
     prices = tmp_path / "prices.csv"
     TestConvert.make_price_lattice(prices, n=5)
     env = dict(os.environ)
@@ -683,15 +686,15 @@ def test_scipy_loaded_only_where_an_omega_is_built(tmp_path, lin_model_json):
         p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, lin_model_json, str(prices), str(tmp_path)],
+        [sys.executable, "-c", NO_SCIPY_PROBE, lin_model_json, str(prices), str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     lines = [line for line in proc.stdout.splitlines() if line.split(" ")[0] in (
-        "simulate", "check", "convert", "identify")]
+        "simulate", "check", "identify", "verify", "convert", "scipy")]
     assert lines == [
-        "simulate 0 []", "check 0 []", "convert 0 []", "identify 0 True",
-    ], proc.stdout
+        "simulate 0", "check 0", "identify 0", "verify 0", "convert 0", "scipy []",
+    ], proc.stdout + proc.stderr
 
 
 class TestExitCodes:
