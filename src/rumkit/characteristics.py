@@ -435,6 +435,8 @@ def build_omega(
     if not aj_lo <= a_ref <= aj_hi:
         raise ValidationError("a_ref must lie inside the a_j range")
 
+    space = np.geomspace if use_log else np.linspace
+    aj_lattice, a0_lattice = (space(lo, hi, resolution) for lo, hi in domain)
     if use_log:
         if step is None:
             step = np.log(a0_hi / a0_lo) / 300.0
@@ -443,8 +445,6 @@ def build_omega(
         span = np.log(a0_hi / a0_lo)
         limit_hi = np.log(a0_hi) + _SPAN_GUARD * span
         limit_lo = np.log(a0_lo) - _SPAN_GUARD * span
-        aj_lattice = np.geomspace(aj_lo, aj_hi, resolution)
-        a0_lattice = np.geomspace(a0_lo, a0_hi, resolution)
         starts = np.log(a0_lattice)
 
         def slope(aj, u):
@@ -460,8 +460,6 @@ def build_omega(
         span = a0_hi - a0_lo
         limit_hi = a0_hi + _SPAN_GUARD * span
         limit_lo = a0_lo - _SPAN_GUARD * span
-        aj_lattice = np.linspace(aj_lo, aj_hi, resolution)
-        a0_lattice = np.linspace(a0_lo, a0_hi, resolution)
         starts = a0_lattice
         slope = t
         back = lambda s: s

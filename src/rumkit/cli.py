@@ -63,16 +63,9 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _grid_record(grid: field_mod.GridSpec) -> dict:
-    return {
-        "lower": list(grid.lower),
-        "upper": list(grid.upper),
-        "counts": list(grid.counts),
-    }
-
-
 def _provenance_hash(record: dict) -> str:
-    """Stamp of an identify_meta.json record: every key except the stamp itself."""
+    """Stamp of a JSON record, the model's or identify_meta.json's: the
+    SHA-256 of its sorted keys, every key except the stamp "provenance" itself."""
     payload = json.dumps(
         {k: v for k, v in record.items() if k != "provenance"}, sort_keys=True
     )
@@ -102,9 +95,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _write_json(
         out / "simulate_meta.json",
         {
-            "model_hash": model_mod.model_hash(model),
+            "model_hash": _provenance_hash(model.to_dict()),
             "field_hash": field.content_hash(),
-            "grid": _grid_record(grid),
+            "grid": field_mod.record_dict(grid),
             "method": args.method,
             "seed": args.seed,
             "draws": args.draws if args.method == "monte_carlo" else None,
@@ -149,7 +142,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
             "(rerun with --force to identify anyway)"
         )
         return EXIT_CHECK_FAIL
-    axes = field.grid.axes()
+    lo, hi = field.grid.lower, field.grid.upper
     sieve_field = field
     if field.grid.n_nodes > 500_000:
         # condition A leaves only the full field's cached gradient_scale (no
@@ -164,7 +157,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
         ratios.append(t)
         omegas.append(characteristics.build_omega(
             t,
-            ((axes[j][0], axes[j][-1]), (axes[0][0], axes[0][-1])),
+            ((lo[j], hi[j]), (lo[0], hi[0])),
             a_ref=args.a_ref,
             resolution=args.resolution,
             j=j,
@@ -183,7 +176,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
         **{k: getattr(args, k) for k in _SETTINGS},
         "a_ref": [om.a_ref for om in omegas],  # defaults resolved
         "field_hash": field.content_hash(),
-        "grid": _grid_record(field.grid),
+        "grid": field_mod.record_dict(field.grid),
         "identify_npz_sha256": field_mod.file_sha256(out / "identify.npz"),
     }
     meta["provenance"] = _provenance_hash(meta)

@@ -11,6 +11,7 @@ internal consistency check.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,23 +65,12 @@ class DensityGrid:
         return len(self.axes)
 
     def cell_masses(self) -> np.ndarray:
-        """Per-cell trapezoid mass; cells with any out-of-support corner get 0."""
-        f = np.where(self.support_mask, self.f_values, 0.0)
-        corners = f
-        widths = []
-        for d, ax in enumerate(self.axes):
-            sl_lo = [slice(None)] * self.n_dims
-            sl_hi = [slice(None)] * self.n_dims
-            sl_lo[d] = slice(0, -1)
-            sl_hi[d] = slice(1, None)
-            corners = 0.5 * (corners[tuple(sl_lo)] + corners[tuple(sl_hi)])
-            widths.append(np.diff(ax))
-        vol = np.ones(corners.shape)
-        for d, w in enumerate(widths):
-            shape = [1] * self.n_dims
-            shape[d] = len(w)
-            vol = vol * w.reshape(shape)
-        return corners * vol
+        """Per-cell trapezoid mass, with every out-of-support node counted as 0."""
+        corners = np.where(self.support_mask, self.f_values, 0.0)
+        for d in range(self.n_dims):
+            lo, hi = ((slice(None),) * d + (s,) for s in (slice(0, -1), slice(1, None)))
+            corners = 0.5 * (corners[lo] + corners[hi])
+        return corners * functools.reduce(np.multiply, np.ix_(*map(np.diff, self.axes)))
 
     def cumulative_from_density(self) -> np.ndarray:
         """Cumulative trapezoid cell mass below each node.
@@ -108,8 +98,8 @@ class DensityGrid:
 def make_v_grid(omegas, n: int) -> tuple:
     """Axes for the v lattice from the attained omega ranges.
 
-    Log-spaced per axis when the attained range is positive and spans more
-    than a decade, linear otherwise.
+    Log-spaced per axis when axis_is_log holds for the attained range,
+    linear otherwise.
     """
     if n < 2:
         raise ValidationError(f"a v axis needs at least 2 nodes, got {n}")
@@ -118,10 +108,7 @@ def make_v_grid(omegas, n: int) -> tuple:
         lo, hi = float(om.lattice_values.min()), float(om.lattice_values.max())
         if not hi > lo:
             raise ValidationError(f"degenerate v range for axis {j}")
-        if lo > 0 and hi / lo > 10.0:
-            axes.append(np.geomspace(lo, hi, n))
-        else:
-            axes.append(np.linspace(lo, hi, n))
+        axes.append((np.geomspace if axis_is_log(lo, hi) else np.linspace)(lo, hi, n))
     return tuple(axes)
 
 
@@ -145,12 +132,10 @@ def _interior_a0_candidates(field: ProbabilityField, margin_steps: int):
     ax = field.grid.axes()[0]
     valid = ax[margin_steps : len(ax) - margin_steps or None]
     lo, hi = float(valid[0]), float(valid[-1])
-    if axis_is_log(lo, hi):
-        targets = np.geomspace(lo, hi, _N_REFERENCES)
-        pick = np.abs(np.log(valid)[None, :] - np.log(targets)[:, None]).argmin(axis=1)
-    else:
-        targets = np.linspace(lo, hi, _N_REFERENCES)
-        pick = np.abs(valid[None, :] - targets[:, None]).argmin(axis=1)
+    log = axis_is_log(lo, hi)
+    targets = (np.geomspace if log else np.linspace)(lo, hi, _N_REFERENCES)
+    scale = np.log if log else np.asarray  # distances in ln a_0 on log axes
+    pick = np.abs(scale(valid)[None, :] - scale(targets)[:, None]).argmin(axis=1)
 
     def middle_out(arr):
         k = len(arr)

@@ -313,7 +313,8 @@ class ProbabilityField:
         """Partial of q_r over distinct axes at (n, dims) points; m = 0 gives q_r.
 
         The multilinear interpolant of the lattice partial: the values (m = 0),
-        node_gradients[r, k] (m = 1) or node_mixed_partial, cached (m >= 2).
+        the one plane _gradient_plane(r, k) (m = 1) or node_mixed_partial,
+        cached (m >= 2).
         At least one spacing inside the hull on every differentiated axis it
         equals the central difference of the interpolated q_r with step equal
         to the spacing; nearer the edge it interpolates the one-sided edge
@@ -326,7 +327,7 @@ class ProbabilityField:
         if not axes:  # every alternative's row is gathered at once
             return multilinear(self.values, self.grid.axes(), pts, ())[:, r]
         if len(axes) == 1:
-            lattice = self.node_gradients[r, axes[0]]
+            lattice = self._gradient_plane(r, axes[0])
         elif (r, axes) in self._lattice_partials:
             lattice = self._lattice_partials[r, axes]
         else:

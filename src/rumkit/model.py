@@ -349,10 +349,3 @@ def tabulate_from_utilities(grid: GridSpec, utilities) -> ProbabilityField:
     mesh = np.meshgrid(*grid.axes(), indexing="ij")
     values = _softmax([u(mesh) for u in utilities], np.empty(grid.counts + (len(utilities),)))
     return ProbabilityField(grid=grid, values=values)
-
-
-def model_hash(model: ChoiceModelSpec) -> str:
-    import hashlib
-
-    blob = json.dumps(model.to_dict(), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]

@@ -40,7 +40,7 @@ def slutsky_ratio(field: ProbabilityField, k: int, l: int, points=None) -> np.nd
         num, den = field._gradient_plane(k, l), field._gradient_plane(l, k)
     else:
         num, den = field.fd_stencil(k, (l,), points), field.fd_stencil(l, (k,), points)
-    floor = 1e-8 * max(field.gradient_scale, 1e-300)  # after fd_stencil built any block
+    floor = 1e-8 * max(field.gradient_scale, 1e-300)
     # planes differenced for this call are overwritten: the quotient into num,
     # the magnitudes into den
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -96,6 +96,9 @@ def test_daly_zachary(
     grid step per axis (deterministic in seed). The inset keeps every sample
     where fd_stencil is a central difference.
     """
+    # the node-gradient block: every pair reads two of its planes, and
+    # gradient_scale and condition A (which check runs next) read views of it
+    field.node_gradients
     rng = np.random.default_rng(seed)
     lo = np.asarray(field.grid.lower) + np.asarray(field.grid.spacing)
     hi = np.asarray(field.grid.upper) - np.asarray(field.grid.spacing)
@@ -185,12 +188,11 @@ def _basis_terms(degree: int) -> list[tuple[int, int]]:
 @dataclass
 class RatioFunction:
     """Bivariate ratio surface t_jm(a_j, a_m) >= 0 on a domain rectangle: the
-    least-squares polynomial (or log-polynomial) sieve fit, form "sieve".
+    least-squares polynomial (or log-polynomial) sieve fit.
     build_omega takes any callable t(a_j, a_m) in its place."""
 
     j: int
     pivot: int
-    form: str
     domain: tuple[tuple[float, float], tuple[float, float]]  # (a_j range, a_m range)
     basis: str
     degree: int
@@ -283,7 +285,6 @@ def fit_ratio_sieve(
     rf = RatioFunction(
         j=j,
         pivot=m,
-        form="sieve",
         basis=basis,
         degree=degree,
         coefficients=coef,

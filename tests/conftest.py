@@ -76,6 +76,9 @@ MALFORMED_FIELD_CSVS = {
     "header_only": lambda ls: ls[:1],
     "empty": lambda ls: [],
     "missing_row": lambda ls: ls[:-1],
+    "odd_column_count": lambda ls: [ls[0] + ",q_2"] + [line + ",0.0" for line in ls[1:]],
+    "wrong_header": lambda ls: [ls[0].replace("q_", "p_")] + ls[1:],
+    "duplicated_row": lambda ls: ls[:-1] + ls[-2:-1],  # in place of the last node
     "non_uniform_axis": lambda ls: [_shift_a0(line, "0.25", "0.3") for line in ls],
 }
 

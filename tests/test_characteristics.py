@@ -151,6 +151,8 @@ class TestBuildOmega:
         pts = np.linspace(1.1, 3.9, 9)
         lin_vals = pts[::-1] / pts**2
         assert np.allclose(om_log(pts, pts[::-1]), lin_vals, atol=1e-5)
+        # its PDE residual: a geometric inset lattice and proportional half-steps
+        assert np.max(om_log.pde_residual(t_10())) <= 5.0 * om_log.step**2
 
     def test_csv_export(self, omega1, tmp_path):
         path = tmp_path / "omega.csv"
@@ -263,7 +265,7 @@ def _build_both(monkeypatch, t, domain, **kw):
 def _log_sieve_ratio(j, alpha_j, domain):
     # t = a_j / (alpha_j a_0) as a degree-1 log-polynomial sieve
     return symmetry.RatioFunction(
-        j=j, pivot=0, form="sieve", domain=domain, basis="log_polynomial", degree=1,
+        j=j, pivot=0, domain=domain, basis="log_polynomial", degree=1,
         coefficients=np.array([-np.log(alpha_j), 1.0, -1.0]),
     )
 
@@ -284,7 +286,7 @@ class TestLockstepEquivalence:
 
     def test_linear_ratio_with_anchor_row(self, monkeypatch):
         t = symmetry.RatioFunction(
-            j=1, pivot=0, form="sieve", domain=BOX, basis="polynomial", degree=1,
+            j=1, pivot=0, domain=BOX, basis="polynomial", degree=1,
             coefficients=np.array([0.8, 0.1, 0.05]),
         )
         new, ref = _build_both(monkeypatch, t, BOX, a_ref=2.5, resolution=21, step=0.03, j=1)

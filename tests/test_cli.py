@@ -176,6 +176,18 @@ class TestCheck:
         code = run("check", "--field", str(path), "--out", str(tmp_path / "out"))
         assert code == EXIT_INPUT_ERROR
 
+    def test_constant_field_condition_a_inconclusive(self, tmp_path, capsys):
+        # q = 1/3 everywhere: every Slutsky ratio is 0/0, so no family is usable
+        grid = field.GridSpec((0.0,) * 3, (1.0,) * 3, (9,) * 3)
+        path = tmp_path / "field.csv"
+        field.write_field_csv(field.ProbabilityField(grid, np.full((9, 9, 9, 3), 1 / 3)), path)
+        code = run("check", "--field", str(path), "--out", str(tmp_path / "out"))
+        assert code == EXIT_NUMERICAL
+        assert "inconclusive" in capsys.readouterr().out
+        cond = json.loads((tmp_path / "out" / "condition_a_report.json").read_text())
+        assert cond["inconclusive"]
+        assert [s["n_used"] for s in cond["pair_stats"].values()] == [0, 0]
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_FIELD_CSVS))
     def test_malformed_field_is_input_error(self, tmp_path, case):
         # unreadable cells, ragged or missing rows and a non-uniform lattice
@@ -240,6 +252,32 @@ class TestIdentify:
         vals = om[:, 2].reshape(n, n)
         assert np.all(np.diff(vals, axis=1) > 0)
         assert np.all(np.diff(vals, axis=0) < 0)
+
+    def test_large_field_fits_the_sieve_on_a_strided_sub_lattice(
+        self, tmp_path, monkeypatch, lin_model_json
+    ):
+        # 121 x 81 x 61 = 597,861 nodes, above 500,000: strides (2, 1, 1)
+        code = run(
+            "simulate", "--model", lin_model_json, "--out", str(tmp_path),
+            "--grid=-6:6:121", "--grid=-6:6:81", "--grid=-6:6:61",
+        )
+        assert code == EXIT_PASS
+        seen, fit = [], symmetry.fit_ratio_sieve
+
+        def spy(f, *args, **kwargs):
+            seen.append(f.grid)
+            return fit(f, *args, **kwargs)
+
+        monkeypatch.setattr(symmetry, "fit_ratio_sieve", spy)
+        code = run(
+            "identify", "--field", str(tmp_path / "field.csv"), "--out", str(tmp_path),
+            "--force", "--resolution", "21", "--v-nodes", "21",
+        )
+        assert code == EXIT_PASS
+        full = field.read_field_csv(tmp_path / "field.csv").grid
+        assert [g.counts for g in seen] == [(61, 81, 61)] * 2
+        assert all(g.lower == full.lower for g in seen)
+        assert all(g.upper == pytest.approx(full.upper) for g in seen)
 
     def test_condition_a_failure_refused_without_force(self, tmp_path,
                                                        planted_field_csv):
@@ -748,6 +786,28 @@ class TestExitCodes:
         code = run(argv[0], "--field", lin_field_csv, "--out", str(out), *argv[1:])
         assert code == EXIT_INPUT_ERROR
         assert not any(out.glob("*"))
+
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        # the log model on [0.05, 20]^3 identifies to a density of mass 0.86,
+        # which verify's round trip refuses as a numerical failure
+        model_path = tmp_path / "log.json"
+        log_model(domain=((0.05, 20.0),) * 3).to_json(model_path)
+        code = run(
+            "simulate", "--model", str(model_path), "--out", str(tmp_path),
+            "--grid", "0.05:20:41", "--grid", "0.05:20:41", "--grid", "0.05:20:41",
+        )
+        assert code == EXIT_PASS
+        field_path = str(tmp_path / "field.csv")
+        code = run(
+            "identify", "--field", field_path, "--out", str(tmp_path), "--force",
+            "--basis", "log_polynomial", "--resolution", "41", "--v-nodes", "41",
+        )
+        assert code == EXIT_PASS
+        capsys.readouterr()
+        code = run("verify", "--field", field_path, "--out", str(tmp_path))
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure:")
+        assert not (tmp_path / "verify_report.json").exists()
 
     @pytest.mark.parametrize("draws", ["0", "-5"])
     def test_monte_carlo_draws_checked(self, tmp_path, lin_run, draws, monkeypatch, capsys):

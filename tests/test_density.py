@@ -1,12 +1,13 @@
 """Heterogeneity CDF and density reconstruction from field + omega maps."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from rumkit import characteristics, density, field, model
-from rumkit.errors import SupportError, ValidationError
+from rumkit.errors import NegativeDensityError, SupportError, ValidationError
 
 from conftest import log_model, oracle_cdf, oracle_density
 
@@ -167,6 +168,26 @@ class TestReconstructDensity:
         f, omegas, _ = narrow_density
         with pytest.raises(ValidationError):
             density.reconstruct_density(f, omegas[:1], (np.linspace(0.5, 2, 11),))
+
+    def test_negative_density_raises(self):
+        # q_0 rising in a_1 (u_1 = -a_1) against a falling omega: f < 0 everywhere
+        grid = field.GridSpec((1.0, 1.0), (4.0, 4.0), (41, 41))
+        f = model.tabulate_from_utilities(grid, [lambda m: m[0], lambda m: -m[1]])
+        om = characteristics.build_omega(
+            lambda aj, a0: 1.0 + 0.0 * aj, ((1.0, 4.0), (1.0, 4.0)), a_ref=2.5,
+            resolution=21, j=1,
+        )
+        with pytest.raises(NegativeDensityError):
+            density.reconstruct_density(f, [om], density.make_v_grid([om], n=21))
+
+
+class TestMakeVGrid:
+    @pytest.mark.parametrize("ratio, log", [(15.0, False), (25.0, True)])
+    def test_log_spacing_follows_axis_is_log(self, ratio, log):
+        # the rule of build_omega's march: log-spaced only past a factor 20
+        om = SimpleNamespace(lattice_values=np.array([[0.5, 0.5 * ratio]]))
+        (axis,) = density.make_v_grid([om], n=5)
+        assert np.array_equal(axis, (np.geomspace if log else np.linspace)(0.5, 0.5 * ratio, 5))
 
 
 class TestNormalization:

@@ -1,5 +1,6 @@
 """Forward generators: sub-utilities, closed-form softmax, Monte Carlo."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -114,6 +115,20 @@ class TestMonteCarlo:
         q1 = model.choice_prob_monte_carlo(lin_model(), a, 5000, seed=11)
         q2 = model.choice_prob_monte_carlo(lin_model(), a, 5000, seed=11)
         assert np.array_equal(q1, q2)
+
+    def test_gaussian_iid_matches_normal_cdf(self):
+        # J = 1: q_1 = P(e_0 - e_1 < h_1 - h_0) = Phi((h_1 - h_0) / (sigma sqrt 2))
+        sigma, n = 0.8, 10**5
+        m = model.ChoiceModelSpec(
+            utilities=(model.UtilityPrimitive("linear", (0.0, 1.0)),) * 2,
+            noise=model.NoiseSpec("gaussian_iid", sigma),
+            domain=((-10.0, 10.0),) * 2,
+        )
+        q = model.choice_prob_monte_carlo(m, (0.0, 0.5), n, seed=4)
+        z = 0.5 / (sigma * math.sqrt(2.0))
+        exact = 0.5 * math.erfc(-z / math.sqrt(2.0))
+        # within four Monte Carlo standard errors
+        assert abs(q[1] - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / n)
 
     def test_correlated_gaussian_runs(self):
         corr = ((1.0, 0.5, 0.0), (0.5, 1.0, 0.0), (0.0, 0.0, 1.0))

@@ -243,3 +243,20 @@ def test_identification_path_builds_no_node_gradient_block(log_field):
     density.reconstruct_density(f, omegas, density.make_v_grid(omegas, n=21))
     assert "node_gradients" not in f.__dict__
     assert f.gradient_scale == float(np.median(np.abs(log_field.node_gradients)))
+
+
+def test_j1_density_differences_one_plane_and_daly_zachary_builds_the_block():
+    # the density's one partial dq_0/da_1 is one plane, not the 2 x 2 block;
+    # Daly-Zachary builds the block that check's later readers take views of
+    m = model.ChoiceModelSpec(
+        utilities=(model.UtilityPrimitive("log", (1.0,)), model.UtilityPrimitive("log", (2.0,))),
+        noise=model.NoiseSpec("gumbel_iid", 1.0),
+        domain=((1.0, 4.0),) * 2,
+    )
+    f = model.tabulate(m, field.GridSpec((1.0, 1.0), (4.0, 4.0), (41, 41)))
+    t = symmetry.fit_ratio_sieve(f, 1, 0, basis="log_polynomial")
+    om = characteristics.build_omega(t, ((1.0, 4.0), (1.0, 4.0)), resolution=21, j=1)
+    density.reconstruct_density(f, [om], density.make_v_grid([om], n=21))
+    assert "node_gradients" not in f.__dict__
+    symmetry.test_daly_zachary(f)
+    assert "node_gradients" in f.__dict__
