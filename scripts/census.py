@@ -1,5 +1,5 @@
 """Size census of the package source: lines, defaulted parameters, CLI
-options, dataclass constructor fields.
+options, dataclass constructor fields, private reads from outside.
 
 Lines are counted as `cat src/rumkit/*.py | wc -l` counts them (newlines).
 Defaulted parameters are len(args.defaults) plus the non-None kw_defaults of
@@ -8,7 +8,10 @@ are the actions other than --help of each subcommand of rumkit.cli's
 build_parser(), summed over the subcommands (an option that two commands
 declare counts twice). Dataclass constructor fields are the annotated class
 attributes of every @dataclass class in src/rumkit/*.py, except those
-declared with init=False.
+declared with init=False. Private reads from outside are the loaded
+attributes of every src/rumkit/*.py whose name has one leading underscore
+(`obj._name`, not `obj.__name`) on an object other than a bare `self` or
+`cls`: one module or class reaching into another's internals.
 
 Usage: python scripts/census.py
 """
@@ -57,8 +60,19 @@ def _init_field(stmt) -> bool:
     )
 
 
+def _private_read(node) -> bool:
+    """Whether an AST node loads obj._name from an obj other than self or cls."""
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    )
+
+
 def main():
-    lines = defaults = fields = 0
+    lines = defaults = fields = private = 0
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
         lines += text.count("\n")
@@ -69,10 +83,12 @@ def main():
                 defaults += sum(d is not None for d in args.kw_defaults)
             elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
                 fields += sum(map(_init_field, node.body))
+            private += _private_read(node)
     print(f"src lines: {lines}")
     print(f"defaulted parameters: {defaults}")
     print(f"CLI options: {cli_options()}")
     print(f"dataclass constructor fields: {fields}")
+    print(f"private reads from outside: {private}")
 
 
 if __name__ == "__main__":

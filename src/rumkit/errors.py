@@ -17,7 +17,7 @@ class DomainError(RumkitError):
     """An evaluation point lies outside the declared domain of a model."""
 
 
-class NoClosedFormError(RumkitError):
+class NoClosedFormError(ValidationError):
     """The noise family admits no closed-form choice probability."""
 
 

@@ -1,8 +1,8 @@
 """Tabulated choice probabilities on rectangular grids.
 
 Provides the one multilinear kernel, one finite-difference stencil (_difference,
-np.gradient's edge_order=2 rule written in place on the lattice, whose partials
-fd_stencil interpolates with that kernel),
+np.gradient's edge_order=2 rule, which node_mixed_partial alone writes in place
+on the lattice and fd_stencil interpolates with that kernel),
 monotonicity/cross-partial shape checks, the field CSV wire format with its
 .npz sidecar, the plain table and .npz writers behind the other artifacts, and
 the JSON form of the result records. Both CSV writers format each distinct
@@ -174,31 +174,26 @@ class ProbabilityField:
         out = np.empty((self.n_alternatives, self.n_alternatives) + self.grid.counts)
         for j in range(self.n_alternatives):
             for k in range(self.n_alternatives):
-                _difference(self.values[..., j], self.grid.spacing[k], k, out[j, k])
+                self.node_mixed_partial(j, (k,), out[j, k])
         out.setflags(write=False)  # fd_stencil interpolates views of it
         return out
 
-    def _gradient_plane(self, j: int, k: int, out=None) -> np.ndarray:
-        """node_gradients[j, k]: a view of the block once something built it,
-        else differenced into out (a new lattice when None)."""
-        if "node_gradients" in self.__dict__:
-            return self.node_gradients[j, k]
-        if out is None:
-            out = np.empty(self.grid.counts)
-        return _difference(self.values[..., j], self.grid.spacing[k], k, out)
-
-    def node_mixed_partial(self, r: int, axes: tuple[int, ...]) -> np.ndarray:
+    def node_mixed_partial(self, r: int, axes: tuple[int, ...], out=None) -> np.ndarray:
         """Nested central differences of q_r on the whole lattice (edges one-sided).
 
-        The nested np.gradient(..., edge_order=2) calls, bit for bit, into one
-        output lattice. The steps run slab by slab along axis 0 through
-        axis0_slabs-sized buffers when none of them differentiates it; else
-        the first step runs on the whole lattice into the output and the
-        others slab by slab along its axis.
+        The one lattice partial: the nested np.gradient(..., edge_order=2)
+        calls, bit for bit, into out (a new lattice when None). A first partial
+        is a read-only view of node_gradients once something built it, else one
+        step on the whole lattice. Longer steps run slab by slab along axis 0
+        through axis0_slabs-sized buffers when none of them differentiates it;
+        else the first runs on the whole lattice into the output and the others
+        slab by slab along its axis.
         """
-        h, out = self.grid.spacing, np.empty(self.grid.counts)
+        if len(axes) == 1 and "node_gradients" in self.__dict__:
+            return self.node_gradients[r, axes[0]]
+        h, out = self.grid.spacing, np.empty(self.grid.counts) if out is None else out
         src, steps, lead = self.values[..., r], list(axes), 0
-        if lead in axes:
+        if len(axes) == 1 or lead in axes:
             lead = steps.pop(0)
             src = _difference(src, h[lead], lead, out)
             if not steps:
@@ -234,7 +229,7 @@ class ProbabilityField:
         plane = None if "node_gradients" in self.__dict__ else np.empty(self.grid.counts)
 
         def signed(i):  # plane i of d q_j / d a_k as bit patterns, sign bit included
-            return self._gradient_plane(i // n, i % n, plane).reshape(-1).view(np.uint64)
+            return self.node_mixed_partial(i // n, (i % n,), plane).reshape(-1).view(np.uint64)
 
         high = np.empty((n * n, math.prod(self.grid.counts)), dtype=np.uint32)
         for i in range(n * n):
@@ -312,9 +307,9 @@ class ProbabilityField:
     def fd_stencil(self, r: int, axes: tuple[int, ...], points) -> np.ndarray:
         """Partial of q_r over distinct axes at (n, dims) points; m = 0 gives q_r.
 
-        The multilinear interpolant of the lattice partial: the values (m = 0),
-        the one plane _gradient_plane(r, k) (m = 1) or node_mixed_partial,
-        cached (m >= 2).
+        The multilinear interpolant of the lattice partial: the values (m = 0)
+        or node_mixed_partial, cached per (r, axes) (m >= 1; a first partial
+        is a view of node_gradients once something built it).
         At least one spacing inside the hull on every differentiated axis it
         equals the central difference of the interpolated q_r with step equal
         to the spacing; nearer the edge it interpolates the one-sided edge
@@ -326,13 +321,9 @@ class ProbabilityField:
         pts = self._hull_points(points).T
         if not axes:  # every alternative's row is gathered at once
             return multilinear(self.values, self.grid.axes(), pts, ())[:, r]
-        if len(axes) == 1:
-            lattice = self._gradient_plane(r, axes[0])
-        elif (r, axes) in self._lattice_partials:
-            lattice = self._lattice_partials[r, axes]
-        else:
-            lattice = self._lattice_partials[r, axes] = self.node_mixed_partial(r, axes)
-        return multilinear(lattice, self.grid.axes(), pts, ())
+        if (r, axes) not in self._lattice_partials:
+            self._lattice_partials[r, axes] = self.node_mixed_partial(r, axes)
+        return multilinear(self._lattice_partials[r, axes], self.grid.axes(), pts, ())
 
     @cached_property
     def _lattice_partials(self) -> dict:

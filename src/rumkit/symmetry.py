@@ -37,7 +37,7 @@ def slutsky_ratio(field: ProbabilityField, k: int, l: int, points=None) -> np.nd
     if k == l:
         raise ValidationError("ratio needs two distinct alternatives")
     if points is None:
-        num, den = field._gradient_plane(k, l), field._gradient_plane(l, k)
+        num, den = field.node_mixed_partial(k, (l,)), field.node_mixed_partial(l, (k,))
     else:
         num, den = field.fd_stencil(k, (l,), points), field.fd_stencil(l, (k,), points)
     floor = 1e-8 * max(field.gradient_scale, 1e-300)

@@ -144,6 +144,16 @@ class TestBuildOmega:
         with pytest.raises(CoverageError):
             characteristics.build_omega(t, BOX, a_ref=2.5, j=1, resolution=11, step=0.5)
 
+    @pytest.mark.parametrize("a_ref", [0.5, 4.5])
+    def test_a_ref_outside_the_aj_range_rejected(self, a_ref):
+        with pytest.raises(ValidationError, match="a_ref must lie inside"):
+            characteristics.build_omega(t_10(), BOX, a_ref=a_ref, j=1)
+
+    @pytest.mark.parametrize("a_j", [0.5, 4.5, [2.0, 5.0]])
+    def test_aj_past_the_domain_rejected(self, omega1, a_j):
+        with pytest.raises(LevelRangeError, match="a_j outside omega domain"):
+            omega1(a_j, np.full(np.shape(a_j), 2.0))
+
     def test_log_scale_matches_linear(self):
         # an a_0 range wider than a factor 20 picks the log march
         om_log = characteristics.build_omega(t_10(), ((1.0, 4.0), (0.1, 4.0)), a_ref=1.0, j=1)

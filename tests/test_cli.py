@@ -147,6 +147,27 @@ class TestSimulate:
         assert code == EXIT_INPUT_ERROR
 
 
+    def test_no_closed_form_is_input_error(self, tmp_path, capsys):
+        # the default --method closed_form on Gaussian noise is a bad request,
+        # not a numerical failure
+        model_path = tmp_path / "gauss.json"
+        m = lin_model()
+        gauss = model.ChoiceModelSpec(m.utilities, model.NoiseSpec("gaussian_iid", 1.0), m.domain)
+        gauss.to_json(model_path)
+        code = run("simulate", "--model", str(model_path), "--out", str(tmp_path / "out"))
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("input error:")
+        assert not (tmp_path / "out" / "field.csv").exists()
+
+    def test_default_grid_is_21_nodes_over_the_domain(self, tmp_path, lin_model_json):
+        code = run("simulate", "--model", lin_model_json, "--out", str(tmp_path))
+        assert code == EXIT_PASS
+        grid = field.GridSpec((-10.0,) * 3, (10.0,) * 3, (21,) * 3)
+        assert field.read_field_csv(tmp_path / "field.csv").grid == grid
+        meta = json.loads((tmp_path / "simulate_meta.json").read_text())
+        assert meta["grid"] == {"lower": [-10.0] * 3, "upper": [10.0] * 3, "counts": [21] * 3}
+
+
 class TestCheck:
     def test_linear_field_passes(self, tmp_path, lin_field_csv):
         code = run("check", "--field", lin_field_csv, "--out", str(tmp_path))
@@ -444,6 +465,20 @@ class TestVerify:
             "verify", "--field", str(lin_run / "field.csv"), "--out", str(tmp_path),
         )
         assert code == EXIT_INPUT_ERROR
+        assert not (tmp_path / "verify_report.json").exists()
+
+    def test_unreadable_identify_npz_rejected(self, lin_run, tmp_path, capsys):
+        # bytes that are no zip archive, with the digest and stamp made to match
+        (tmp_path / "identify.npz").write_bytes(b"not an npz archive")
+        meta = json.loads((lin_run / "identify_meta.json").read_text())
+        meta["identify_npz_sha256"] = field.file_sha256(tmp_path / "identify.npz")
+        meta["provenance"] = cli._provenance_hash(meta)
+        (tmp_path / "identify_meta.json").write_text(json.dumps(meta))
+        code = run(
+            "verify", "--field", str(lin_run / "field.csv"), "--out", str(tmp_path),
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert "identify.npz is unreadable" in capsys.readouterr().err
         assert not (tmp_path / "verify_report.json").exists()
 
     def test_identify_npz_holds_only_what_verify_reads(self, lin_run):
@@ -786,6 +821,17 @@ class TestExitCodes:
         code = run(argv[0], "--field", lin_field_csv, "--out", str(out), *argv[1:])
         assert code == EXIT_INPUT_ERROR
         assert not any(out.glob("*"))
+
+    def test_out_naming_a_file_is_input_error(self, tmp_path, lin_model_json, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = run(
+            "simulate", "--model", lin_model_json, "--out", str(out),
+            "--grid=-1:1:5", "--grid=-1:1:5", "--grid=-1:1:5",
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("input error:")
+        assert out.read_text() == ""
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # the log model on [0.05, 20]^3 identifies to a density of mass 0.86,

@@ -190,6 +190,17 @@ class TestMakeVGrid:
         assert np.array_equal(axis, (np.geomspace if log else np.linspace)(0.5, 0.5 * ratio, 5))
 
 
+    def test_degenerate_range_rejected(self):
+        # an omega whose lattice is constant has no v range to grid
+        om = characteristics.build_omega(lambda aj, a0: aj / a0, ((1.0, 4.0),) * 2, j=1)
+        flat = characteristics.OmegaFunction(
+            j=1, a_ref=om.a_ref, aj_lattice=om.aj_lattice, a0_lattice=om.a0_lattice,
+            lattice_values=np.full_like(om.lattice_values, 2.0), step=om.step,
+        )
+        with pytest.raises(ValidationError, match="degenerate v range for axis 1"):
+            density.make_v_grid([om, flat], n=5)
+
+
 class TestNormalization:
     def test_wide_mass_near_one(self, wide_density):
         rep = density.check_normalization(wide_density)

@@ -413,6 +413,40 @@ class TestStencilBits:
         assert "node_gradients" not in streamed.__dict__
 
 
+class TestLatticePartials:
+    """node_mixed_partial is the one lattice partial; fd_stencil caches what it returns."""
+
+    POINT = [[2.0, 2.5, 3.0]]
+
+    def test_repeated_first_partial_differences_once(self, log_field, monkeypatch):
+        calls = []
+
+        def counting(arr, h, axis, out):
+            calls.append(axis)
+            return difference(arr, h, axis, out)
+
+        difference = field._difference
+        monkeypatch.setattr(field, "_difference", counting)
+        f = field.ProbabilityField(log_field.grid, log_field.values)  # fresh caches
+        first = f.fd_stencil(0, (1,), self.POINT)
+        for _ in range(99):
+            assert np.array_equal(f.fd_stencil(0, (1,), self.POINT), first)
+        assert calls == [1]
+        assert "node_gradients" not in f.__dict__
+
+    def test_cached_first_partial_is_a_view_of_the_block(self, log_field):
+        f = field.ProbabilityField(log_field.grid, log_field.values)
+        f.node_gradients
+        f.fd_stencil(0, (1,), self.POINT)
+        assert np.shares_memory(f._lattice_partials[0, (1,)], f.node_gradients)
+
+    def test_first_partial_into_out(self, log_field):
+        f = field.ProbabilityField(log_field.grid, log_field.values)
+        buf = np.empty(f.grid.counts)
+        assert f.node_mixed_partial(2, (1,), out=buf) is buf
+        assert np.array_equal(buf, _nested_gradient(f, 2, (1,)))
+
+
 def _traced_peak(fn):
     tracemalloc.start()
     try:

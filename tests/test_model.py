@@ -1,5 +1,6 @@
 """Forward generators: sub-utilities, closed-form softmax, Monte Carlo."""
 
+import json
 import math
 import tracemalloc
 
@@ -379,6 +380,18 @@ class TestSerialization:
         m_log.to_json(path)
         back = model.ChoiceModelSpec.from_json(path)
         assert back == m_log
+
+    def test_correlated_gaussian_json_round_trip(self, tmp_path):
+        corr = ((1.0, 0.5, 0.0), (0.5, 1.0, -0.25), (0.0, -0.25, 1.0))
+        m = model.ChoiceModelSpec(
+            utilities=tuple(model.UtilityPrimitive("linear", (0.0, 1.0)) for _ in range(3)),
+            noise=model.NoiseSpec("gaussian_correlated", 1.5, corr),
+            domain=((-10.0, 10.0),) * 3,
+        )
+        path = tmp_path / "model.json"
+        m.to_json(path)
+        assert json.loads(path.read_text())["noise"]["correlation"] == [list(r) for r in corr]
+        assert model.ChoiceModelSpec.from_json(path) == m
 
     def test_alternative_count_mismatch_rejected(self):
         doc = log_model().to_dict()

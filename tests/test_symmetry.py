@@ -162,6 +162,19 @@ class TestConditionA:
             spreads.append(rep.pair_stats["1,0"]["statistic"])
         assert spreads[1] > spreads[0]
 
+    def test_large_family_sampled(self, m_lin):
+        # 203 interior a_2 nodes: pair "1,0" samples _MAX_FAMILY_SIZE of each family
+        g = field.GridSpec((-3.0,) * 3, (3.0,) * 3, (9, 9, 205))
+        f = model.tabulate(m_lin, g)
+        assert g.counts[2] - 2 > symmetry._MAX_FAMILY_SIZE
+        rep = symmetry.test_condition_A(f, m=0, tol=5e-3, seed=3)
+        assert rep.to_dict() == symmetry.test_condition_A(f, m=0, tol=5e-3, seed=3).to_dict()
+        # a sample's spread is at most that of the whole family
+        stat = rep.pair_stats["1,0"]
+        i1, i0 = stat["location"]
+        family = symmetry.slutsky_ratio(f, 1, 0)[i0, i1, 1:-1]
+        assert stat["statistic"] <= np.nanmax(family) - np.nanmin(family)
+
     def test_two_alternative_case_vacuous(self):
         g = field.GridSpec((-1.0, -1.0), (1.0, 1.0), (11, 11))
         mesh = np.meshgrid(*g.axes(), indexing="ij")
