@@ -132,8 +132,8 @@ def _hermite_crossing(y0, y1, m0, m1, h, target):
     y0, y1: endpoint states; m0, m1: endpoint slopes (d a_j / d a_0); h: step.
     One _invert_monotone_vec call on [0, 1] with the state index as its fixed
     coordinate, seeded by the linear crossing estimate. Raises
-    NumericalFailure if the interpolant misses target at the final theta by
-    more than 1e-9 (1 + |target|).
+    NumericalFailure unless the interpolant meets target at the final theta
+    within 1e-9 (1 + |target|); a NaN residual (target out of range) fails.
     """
     y0, y1, d0, d1 = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (y0, y1, m0 * h, m1 * h))
@@ -159,7 +159,7 @@ def _hermite_crossing(y0, y1, m0, m1, h, target):
     states = np.arange(y0.size)
     theta = _invert_monotone_vec(ev, states, np.full(y0.size, float(target)), np.array([0.0, 1.0]))
     miss = np.abs(ev(theta, states, 0) - target)
-    if np.any(miss > 1e-9 * (1.0 + abs(target))):
+    if not np.all(miss <= 1e-9 * (1.0 + abs(target))):
         raise NumericalFailure(
             f"Hermite crossing refinement did not converge: residual {np.max(miss):.3g} "
             f"at target a_j = {target!r}"

@@ -116,21 +116,19 @@ _N_REFERENCES = 64  # reference a_0 targets spread over the a_0 axis
 _TOL_NEG_REL = 1e-4  # negative density clipped to 0 down to this fraction of max f
 
 
-def _interior_a0_candidates(field: ProbabilityField, margin_steps: int):
-    """Reference a_0 values inside the field and a mask of the exact grid nodes.
+def _interior_a0_candidates(valid: np.ndarray):
+    """Reference a_0 values among the usable a_0 nodes and a mask of the exact nodes.
 
     Exact grid nodes come first, then off-node values spread log-uniformly on
     wide positive axes; each group is ordered middle-out.
 
-    Any a_0 works as the mapping reference. margin_steps drops that many
-    nodes at each end of the a_0 axis: reconstruct_density drops one when it
+    Any a_0 works as the mapping reference. valid holds the a_0 nodes the
+    caller may use: reconstruct_density drops one at each end when it
     differentiates along a_0, so that its partials are central differences
     (see fd_stencil). Exact nodes are preferred because interpolation along
     a_0 is node-exact there, but each reference only reaches a bounded v-window per omega, so
     the off-node spread fills coverage gaps between sparse nodes.
     """
-    ax = field.grid.axes()[0]
-    valid = ax[margin_steps : len(ax) - margin_steps or None]
     lo, hi = float(valid[0]), float(valid[-1])
     log = axis_is_log(lo, hi)
     targets = (np.geomspace if log else np.linspace)(lo, hi, _N_REFERENCES)
@@ -201,7 +199,7 @@ def reconstruct_density(field: ProbabilityField, omegas, v_grid, via: int = 0) -
 
     with sign -1 when via > 0; via = 0 differentiates q_0 over a_1..a_J.
     Each v-node is mapped to a-space at the innermost reference a_0 where
-    every inversion lands at least one grid step inside the hull on each
+    every inversion lands at least one node inside the hull on each
     differentiated axis, preferring exact grid nodes over off-node references
     whenever one is usable; nodes with no such reference are masked out of
     support. Negative values down to -_TOL_NEG_REL * max f are clipped to 0
@@ -212,13 +210,12 @@ def reconstruct_density(field: ProbabilityField, omegas, v_grid, via: int = 0) -
         raise ValidationError("field dimensionality must be J + 1")
     if not 0 <= via <= J:
         raise ValidationError(f"via must name an alternative 0..{J}, got {via!r}")
-    axes_a = field.grid.axes()
-    spacing = field.grid.spacing
-    candidates, node_mask = _interior_a0_candidates(field, margin_steps=int(via > 0))
-    # one grid step of clearance on every differentiated axis keeps the
-    # partials central differences; a_via is only interpolated
-    steps = [int(j != via) * spacing[j] for j in range(J + 1)]
-    bounds = [(axes_a[j][0] + steps[j], axes_a[j][-1] - steps[j]) for j in range(1, J + 1)]
+    # one node of clearance on every differentiated axis keeps the partials
+    # central differences; a_via is only interpolated
+    axes = field.grid.axes()
+    inner = [ax[int(k != via) : len(ax) - int(k != via)] for k, ax in enumerate(axes)]
+    candidates, node_mask = _interior_a0_candidates(inner[0])
+    bounds = [(ax[0], ax[-1]) for ax in inner[1:]]
     inv = _level_map(omegas, v_grid, candidates, bounds)  # inv[j]: (n_cand, n_v_j)
     shape = tuple(len(ax) for ax in v_grid)
 

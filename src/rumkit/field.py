@@ -84,7 +84,9 @@ def _difference(arr, h, axis, out):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform rectangular lattice; axis 0 is the outside-option coordinate a_0."""
+    """Uniform rectangular lattice; axis 0 is the outside-option coordinate a_0.
+    Every node coordinate comes from axes(); spacing, the stencil's step, is
+    read by ProbabilityField.node_mixed_partial alone."""
 
     lower: tuple[float, ...]
     upper: tuple[float, ...]
@@ -310,7 +312,7 @@ class ProbabilityField:
         The multilinear interpolant of the lattice partial: the values (m = 0)
         or node_mixed_partial, cached per (r, axes) (m >= 1; a first partial
         is a view of node_gradients once something built it).
-        At least one spacing inside the hull on every differentiated axis it
+        At least one node inside the hull on every differentiated axis it
         equals the central difference of the interpolated q_r with step equal
         to the spacing; nearer the edge it interpolates the one-sided edge
         partials.
@@ -429,8 +431,8 @@ def subsample(field: ProbabilityField, strides) -> ProbabilityField:
     """Every stride-th node per axis: a coarser field on a valid sub-lattice.
 
     Keeps the sieve's fit affordable on very large fields; the sub-lattice
-    keeps the lower corner and stays uniformly spaced. Unit strides return
-    the field itself (fields are immutable), its caches included.
+    keeps the lower corner and ends on a node of the parent. Unit strides
+    return the field itself (fields are immutable), its caches included.
     """
     strides = tuple(int(s) for s in strides)
     if len(strides) != field.grid.dims or any(s < 1 for s in strides):
@@ -442,11 +444,7 @@ def subsample(field: ProbabilityField, strides) -> ProbabilityField:
         raise ValidationError("subsampled field would drop below 5 nodes per axis")
     if all(s == 1 for s in strides):
         return field
-    spacing = field.grid.spacing
-    upper = tuple(
-        lo + (c - 1) * s * h
-        for lo, c, s, h in zip(field.grid.lower, counts, strides, spacing)
-    )
+    upper = tuple(ax[(c - 1) * s] for ax, c, s in zip(field.grid.axes(), counts, strides))
     grid = GridSpec(lower=field.grid.lower, upper=upper, counts=counts)
     sl = tuple(slice(0, (c - 1) * s + 1, s) for c, s in zip(counts, strides))
     return ProbabilityField(grid=grid, values=field.values[sl].copy())
@@ -672,24 +670,20 @@ def read_field_csv(path) -> ProbabilityField:
         raise ValidationError(f"unexpected field CSV header {header!r}")
     coords = data[:, :nalt]
     probs = data[:, nalt:]
-    axis_vals = []
-    for k in range(nalt):
-        vals = np.unique(coords[:, k])
-        if len(vals) >= 2:
-            steps = np.diff(vals)
-            if np.max(np.abs(steps - steps[0])) > 1e-8 * max(1.0, np.abs(vals).max()):
-                raise GridMismatchError(f"axis {k} of field CSV is not uniformly spaced")
-        axis_vals.append(vals)
+    axis_vals = [np.unique(coords[:, k]) for k in range(nalt)]
     counts = tuple(len(v) for v in axis_vals)
-    if int(np.prod(counts)) != data.shape[0]:
-        raise GridMismatchError(
-            f"field CSV rows ({data.shape[0]}) do not fill the {counts} lattice"
-        )
     grid = GridSpec(
         lower=tuple(v[0] for v in axis_vals),
         upper=tuple(v[-1] for v in axis_vals),
         counts=counts,
     )
+    for k, (vals, ax) in enumerate(zip(axis_vals, grid.axes())):
+        if np.max(np.abs(vals - ax)) > 1e-8 * max(1.0, np.abs(vals).max()):
+            raise GridMismatchError(f"axis {k} of field CSV is not uniformly spaced")
+    if int(np.prod(counts)) != data.shape[0]:
+        raise GridMismatchError(
+            f"field CSV rows ({data.shape[0]}) do not fill the {counts} lattice"
+        )
     # map rows into lattice positions, verifying completeness
     values = np.full(counts + (nalt,), np.nan)
     idx = []

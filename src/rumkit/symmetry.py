@@ -93,15 +93,14 @@ def test_daly_zachary(
     """Max |ratio - 1| over all alternative pairs and sample points.
 
     n_points interior points are drawn uniformly from the hull inset by one
-    grid step per axis (deterministic in seed). The inset keeps every sample
+    node per axis (deterministic in seed). The inset keeps every sample
     where fd_stencil is a central difference.
     """
     # the node-gradient block: every pair reads two of its planes, and
     # gradient_scale and condition A (which check runs next) read views of it
     field.node_gradients
     rng = np.random.default_rng(seed)
-    lo = np.asarray(field.grid.lower) + np.asarray(field.grid.spacing)
-    hi = np.asarray(field.grid.upper) - np.asarray(field.grid.spacing)
+    lo, hi = np.array([(ax[1], ax[-2]) for ax in field.grid.axes()]).T
     pts = lo + rng.random((n_points, field.grid.dims)) * (hi - lo)
     stats = {}
     for k, l in combinations(range(field.n_alternatives), 2):

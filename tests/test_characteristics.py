@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rumkit import characteristics, field, symmetry
-from rumkit.errors import CoverageError, LevelRangeError, ValidationError
+from rumkit.errors import CoverageError, LevelRangeError, NumericalFailure, ValidationError
 
 BOX = ((1.0, 4.0), (1.0, 4.0))
 
@@ -336,6 +336,14 @@ class TestHermiteCrossing:
         )
         assert 0.0 <= theta[0] <= 1.0
         assert abs(6 * theta[0] ** 3 - 15 * theta[0] ** 2 + 10 * theta[0] - 0.5) <= 1e-12
+
+    def test_target_out_of_range_raises(self):
+        # the interpolant runs from 0 to 1, so a_j = 5 is never met: the
+        # inverter marks it theta = inf, whose residual is NaN, not a pass
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure, match="nan"):
+            characteristics._hermite_crossing(
+                np.array([0.0]), np.array([1.0]), np.array([1.0]), np.array([1.0]), 1.0, 5.0
+            )
 
 
 class TestUtilityInversion:

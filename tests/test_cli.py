@@ -26,6 +26,65 @@ def run(*argv):
     return cli.main(list(argv))
 
 
+def _set(*path_and_value):
+    """An edit of a model document: the value at the key/index path."""
+    *path, last, value = path_and_value
+
+    def edit(doc):
+        for key in path:
+            doc = doc[key]
+        doc[last] = value
+
+    return edit
+
+
+def _noise_correlation(matrix):
+    return _set("noise", {"kind": "gaussian_correlated", "scale": 1.0, "correlation": matrix})
+
+
+# edits of the linear model's JSON document that ChoiceModelSpec rejects,
+# each with a phrase of the error that names its cause
+MALFORMED_MODELS = {
+    "unknown_utility_kind": (_set("utilities", 1, "kind", "cubic"), "unknown utility kind"),
+    "power_exponent": (
+        _set("utilities", 1, {"kind": "power", "params": [1.0, 0.0]}), "power utility needs"
+    ),
+    "one_coefficient_polynomial": (
+        _set("utilities", 1, {"kind": "polynomial", "params": [1.0]}), "at least 2 coefficients"
+    ),
+    "unknown_noise_kind": (_set("noise", "kind", "cauchy"), "unknown noise kind"),
+    "zero_scale": (_set("noise", "scale", 0.0), "noise scale must be > 0"),
+    "correlated_without_matrix": (
+        _set("noise", {"kind": "gaussian_correlated", "scale": 1.0}), "needs a correlation matrix"
+    ),
+    "non_square_correlation": (
+        _noise_correlation([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), "must be square"
+    ),
+    "asymmetric_correlation": (
+        _noise_correlation([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), "symmetric"
+    ),
+    "indefinite_correlation": (
+        _noise_correlation([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        "positive definite",
+    ),
+    "correlation_size": (_noise_correlation([[1.0, 0.0], [0.0, 1.0]]), "size must match"),
+    "one_alternative": (
+        lambda d: d.update(alternatives=1, utilities=d["utilities"][:1], domain=d["domain"][:1]),
+        "at least 2 alternatives",
+    ),
+    "domain_length": (lambda d: d["domain"].pop(), "one interval per alternative"),
+    "empty_interval": (_set("domain", 1, [5.0, 5.0]), "is empty"),
+    "log_on_non_positive_domain": (
+        _set("utilities", 1, {"kind": "log", "params": [1.0]}), "strictly positive domain"
+    ),
+    "non_monotone_polynomial": (
+        _set("utilities", 1, {"kind": "polynomial", "params": [0.0, 0.0, 1.0]}),
+        "not strictly increasing",
+    ),
+    "infinite_bound": (_set("domain", 1, [-10.0, float("inf")]), "must be finite"),
+}
+
+
 @pytest.fixture(scope="module")
 def log_model_json(tmp_path_factory):
     path = tmp_path_factory.mktemp("model") / "log.json"
@@ -146,6 +205,18 @@ class TestSimulate:
         code = run("simulate", "--model", str(bad), "--out", str(tmp_path / "out"))
         assert code == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+    def test_invalid_model_is_input_error(self, tmp_path, capsys, case):
+        edit, cause = MALFORMED_MODELS[case]
+        doc = lin_model().to_dict()
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = run("simulate", "--model", str(bad), "--out", str(tmp_path / "out"))
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and cause in err
+        assert not (tmp_path / "out" / "field.csv").exists()
 
     def test_no_closed_form_is_input_error(self, tmp_path, capsys):
         # the default --method closed_form on Gaussian noise is a bad request,
@@ -217,6 +288,25 @@ class TestCheck:
         write_malformed_field_csv(path, case)
         code = run("check", "--field", str(path), "--out", str(tmp_path / "out"))
         assert code == EXIT_INPUT_ERROR
+
+    def test_drifting_axis_is_input_error(self, tmp_path, capsys):
+        # a_1's first five steps are 0.45e-8 longer and its last five 0.45e-8
+        # shorter: each step is within 1e-8 of the first, but node 5 sits
+        # 2.25e-8 off the lattice its ends and count define
+        grid = field.GridSpec((-1.0,) * 3, (1.0,) * 3, (11,) * 3)
+        path = tmp_path / "field.csv"
+        field.write_field_csv(model.tabulate(lin_model(), grid), path)
+        nodes = grid.axes()[1]
+        drift = np.cumsum(np.repeat([0.0, 0.45e-8, -0.45e-8], [1, 5, 5]))
+        moved = {repr(float(x)): repr(float(x + d)) for x, d in zip(nodes, drift)}
+        header, *rows = path.read_text().splitlines()
+        cells = [row.split(",") for row in rows]
+        path.write_text("\n".join(
+            [header] + [",".join([c[0], moved[c[1]]] + c[2:]) for c in cells]
+        ) + "\n")
+        code = run("check", "--field", str(path), "--out", str(tmp_path / "out"))
+        assert code == EXIT_INPUT_ERROR
+        assert "axis 1 of field CSV is not uniformly spaced" in capsys.readouterr().err
 
 
 class TestIdentify:

@@ -307,18 +307,26 @@ class TestReferenceFold:
         assert first.tolist() == [[0], [0]]
 
     @pytest.mark.parametrize("via", [0, 1, 2])
-    def test_support_masks_on_narrow_field(self, narrow_density, via):
+    def test_support_masks_on_narrow_field(self, monkeypatch, narrow_density, via):
         # the support the cube picks from the same level map, and its size
         f, omegas, d = narrow_density
+        seen, level_map = [], density._level_map
+        monkeypatch.setattr(
+            density, "_level_map", lambda *args: seen.append(args[3]) or level_map(*args)
+        )
         got = density.reconstruct_density(f, omegas, d.axes, via=via)
         axes_a, spacing = f.grid.axes(), f.grid.spacing
-        candidates, on_node = density._interior_a0_candidates(f, margin_steps=int(via > 0))
+        # the a_j bounds are the inner nodes: one node in where a_j is differentiated
+        steps = [int(j != via) for j in (1, 2)]
+        assert seen == [[(axes_a[j][m], axes_a[j][-1 - m]) for j, m in zip((1, 2), steps)]]
+        a0_nodes = axes_a[0][1:-1] if via > 0 else axes_a[0]
+        candidates, on_node = density._interior_a0_candidates(a0_nodes)
         bounds = [
             (axes_a[j][0] + (j != via) * spacing[j], axes_a[j][-1] - (j != via) * spacing[j])
             for j in (1, 2)
         ]
         depth = []
-        for b, (lo, hi) in zip(density._level_map(omegas, d.axes, candidates, bounds), bounds):
+        for b, (lo, hi) in zip(level_map(omegas, d.axes, candidates, bounds), bounds):
             if characteristics.axis_is_log(lo, hi):
                 m = np.minimum(np.log(b / lo), np.log(hi / b)) / np.log(hi / lo)
             else:
@@ -352,7 +360,7 @@ def reference_reconstruct_density(field_, omegas, v_grid, route="mixed", alt_k=1
     axes_a = field_.grid.axes()
     spacing = field_.grid.spacing
     candidates, node_mask = density._interior_a0_candidates(
-        field_, margin_steps=0 if route == "mixed" else 1
+        axes_a[0] if route == "mixed" else axes_a[0][1:-1]
     )
 
     def axis_bounds(j):

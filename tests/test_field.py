@@ -530,6 +530,11 @@ class TestSubsample:
         assert sub.grid.counts == (21, 21, 21)
         assert np.array_equal(sub.values, log_field.values[::2, ::2, ::2])
         assert np.allclose(sub.grid.axes()[0], log_field.grid.axes()[0][::2])
+        # where a stride leaves the last nodes out, the end is the parent's node, bit for bit
+        sub = field.subsample(log_field, (2, 3, 7))
+        axes = log_field.grid.axes()
+        assert sub.grid.counts == (21, 14, 6)
+        assert sub.grid.upper == (axes[0][40], axes[1][39], axes[2][35])
 
     def test_unit_strides_return_the_field(self, log_field):
         assert field.subsample(log_field, (1,) * log_field.grid.dims) is log_field

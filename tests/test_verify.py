@@ -114,6 +114,19 @@ class TestRationalizedChoiceProb:
                     wide_utilities, wide_density, offers, method=method, n=1_000
                 )
 
+    @pytest.mark.parametrize(
+        "offers, kwargs",
+        [((2.0, 1.0), {}), ((2.0, 1.0, 4.0, 1.0), {}),
+         ((2.0, 1.0, 4.0), {"method": "monte_carlo", "n": 0})],
+        ids=["short_offer", "long_offer", "no_draws"],
+    )
+    def test_bad_arguments_rejected(self, monkeypatch, wide_utilities, wide_density,
+                                    offers, kwargs):
+        # the library's own checks, which the CLI's fail-fast draw check precedes
+        monkeypatch.setattr(verify, "_utility_tables", lambda *args: pytest.fail("tables built"))
+        with pytest.raises(ValidationError):
+            verify.rationalized_choice_prob(wide_utilities, wide_density, offers, **kwargs)
+
     def test_unknown_method_rejected(self, wide_utilities, wide_density):
         with pytest.raises(ValidationError):
             verify.rationalized_choice_prob(
