@@ -169,45 +169,45 @@ def _hermite_crossing(y0, y1, m0, m1, h, target):
 
 def _sweep_crossings(
     t,
-    a0_start: np.ndarray,
+    s_start: np.ndarray,
     aj_states: np.ndarray,
     a_ref: float,
     step: float,
-    direction: float,
-    a0_limit: float,
+    s_limits: tuple[float, float],
     aj_box: tuple[float, float],
 ) -> np.ndarray:
-    """Crossing a_0 of the anchor line for states with per-state start a_0.
+    """Crossing s of the anchor line for states with per-state start s: the one march.
 
-    State i starts at (a0_start[i], aj_states[i]). All states march jointly in
-    the given a_0 direction, each at its own a_0 with step
-    direction * min(step, |a0_limit - a_0|). The a_j = a_ref crossing is
-    detected per state and refined on the step's cubic Hermite interpolant
-    (same O(h^4) order as RK4 itself). A state leaves the march when it
-    crosses, leaves the enlarged a_j box or reaches a0_limit; the last two
-    stay NaN.
+    State i starts at (s_start[i], aj_states[i]) and integrates da_j/ds =
+    t(a_j, s). A state below a_ref marches up in s to s_limits[0], one above
+    it down to s_limits[1], all jointly, each at its own s with step
+    +/- min(step, |limit - s|). The a_j = a_ref crossing is detected per state
+    and refined on the step's cubic Hermite interpolant (same O(h^4) order as
+    RK4 itself). A state leaves the march when it crosses, leaves the a_j box
+    or reaches its limit; the last two stay NaN, as does a state on the line.
     """
-    out = np.full(len(aj_states), np.nan)
     y = np.asarray(aj_states, dtype=float)
-    idx = np.flatnonzero(y < a_ref if direction > 0 else y > a_ref)
-    y = y[idx]
-    a0 = np.asarray(a0_start, dtype=float)[idx]
+    out = np.full(len(y), np.nan)
+    idx = np.flatnonzero(y != a_ref)
+    y, s = y[idx], np.asarray(s_start, dtype=float)[idx]
+    up = y < a_ref
+    sign, limit = np.where(up, 1.0, -1.0), np.where(up, *s_limits)
     lo_box, hi_box = aj_box
     while True:
-        live = direction * (a0_limit - a0) > 1e-14
-        idx, a0, y = idx[live], a0[live], y[live]
+        live = sign * (limit - s) > 1e-14
+        idx, s, y, sign, limit = (arr[live] for arr in (idx, s, y, sign, limit))
         if not idx.size:
             return out
-        h = direction * np.minimum(step, np.abs(a0_limit - a0))
-        y_new, k_start, k_end = _rk4_advance(t, a0, y, h)
+        h = sign * np.minimum(step, np.abs(limit - s))
+        y_new, k_start, k_end = _rk4_advance(t, s, y, h)
         crossed = (y - a_ref) * (y_new - a_ref) <= 0.0
         if crossed.any():
             theta = _hermite_crossing(
                 y[crossed], y_new[crossed], k_start[crossed], k_end[crossed], h[crossed], a_ref
             )
-            out[idx[crossed]] = a0[crossed] + theta * h[crossed]
+            out[idx[crossed]] = s[crossed] + theta * h[crossed]
         keep = ~crossed & (y_new >= lo_box) & (y_new <= hi_box)
-        idx, a0, y = idx[keep], (a0 + h)[keep], y_new[keep]
+        idx, s, y, sign, limit = (arr[keep] for arr in (idx, s + h, y_new, sign, limit))
 
 
 class _Bicubic:
@@ -438,43 +438,26 @@ def build_omega(
     space = np.geomspace if use_log else np.linspace
     aj_lattice, a0_lattice = (space(lo, hi, resolution) for lo, hi in domain)
     if use_log:
-        if step is None:
-            step = np.log(a0_hi / a0_lo) / 300.0
         pad = (aj_hi / aj_lo) ** _BOX_MARGIN
         aj_box = (aj_lo / pad, aj_hi * pad)
-        span = np.log(a0_hi / a0_lo)
-        limit_hi = np.log(a0_hi) + _SPAN_GUARD * span
-        limit_lo = np.log(a0_lo) - _SPAN_GUARD * span
-        starts = np.log(a0_lattice)
-
-        def slope(aj, u):
-            a0 = np.exp(np.asarray(u, dtype=float))
+        span, to_s, back = np.log(a0_hi / a0_lo), np.log, np.exp
+        def slope(aj, s):  # da_j / d ln a_0
+            a0 = np.exp(np.asarray(s, dtype=float))
             return a0 * np.asarray(t(aj, a0), dtype=float)
-
-        back = np.exp
     else:
-        if step is None:
-            step = (a0_hi - a0_lo) / 300.0
-        pad_j = _BOX_MARGIN * (aj_hi - aj_lo)
-        aj_box = (aj_lo - pad_j, aj_hi + pad_j)
-        span = a0_hi - a0_lo
-        limit_hi = a0_hi + _SPAN_GUARD * span
-        limit_lo = a0_lo - _SPAN_GUARD * span
-        starts = a0_lattice
-        slope = t
-        back = lambda s: s
-
-    values = np.empty((resolution, resolution))
+        pad = _BOX_MARGIN * (aj_hi - aj_lo)
+        aj_box = (aj_lo - pad, aj_hi + pad)
+        span, slope = a0_hi - a0_lo, t
+        to_s = back = lambda s: s
+    if step is None:
+        step = span / 300.0
+    s_limits = (to_s(a0_hi) + _SPAN_GUARD * span, to_s(a0_lo) - _SPAN_GUARD * span)
+    # every lattice node in one march; the anchor row is its own level
+    aj_nodes, s_nodes = np.meshgrid(aj_lattice, to_s(a0_lattice), indexing="ij")
+    values = back(_sweep_crossings(
+        slope, s_nodes.ravel(), aj_nodes.ravel(), a_ref, step, s_limits, aj_box
+    )).reshape(aj_nodes.shape)
     values[aj_lattice == a_ref] = a0_lattice
-    for side, direction, limit in (
-        (aj_lattice < a_ref, +1.0, limit_hi),
-        (aj_lattice > a_ref, -1.0, limit_lo),
-    ):
-        # every lattice node on this side of the anchor line, in one march
-        aj_nodes, s_nodes = np.meshgrid(aj_lattice[side], starts, indexing="ij")
-        values[side] = back(_sweep_crossings(
-            slope, s_nodes.ravel(), aj_nodes.ravel(), a_ref, step, direction, limit, aj_box
-        )).reshape(aj_nodes.shape)
     if np.isnan(values).any():
         bad = np.argwhere(np.isnan(values))
         i, c = bad[0]

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import characteristics, density as density_mod, field as field_mod
 from . import model as model_mod, symmetry, verify as verify_mod
-from .errors import NumericalFailure, ProvenanceError, RumkitError, ValidationError
+from .errors import NumericalFailure, ProvenanceError, ValidationError
 
 EXIT_PASS = 0
 EXIT_CHECK_FAIL = 1
@@ -81,10 +81,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             tuple(lo for lo, _ in model.domain),
             tuple(hi for _, hi in model.domain),
             tuple(21 for _ in model.domain),
-        )
-    if grid.dims != model.n_alternatives:
-        raise ValidationError(
-            f"grid has {grid.dims} axes but model has {model.n_alternatives} alternatives"
         )
     field = model_mod.tabulate(
         model, grid, method=args.method, n=args.draws, seed=args.seed
@@ -467,9 +463,6 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except RumkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)

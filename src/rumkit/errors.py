@@ -13,7 +13,7 @@ class ValidationError(RumkitError):
     """A specification object (model, grid, config) violates its invariants."""
 
 
-class DomainError(RumkitError):
+class DomainError(ValidationError):
     """An evaluation point lies outside the declared domain of a model."""
 
 
@@ -25,7 +25,7 @@ class GridMismatchError(ValidationError):
     """A grid is inconsistent with a model domain or a stored lattice."""
 
 
-class ExtrapolationError(RumkitError):
+class ExtrapolationError(ValidationError):
     """A query point lies outside the convex hull of a tabulated field."""
 
 

@@ -22,6 +22,15 @@ UTILITY_KINDS = ("linear", "log", "power", "polynomial")
 NOISE_KINDS = ("gumbel_iid", "gaussian_iid", "gaussian_correlated")
 
 
+def _known_keys(doc: dict, allowed: tuple[str, ...], where: str) -> None:
+    """Raise ValidationError on a key of doc outside allowed: a typo is not a default."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where} must be a JSON object, not {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ValidationError(f"unknown key {unknown[0]!r} in {where}, not one of {allowed}")
+
+
 @dataclass(frozen=True)
 class UtilityPrimitive:
     """One sub-utility h(a), strictly increasing on its domain.
@@ -166,6 +175,10 @@ class ChoiceModelSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "ChoiceModelSpec":
         try:
+            _known_keys(d, ("alternatives", "utilities", "noise", "domain"), "model document")
+            _known_keys(d["noise"], ("kind", "scale", "correlation"), "noise")
+            for u in d["utilities"]:
+                _known_keys(u, ("kind", "params"), "utility")
             utils = tuple(
                 UtilityPrimitive(u["kind"], tuple(u["params"])) for u in d["utilities"]
             )

@@ -250,12 +250,16 @@ def _sweep_column(t, a0_start, aj_states, a_ref, step, direction, a0_limit, aj_b
     return out
 
 
-def _sweep_by_column(t, a0_start, aj_states, *args):
-    """Reference sweep: one _sweep_column call per distinct start a_0."""
+def _sweep_by_column(t, s_start, aj_states, a_ref, step, s_limits, aj_box):
+    """Reference sweep: one _sweep_column call per distinct start and side of the anchor line."""
     out = np.full(len(aj_states), np.nan)
-    for s0 in np.unique(a0_start):
-        col = a0_start == s0
-        out[col] = _sweep_column(t, s0, aj_states[col], *args)
+    for s0 in np.unique(s_start):
+        for side, direction, limit in (
+            (aj_states < a_ref, +1.0, s_limits[0]),
+            (aj_states > a_ref, -1.0, s_limits[1]),
+        ):
+            col = (s_start == s0) & side
+            out[col] = _sweep_column(t, s0, aj_states[col], a_ref, step, direction, limit, aj_box)
     return out
 
 
@@ -278,6 +282,19 @@ def _log_sieve_ratio(j, alpha_j, domain):
         j=j, pivot=0, domain=domain, basis="log_polynomial", degree=1,
         coefficients=np.array([-np.log(alpha_j), 1.0, -1.0]),
     )
+
+
+class TestOneMarch:
+    def test_both_sides_in_one_call(self):
+        # da_j/ds = 1: a state below the line marches up in s and meets it
+        # 0.5 later, one above marches down and meets it 0.5 earlier, one on
+        # the line and one that reaches its limit first stay NaN
+        out = characteristics._sweep_crossings(
+            lambda aj, s: np.ones_like(aj), np.array([0.0, 0.0, 2.0, 0.0]),
+            np.array([0.5, 1.5, 1.0, 0.0]), 1.0, 0.3, (0.8, -10.0), (-5.0, 5.0),
+        )
+        assert out[:2] == pytest.approx([0.5, -0.5], abs=1e-12)
+        assert np.isnan(out[2:]).all()
 
 
 class TestLockstepEquivalence:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rumkit import characteristics, cli, density, field, model, symmetry, verify
+from rumkit import characteristics, cli, density, errors, field, model, symmetry, verify
 from rumkit.cli import EXIT_CHECK_FAIL, EXIT_INPUT_ERROR, EXIT_NUMERICAL, EXIT_PASS
 
 from conftest import (
@@ -82,6 +82,15 @@ MALFORMED_MODELS = {
         "not strictly increasing",
     ),
     "infinite_bound": (_set("domain", 1, [-10.0, float("inf")]), "must be finite"),
+    # typos in key names: a silent default would simulate another model
+    "noise_key_typo": (_set("noise", {"kind": "gumbel_iid", "scal": 3.0}), "unknown key 'scal'"),
+    "top_level_key_typo": (
+        lambda d: d.update(alternative=d.pop("alternatives") + 2), "unknown key 'alternative'"
+    ),
+    "utility_not_an_object": (_set("utilities", 1, [0.0, 1.0]), "utility must be a JSON object"),
+    "utility_key_typo": (
+        _set("utilities", 1, {"kind": "linear", "param": [0.0, 1.0]}), "unknown key 'param'"
+    ),
 }
 
 
@@ -162,12 +171,15 @@ class TestSimulate:
             tmp_path / "b" / "field.csv"
         ).read_bytes()
 
-    def test_wrong_axis_count_rejected(self, tmp_path, log_model_json):
+    def test_wrong_axis_count_rejected(self, tmp_path, capsys, log_model_json):
+        # model.tabulate's GridMismatchError is the one axis-count check
         code = run(
             "simulate", "--model", log_model_json, "--out", str(tmp_path),
             "--grid", "1:4:5", "--grid", "1:4:5",
         )
         assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("input error:")
+        assert not (tmp_path / "field.csv").exists()
 
     def test_malformed_model_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -861,6 +873,20 @@ def test_pipeline_runs_without_scipy(tmp_path, lin_model_json):
 
 
 class TestExitCodes:
+    def test_every_error_class_has_an_exit_code(self):
+        # main maps input and provenance errors to 2 and numerical failures
+        # to 3; every other package error is one of these three
+        assert issubclass(errors.DomainError, errors.ValidationError)
+        assert issubclass(errors.ExtrapolationError, errors.ValidationError)
+        families = (errors.ValidationError, errors.ProvenanceError, errors.NumericalFailure)
+        classes = [
+            c for c in vars(errors).values()
+            if isinstance(c, type) and issubclass(c, errors.RumkitError)
+        ]
+        assert len(classes) > 10
+        for c in classes:
+            assert c is errors.RumkitError or issubclass(c, families), c
+
     def test_module_entry_point_without_runtime_warning(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)

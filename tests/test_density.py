@@ -242,7 +242,20 @@ class TestNormalization:
         assert header == "v_1,v_2,f,F,in_support"
 
 
+def _density_grid(**arrays):
+    """A 5 x 5 DensityGrid of f = 1, F = 0 on full support, with arrays replaced."""
+    fields = {
+        "axes": (np.linspace(0.5, 1.5, 5), np.linspace(0.5, 1.5, 5)),
+        "f_values": np.ones((5, 5)),
+        "F_values": np.zeros((5, 5)),
+        "support_mask": np.ones((5, 5), dtype=bool),
+    }
+    return density.DensityGrid(**{**fields, **arrays})
+
+
 class TestDensityGridValidation:
+    """The checks that guard a DensityGrid, as verify rebuilds it from identify.npz."""
+
     @pytest.mark.parametrize("name", ["axis", "f_values", "F_values"])
     def test_non_finite_rejected(self, name):
         axes = [np.linspace(0.5, 1.5, 5), np.linspace(0.5, 1.5, 5)]
@@ -252,9 +265,26 @@ class TestDensityGridValidation:
         else:
             arrays[name][2, 3] = np.nan
         with pytest.raises(ValidationError, match="finite"):
-            density.DensityGrid(
-                axes=tuple(axes), support_mask=np.ones((5, 5), dtype=bool), **arrays
-            )
+            _density_grid(axes=tuple(axes), **arrays)
+
+    @pytest.mark.parametrize("name", ["f_values", "F_values"])
+    def test_value_shape_mismatch_rejected(self, name):
+        with pytest.raises(ValidationError, match=f"{name} shape \\(5, 4\\) != grid shape"):
+            _density_grid(**{name: np.ones((5, 4))})
+
+    def test_support_mask_shape_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="support_mask shape mismatch"):
+            _density_grid(support_mask=np.ones((4, 5), dtype=bool))
+
+    def test_negative_density_on_support_rejected(self):
+        f = np.ones((5, 5))
+        f[2, 3] = -1e-3
+        with pytest.raises(ValidationError, match="negative density on support"):
+            _density_grid(f_values=f)
+        # off the support the value is not read
+        mask = np.ones((5, 5), dtype=bool)
+        mask[2, 3] = False
+        assert _density_grid(f_values=f, support_mask=mask).f_values[2, 3] == -1e-3
 
 
 def cube_selection(depth, on_node):
