@@ -15,12 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import (
-    CoverageError,
-    LevelRangeError,
-    NumericalFailure,
-    ValidationError,
-)
+from .errors import CoverageError, DomainError, NumericalFailure, ValidationError
 from .field import write_csv_table
 
 _SPAN_GUARD = 200.0  # max integration span, in units of the a_0 domain width
@@ -314,20 +309,20 @@ class OmegaFunction:
         """Whether the lattices are log-spaced and step is in ln a_0."""
         return _log_march(self.domain)
 
+    def require_in_domain(self, axis: int, a) -> None:
+        """Raise DomainError unless every entry of a lies in the domain of
+        axis 0 (a_j) or 1 (a_0), within 1e-9 of the axis span: the one check
+        of every omega query. NaN passes."""
+        lo, hi = self.domain[axis]
+        eps = 1e-9 * (hi - lo)
+        a = np.asarray(a, dtype=float)
+        if np.any(a < lo - eps) or np.any(a > hi + eps):
+            raise DomainError(f"{('a_j', 'a_0')[axis]} outside omega domain [{lo}, {hi}]")
+
     def __call__(self, a_j, a_0):
-        a_j = np.asarray(a_j, dtype=float)
-        a_0 = np.asarray(a_0, dtype=float)
-        (aj_lo, aj_hi), (a0_lo, a0_hi) = self.domain
-        eps_j = 1e-9 * (aj_hi - aj_lo)
-        eps_0 = 1e-9 * (a0_hi - a0_lo)
-        if np.any(a_j < aj_lo - eps_j) or np.any(a_j > aj_hi + eps_j):
-            raise LevelRangeError(f"a_j outside omega domain [{aj_lo}, {aj_hi}]")
-        if np.any(a_0 < a0_lo - eps_0) or np.any(a_0 > a0_hi + eps_0):
-            raise LevelRangeError(f"a_0 outside omega domain [{a0_lo}, {a0_hi}]")
-        out = self._spline.ev(a_j, a_0)
-        if np.isscalar(a_j) or (np.ndim(a_j) == 0 and np.ndim(a_0) == 0):
-            return float(out)
-        return out
+        self.require_in_domain(0, a_j)
+        self.require_in_domain(1, a_0)
+        return self._spline.ev(a_j, a_0)
 
     # -- derivatives by central finite differences on the level surface ----
 
@@ -336,6 +331,8 @@ class OmegaFunction:
         the domain. The half-step is delta, else one lattice spacing,
         proportional to the point on log lattices."""
         x = np.broadcast_arrays(np.asarray(a_j, dtype=float), np.asarray(a_0, dtype=float))
+        for k, a in enumerate(x):
+            self.require_in_domain(k, a)
         lattice = (self.aj_lattice, self.a0_lattice)[axis]
         if delta is not None:
             d = np.full_like(x[axis], delta)
@@ -379,6 +376,7 @@ class OmegaFunction:
         shape (n, m) against a_j of shape (n, 1) inverts one row of levels per
         a_j in one call.
         """
+        self.require_in_domain(0, a_j)
         return _invert_monotone_vec(
             lambda x, aj, d: self._spline.ev(aj, x, dy=d), a_j, v, self.a0_lattice
         )
@@ -391,6 +389,7 @@ class OmegaFunction:
         broadcasts to v's shape, e.g. v of shape (n_ref, n_v) against a_0 of
         shape (n_ref, 1) inverts every level at every reference in one call.
         """
+        self.require_in_domain(1, a_0)
         return _invert_monotone_vec(
             lambda x, a0, d: self._spline.ev(x, a0, dx=d), a_0, v, self.aj_lattice
         )

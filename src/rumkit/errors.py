@@ -14,7 +14,8 @@ class ValidationError(RumkitError):
 
 
 class DomainError(ValidationError):
-    """An evaluation point lies outside the declared domain of a model."""
+    """A query point lies outside its object's box: a model's domain, a field's
+    hull or an omega's domain."""
 
 
 class NoClosedFormError(ValidationError):
@@ -23,10 +24,6 @@ class NoClosedFormError(ValidationError):
 
 class GridMismatchError(ValidationError):
     """A grid is inconsistent with a model domain or a stored lattice."""
-
-
-class ExtrapolationError(ValidationError):
-    """A query point lies outside the convex hull of a tabulated field."""
 
 
 class RankDeficientBasisError(NumericalFailure):
@@ -39,10 +36,6 @@ class NegativeRatioError(NumericalFailure):
 
 class CoverageError(NumericalFailure):
     """A characteristic failed to reach the anchor line inside the integration box."""
-
-
-class LevelRangeError(NumericalFailure):
-    """A requested level value lies outside the attained range of a level function."""
 
 
 class SupportError(NumericalFailure):

@@ -22,11 +22,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ExtrapolationError, GridMismatchError, ValidationError
+from .errors import DomainError, GridMismatchError, ValidationError
 
 _MONO_TOL = 0.0  # largest step against the required direction along a grid line
 _CROSS_TOL = 1e-6  # largest wrong-signed alternating cross-partial at an interior node
-_CSV_CHUNK_ROWS = 1 << 16  # rows write_csv_table converts and writes at a time
 # entries per slab of the softmax, the row check and the Monte Carlo chunks:
 # a few slab-sized work arrays stay near a 2 MiB L2 cache
 _CHUNK_ENTRIES = 2**16
@@ -165,6 +164,7 @@ class ProbabilityField:
             )
         check_probability_rows(self.values)
         self.values.setflags(write=False)
+        self._lattice_partials = {}  # fd_stencil's node_mixed_partial per (r, axes)
 
     @property
     def n_alternatives(self) -> int:
@@ -292,7 +292,7 @@ class ProbabilityField:
         outside = ~self.grid.contains(pts)
         if outside.any():
             bad = pts[np.argmax(outside)]
-            raise ExtrapolationError(f"point {bad.tolist()} outside grid hull")
+            raise DomainError(f"point {bad.tolist()} outside grid hull")
         return pts
 
     def interpolate(self, a) -> np.ndarray:
@@ -326,10 +326,6 @@ class ProbabilityField:
         if (r, axes) not in self._lattice_partials:
             self._lattice_partials[r, axes] = self.node_mixed_partial(r, axes)
         return multilinear(self._lattice_partials[r, axes], self.grid.axes(), pts, ())
-
-    @cached_property
-    def _lattice_partials(self) -> dict:
-        return {}
 
     def interior_slices(self) -> tuple[slice, ...]:
         return tuple(slice(1, n - 1) for n in self.grid.counts)
@@ -374,7 +370,6 @@ def check_shape(field: ProbabilityField) -> ShapeReport:
     """
     nalt = field.n_alternatives
     J = nalt - 1
-    counts = field.grid.counts
     monotone_ok = np.zeros((nalt, nalt), dtype=bool)
     worst_mono = {"magnitude": 0.0, "alternative": None, "axis": None, "index": None}
     for j in range(nalt):
@@ -569,9 +564,9 @@ def write_csv_table(path, names, columns) -> None:
 
     The bytes np.savetxt writes for the column-stacked floats (a bool column
     reads 1 / 0): cells joined by commas, each line ended by a newline. The
-    rows are converted and written _CSV_CHUNK_ROWS at a time, which bounds the
-    memory. A chunk's column that repeats values formats each distinct value
-    once (_distinct_strings); a row template formats the others, if any.
+    rows are converted and written one axis0_slabs((n,)) chunk at a time,
+    which bounds the memory. A chunk's column that repeats values formats
+    each distinct value once (_distinct_strings); a row template the others.
     """
     if len(names) != len(columns):
         raise ValueError(f"{len(names)} header names for {len(columns)} columns")
@@ -581,10 +576,10 @@ def write_csv_table(path, names, columns) -> None:
         raise ValueError("columns differ in length")
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
-        for lo in range(0, n, _CSV_CHUNK_ROWS):
+        for s in axis0_slabs((n,)):
             chunk, row = [], []
             for col in cols:
-                part = col[lo : lo + _CSV_CHUNK_ROWS]
+                part = col[s]
                 strings = _distinct_strings(part, "%.12g".__mod__)
                 chunk.append(part.tolist() if strings is None else strings.tolist())
                 row.append("%.12g" if strings is None else "%s")

@@ -124,10 +124,7 @@ def rationalized_choice_prob(
     if not np.all(np.isfinite(offers)):
         raise ValidationError("offers must be finite")
     for j, u in enumerate(utilities, start=1):
-        lo, hi = u.omega.domain[0]
-        eps = 1e-9 * (hi - lo)  # the slack OmegaFunction.__call__ allows
-        if np.any((offers[:, j] < lo - eps) | (offers[:, j] > hi + eps)):
-            raise ValidationError(f"a_{j} outside the omega_{j} domain [{lo}, {hi}]")
+        u.omega.require_in_domain(0, offers[:, j])
     if method not in ("grid_quadrature", "monte_carlo"):
         raise ValidationError(f"unknown method {method!r}")
     if method == "monte_carlo" and n < 1:

@@ -1,12 +1,14 @@
 """Characteristic ODE integration, omega construction, utility inversion."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rumkit import characteristics, field, symmetry
-from rumkit.errors import CoverageError, LevelRangeError, NumericalFailure, ValidationError
+from rumkit import characteristics, density, field, symmetry, verify
+from rumkit.errors import CoverageError, DomainError, NumericalFailure, ValidationError
 
 BOX = ((1.0, 4.0), (1.0, 4.0))
 
@@ -151,7 +153,7 @@ class TestBuildOmega:
 
     @pytest.mark.parametrize("a_j", [0.5, 4.5, [2.0, 5.0]])
     def test_aj_past_the_domain_rejected(self, omega1, a_j):
-        with pytest.raises(LevelRangeError, match="a_j outside omega domain"):
+        with pytest.raises(DomainError, match="a_j outside omega domain"):
             omega1(a_j, np.full(np.shape(a_j), 2.0))
 
     def test_log_scale_matches_linear(self):
@@ -169,6 +171,119 @@ class TestBuildOmega:
         omega1.export_csv(path)
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
         assert rows.shape == (characteristics.CSV_NODES**2, 3)
+
+
+# a unit mass on v in [0.25, 4] for verify's offer check, J = 1
+_UNIT_DENSITY = density.DensityGrid(
+    axes=(np.linspace(0.25, 4.0, 16),),
+    f_values=np.full(16, 1.0 / 3.75),
+    F_values=np.zeros(16),
+    support_mask=np.ones(16, dtype=bool),
+)
+_LEVELS = np.array([0.1, 0.5, 2.0])  # attained at some points of BOX, missed at others
+
+# every omega query at one point (a_j, a_0), with the axes (0: a_j, 1: a_0)
+# whose coordinate it checks; verify's offer check reads the offer's a_j
+OMEGA_QUERIES = {
+    "call": (lambda om, a_j, a_0: om(a_j, a_0), (0, 1)),
+    "invert_a0_many": (lambda om, a_j, a_0: om.invert_a0_many(a_j, _LEVELS), (0,)),
+    "invert_aj_many": (lambda om, a_j, a_0: om.invert_aj_many(_LEVELS, a_0), (1,)),
+    "d_aj": (lambda om, a_j, a_0: om.d_aj(a_j, a_0), (0, 1)),
+    "d_a0": (lambda om, a_j, a_0: om.d_a0(a_j, a_0), (0, 1)),
+    "verify_offer": (
+        lambda om, a_j, a_0: verify.rationalized_choice_prob(
+            [SimpleNamespace(omega=om)], _UNIT_DENSITY, [a_0, a_j]
+        ),
+        (0,),
+    ),
+}
+CHECKED_AXES = [
+    (query, axis, side)
+    for query, (_, axes) in sorted(OMEGA_QUERIES.items())
+    for axis in axes
+    for side in ("lo", "hi")
+]
+
+
+def _point_past(om, axis, side, slacks):
+    """The domain's centre with one coordinate past its side's end by
+    slacks times 1e-9 of the axis span (inside it when slacks < 0)."""
+    point = [0.5 * (lo + hi) for lo, hi in om.domain]
+    lo, hi = om.domain[axis]
+    eps = 1e-9 * (hi - lo)
+    point[axis] = lo - slacks * eps if side == "lo" else hi + slacks * eps
+    return point
+
+
+def _near_domain(lo, hi):
+    """A coordinate inside [lo, hi], on an end, or within three slacks of one."""
+    eps = 1e-9 * (hi - lo)
+    near = st.tuples(st.sampled_from([lo, hi]), st.floats(-3.0, 3.0))
+    return st.one_of(
+        st.floats(lo, hi),
+        st.sampled_from([lo - eps, lo, hi, hi + eps]),
+        near.map(lambda p: p[0] + p[1] * eps),
+    )
+
+
+def _reference(om, query, a_j, a_0):
+    """What the query computes without its check: the spline, the inverter, or
+    the central difference of the spline with one lattice step, clamped."""
+    ev = om._spline.ev
+    if query == "call":
+        return ev(a_j, a_0)
+    if query == "invert_a0_many":
+        return characteristics._invert_monotone_vec(
+            lambda x, aj, d: ev(aj, x, dy=d), a_j, _LEVELS, om.a0_lattice
+        )
+    if query == "invert_aj_many":
+        return characteristics._invert_monotone_vec(
+            lambda x, a0, d: ev(x, a0, dx=d), a_0, _LEVELS, om.aj_lattice
+        )
+    axis = ("d_aj", "d_a0").index(query)
+    lattice = (om.aj_lattice, om.a0_lattice)[axis]
+    (lo, hi), x = om.domain[axis], np.array([a_j, a_0])
+    up, dn = x.copy(), x.copy()
+    up[axis] = min(x[axis] + (lattice[1] - lattice[0]), hi)
+    dn[axis] = max(x[axis] - (lattice[1] - lattice[0]), lo)
+    return (ev(*up) - ev(*dn)) / (up[axis] - dn[axis])
+
+
+class TestOmegaDomainRule:
+    """OmegaFunction.require_in_domain, the one check behind every omega
+    query: a coordinate past its axis by more than 1e-9 of the span raises
+    DomainError, one within that slack evaluates, and the check never changes
+    a value."""
+
+    @pytest.mark.parametrize("slacks", [2.0, 1e9])
+    @pytest.mark.parametrize("query, axis, side", CHECKED_AXES)
+    def test_past_the_slack_rejected(self, omega1, query, axis, side, slacks):
+        a_j, a_0 = _point_past(omega1, axis, side, slacks)
+        with pytest.raises(DomainError, match=f"{('a_j', 'a_0')[axis]} outside omega domain"):
+            OMEGA_QUERIES[query][0](omega1, a_j, a_0)
+
+    @pytest.mark.parametrize("query, axis, side", CHECKED_AXES)
+    def test_within_the_slack_evaluates(self, omega1, query, axis, side):
+        a_j, a_0 = _point_past(omega1, axis, side, 0.5)
+        assert not np.isnan(OMEGA_QUERIES[query][0](omega1, a_j, a_0)).any()
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_query_applies_one_rule(self, omega1, data):
+        point = [data.draw(_near_domain(lo, hi)) for lo, hi in omega1.domain]
+        inside = [
+            not (x < lo - 1e-9 * (hi - lo) or x > hi + 1e-9 * (hi - lo))
+            for x, (lo, hi) in zip(point, omega1.domain)
+        ]
+        for query, (call, axes) in OMEGA_QUERIES.items():
+            if not all(inside[k] for k in axes):
+                with pytest.raises(DomainError):
+                    call(omega1, *point)
+            elif query == "verify_offer":
+                call(omega1, *point)
+            else:
+                got, want = call(omega1, *point), _reference(omega1, query, *point)
+                assert np.array_equal(got, want), query
 
 
 class TestBicubicMatchesFitpack:
@@ -382,7 +497,7 @@ class TestUtilityInversion:
         # the inverter reads a level below the range attained at a_j as -inf;
         # evaluating omega off its domain raises
         assert w1.omega.invert_a0_many(2.0, np.array([1e-4]))[0] == -np.inf
-        with pytest.raises(LevelRangeError):
+        with pytest.raises(DomainError):
             w1.omega(2.0, 0.5)
 
     def test_export_matches_per_row_inversion(self, w1, tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rumkit import characteristics, density, field, model
-from rumkit.errors import NegativeDensityError, SupportError, ValidationError
+from rumkit.errors import DomainError, NegativeDensityError, SupportError, ValidationError
 
 from conftest import log_model, oracle_cdf, oracle_density
 
@@ -515,12 +515,17 @@ class TestLevelMapEquivalence:
 
     @pytest.mark.parametrize("a_0", [None, 2.0, 99.0])
     def test_cdf_unreachable(self, cdf_setup, a_0):
-        # v = (500, 500) has no level-attaining point in the hull
+        # v = (500, 500) has no level-attaining point in the hull; a_0 = 99
+        # lies outside the omegas' a_0 domain [1, 4], which the inversion rejects
         f, omegas = cdf_setup
         v = (500.0, 500.0)
         if a_0 is None:
             with pytest.raises(SupportError):
                 density.reconstruct_density(f, omegas, tuple(np.array([vj]) for vj in v))
+            return
+        if a_0 > 4.0:
+            with pytest.raises(DomainError, match="a_0 outside omega domain"):
+                omegas[0].invert_aj_many(np.array([v[0]]), a_0)
             return
         point = [a_0] + [om.invert_aj_many(np.array([vj]), a_0)[0] for vj, om in zip(v, omegas)]
         assert not f.grid.contains(point)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
 from rumkit import field, model, symmetry
-from rumkit.errors import ExtrapolationError, ValidationError
+from rumkit.errors import DomainError, ValidationError
 
 from conftest import (
     MALFORMED_FIELD_CSVS,
@@ -146,7 +146,7 @@ class TestInterpolate:
         )
 
     def test_outside_hull_rejected(self, lin_field):
-        with pytest.raises(ExtrapolationError):
+        with pytest.raises(DomainError):
             lin_field.interpolate((1.5, 0.0, 0.0))
 
     @given(interior_pt)
@@ -256,13 +256,13 @@ class TestDerivatives:
 
     @pytest.mark.parametrize("axes", [(), (0,), (1, 2)])
     def test_outside_hull_rejected(self, lin_field, axes):
-        with pytest.raises(ExtrapolationError):
+        with pytest.raises(DomainError):
             lin_field.fd_stencil(0, axes, [(0.0, 0.0, 0.0), (0.0, 1.01, 0.0)])
 
     @pytest.mark.parametrize("axes", [(), (0,), (1, 2)])
     def test_nan_point_rejected(self, lin_field, axes):
         # the kernel clamps every point, so the hull check alone keeps NaN out
-        with pytest.raises(ExtrapolationError):
+        with pytest.raises(DomainError):
             lin_field.fd_stencil(0, axes, [(0.0, 0.0, 0.0), (0.0, np.nan, 0.0)])
 
     def test_mixed_partial_softmax_identity(self, lin_field):
@@ -839,7 +839,7 @@ class TestSidecar:
 
 @pytest.mark.parametrize("chunk_rows", [8, 35, 1 << 16])
 def test_csv_table_bytes_match_savetxt(tmp_path, monkeypatch, chunk_rows):
-    monkeypatch.setattr(field, "_CSV_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(field, "_CHUNK_ENTRIES", chunk_rows)  # axis0_slabs((n,)) rows
     # np.savetxt of the column-stacked floats is the reference writer
     rng = np.random.default_rng(3)
     columns = [

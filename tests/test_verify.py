@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rumkit import characteristics, density, field, model, verify
-from rumkit.errors import UnnormalizedDensityError, ValidationError
+from rumkit.errors import DomainError, UnnormalizedDensityError, ValidationError
 
 from conftest import log_model, oracle_prob
 
@@ -350,6 +350,11 @@ class _CappedOmega:
     utility is w = v up to level 1 and +inf above."""
 
     domain = ((0.0, 2.0), (0.0, 1.0))
+
+    def require_in_domain(self, axis, a):
+        lo, hi = self.domain[axis]
+        if np.any((np.asarray(a) < lo) | (np.asarray(a) > hi)):
+            raise DomainError(f"{('a_j', 'a_0')[axis]} outside omega domain [{lo}, {hi}]")
 
     def __call__(self, a_j, a_0):
         return a_0 + 0.0 * np.asarray(a_j)
