@@ -310,14 +310,16 @@ class OmegaFunction:
         return _log_march(self.domain)
 
     def require_in_domain(self, axis: int, a) -> None:
-        """Raise DomainError unless every entry of a lies in the domain of
-        axis 0 (a_j) or 1 (a_0), within 1e-9 of the axis span: the one check
-        of every omega query. NaN passes."""
+        """Raise DomainError, naming alternative j, unless every entry of a
+        lies in the domain of axis 0 (a_j) or 1 (a_0), within 1e-9 of the axis
+        span: the one check of every omega query. NaN passes."""
         lo, hi = self.domain[axis]
         eps = 1e-9 * (hi - lo)
         a = np.asarray(a, dtype=float)
         if np.any(a < lo - eps) or np.any(a > hi + eps):
-            raise DomainError(f"{('a_j', 'a_0')[axis]} outside omega domain [{lo}, {hi}]")
+            raise DomainError(
+                f"{('a_j', 'a_0')[axis]} outside omega domain [{lo}, {hi}] (alternative {self.j})"
+            )
 
     def __call__(self, a_j, a_0):
         self.require_in_domain(0, a_j)

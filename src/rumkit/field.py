@@ -6,7 +6,8 @@ on the lattice and fd_stencil interpolates with that kernel),
 monotonicity/cross-partial shape checks, the field CSV wire format with its
 .npz sidecar, the plain table and .npz writers behind the other artifacts, and
 the JSON form of the result records. Both CSV writers format each distinct
-number of a block once when at most half its entries are distinct.
+number of a block once when at most half its entries are distinct; the
+field CSV formats its probabilities with one vectorised shortest-repr kernel.
 """
 
 from __future__ import annotations
@@ -473,26 +474,165 @@ def _sidecar_path(path) -> str:
     return os.fspath(path) + ".npz"
 
 
+def _distinct_values(values):
+    """(the distinct bit patterns among the entries of the float array values,
+    as sorted floats, and each entry's rank among them), or None when more
+    than half the entries are distinct. A sort decides; only a repeating
+    array is argsorted for the ranks."""
+    keys = np.ascontiguousarray(values, dtype=float).view(np.uint64).reshape(-1)
+    ordered = np.sort(keys)
+    new = np.empty(keys.size, dtype=bool)  # where a distinct pattern starts
+    new[0], new[1:] = True, ordered[1:] != ordered[:-1]
+    if 2 * np.count_nonzero(new) > keys.size:
+        return None
+    index = np.empty(keys.size, dtype=np.intp)
+    index[np.argsort(keys)] = np.cumsum(new, dtype=np.intp) - 1
+    return ordered[new].view(np.float64), index
+
+
 def _distinct_strings(values, fmt):
     """fmt of every entry of the float array values, as an object array of
     its shape, calling fmt once per distinct bit pattern (so -0.0 and 0.0
     keep their own strings); None when more than half the entries are
-    distinct. One argsort of the patterns ranks every entry among them.
+    distinct (_distinct_values).
     """
-    keys = np.ascontiguousarray(values, dtype=float).view(np.uint64).reshape(-1)
-    order = np.argsort(keys)
-    ordered = keys[order]
-    new = np.empty(keys.size, dtype=bool)  # where a distinct pattern starts
-    new[0], new[1:] = True, ordered[1:] != ordered[:-1]
-    rank = np.cumsum(new, dtype=np.intp)
-    if 2 * rank[-1] > keys.size:
+    found = _distinct_values(values)
+    if found is None:
         return None
-    rank -= 1
-    index = np.empty_like(order)
-    index[order] = rank
-    del order, rank  # before the strings exist: this sets the writer's peak
-    table = np.array(list(map(fmt, ordered[new].view(np.float64).tolist())), dtype=object)
+    distinct, index = found
+    table = np.array(list(map(fmt, distinct.tolist())), dtype=object)
     return table[index].reshape(values.shape)
+
+
+# -- repr of probabilities, vectorised ---------------------------------------
+#
+# For 1e-4 <= x < 1, repr(x) is "0." and then the zeros and digits of the
+# shortest decimal that reads back as x (Gay's shortest round-trip
+# conversion; of several that short, the nearest). With e = floor(log10 x)
+# and s = p - 1 - e (at most 20, so 10^s is an exact double), the nearest
+# p-digit decimal is D_p * 10^-s, D_p the integer nearest x * 10^s, and it
+# reads back as x when |x * 10^s - D_p| is below 10^s times half the gap to
+# x's neighbour on its side. Dekker's product gives x * 10^s exactly as
+# hi + lo, and the residual (hi - D_p) + lo is rounded once, so it compares
+# with 1/2 and with that bound (both doubles) as the exact residual does
+# unless it equals one of them: such a tie is left to repr. If D_p reads back
+# then so does D_(p+1), and D_17 always does (its bound exceeds 1/2). For
+# p <= 15 the bound is below 0.12, so D_(p-1) reads back exactly when D_p ends
+# in 0: the search tries 16 digits, then 17 where 16 fail and 15 where D_16
+# ends in 1 or 9, and drops trailing zeros. The gap below x is half the gap
+# above only at the 13 powers of two in range, and each of those is exact in
+# 16 digits (2^-k = 5^k * 10^-k), so the half-gap above serves every x.
+
+_REPR_CHUNK = 2**14  # entries per kernel call: its work arrays stay near 2 MiB
+_VELTKAMP = 2.0**27 + 1
+
+
+def _halves(x):
+    """Veltkamp's split: x == hi + lo exactly, each half of at most 26 bits."""
+    t = _VELTKAMP * x
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+_POW10 = 10.0 ** np.arange(21)  # exact doubles
+_POW10_HI, _POW10_LO = _halves(_POW10)
+_INT_POW10 = 10 ** np.arange(18, dtype=np.int64)
+_LEADS = np.array([b"0.000", b"0.00", b"0.0", b"0."])  # by floor(log10 x) + 4
+_PAIRS = np.array(  # "00".."99", two ASCII digits per little-endian uint16
+    [ord(a) | ord(b) << 8 for a in "0123456789" for b in "0123456789"], dtype="<u2"
+)
+# _PAIR_MASKS[n] keeps the first n of a row's 18 digit characters and NULs the rest
+_PAIR_MASKS = np.array(
+    [[0xFFFF if 2 * k + 2 <= n else 0x00FF if 2 * k < n else 0 for k in range(9)]
+     for n in range(19)], dtype="<u2",
+)
+
+
+def _nearest_decimal(terms, s):
+    """Per column of terms (x, its two halves, half the gap to x's upper
+    neighbour): the integer D nearest x * 10^s, whether D * 10^-s reads back
+    as x, and whether a tie leaves that to repr."""
+    x, x_hi, x_lo, half_gap = terms
+    scale, scale_hi, scale_lo = _POW10[s], _POW10_HI[s], _POW10_LO[s]
+    hi = x * scale
+    lo = x_lo * scale_lo - (((hi - x_hi * scale_hi) - x_lo * scale_hi) - x_hi * scale_lo)
+    frac = hi - np.rint(hi)  # exact, and 0 once hi >= 2^52
+    step = np.rint(frac + lo)
+    # x * 10^s - D rounded once: it compares with a double as the exact value
+    # does unless it equals that double
+    res = (frac - step) + lo
+    digits = (hi - frac).astype(np.int64) + step.astype(np.int64)
+    dist = np.abs(res)
+    bound = half_gap * scale  # exact: 2^k * 10^s
+    tie = (dist >= 0.5) | (dist == bound)
+    return digits, (dist < bound) & ~tie, tie
+
+
+def _shortest_reprs(x):
+    """repr(x) as bytes for a 1-D array x in [1e-4, 1), and the entries a tie
+    left undecided, whose strings are wrong."""
+    # floor(log10 x), exactly: each double 1e-k lies above 10^-k
+    e = (x >= 1e-3).astype(np.intp) + (x >= 1e-2) + (x >= 1e-1) - 4
+    terms = np.stack((x, *_halves(x), np.spacing(x) / 2))
+    s = 15 - e  # 16 digits
+    digits, ok, undecided = _nearest_decimal(terms, s)
+    count = np.full(x.size, 16)
+    i = np.flatnonzero(~(ok | undecided))
+    digits[i], _, undecided[i] = _nearest_decimal(terms[:, i], s[i] + 1)
+    count[i] = 17
+    last = digits % 10
+    i = np.flatnonzero(ok & ((last == 1) | (last == 9)))
+    d15, ok15, tie = _nearest_decimal(terms[:, i], s[i] - 1)
+    digits[i[ok15]], count[i[ok15]] = d15[ok15], 15
+    undecided[i] |= tie
+    i = np.flatnonzero(digits % 10 == 0)
+    while i.size:
+        digits[i] //= 10
+        count[i] -= 1
+        i = i[digits[i] % 10 == 0]
+    # the digits as 18 ASCII columns, two per division, NUL after the last
+    digits *= _INT_POW10[18 - count]
+    pairs = np.empty((x.size, 9), dtype="<u2")
+    for k in range(8, -1, -1):
+        q = digits // 100
+        pairs[:, k] = _PAIRS[digits - 100 * q]
+        digits = q
+    pairs &= _PAIR_MASKS[count]
+    return np.strings.add(_LEADS[e + 4], pairs.view("S18").ravel()), undecided
+
+
+def _repr_bytes(values) -> np.ndarray:
+    """repr(float(v)).encode() for every entry v of a float array, raveled.
+
+    Entries in [1e-4, 1) go through _shortest_reprs _REPR_CHUNK at a time;
+    repr formats the rest and any entry a tie left undecided.
+    """
+    flat = np.ravel(values)
+    out = np.empty(flat.size, dtype="S24")  # the longest float64 repr
+    for start in range(0, flat.size, _REPR_CHUNK):
+        x = flat[start : start + _REPR_CHUNK]
+        inside = (x >= 1e-4) & (x < 1.0)
+        strings, undecided = _shortest_reprs(np.where(inside, x, 0.5))
+        out[start : start + x.size] = strings
+        rest = start + np.flatnonzero(undecided | ~inside)
+        out[rest] = [repr(v).encode() for v in flat[rest].tolist()]
+    return out
+
+
+def _csv_lines(heads, cells) -> np.ndarray:
+    """The bytes of the lines heads[i] + cells[i, 0] + "," + ... + cells[i, -1]
+    + CRLF, as one uint8 array. Each line fills a row of a fixed-width byte
+    table, every string in its own NUL-padded span; dropping the NULs leaves
+    the lines back to back."""
+    n, k = cells.shape
+    wide, cell = heads.itemsize, cells.itemsize
+    table = np.empty((n, wide + k * (cell + 1) + 1), dtype=np.uint8)  # every byte set below
+    table[:, :wide] = heads.view(np.uint8).reshape(n, wide)
+    spans = table[:, wide:-1].reshape(n, k, cell + 1)
+    spans[..., :cell] = cells.view(np.uint8).reshape(n, k, cell)
+    spans[..., cell] = ord(",")
+    table[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+    return table[table != 0]
 
 
 def write_field_csv(field: ProbabilityField, path) -> None:
@@ -500,9 +640,10 @@ def write_field_csv(field: ProbabilityField, path) -> None:
 
     Every number is written as its shortest round-trip repr and every line
     ends in CRLF (the bytes csv.writer produces). Coordinates are formatted
-    once per axis, probabilities once per distinct value of an axis0_slabs
-    block that repeats values (_distinct_strings), else entry by entry; rows
-    are written one axis-0 slab at a time.
+    once per axis and probabilities by _repr_bytes, one axis0_slabs block at
+    a time: once per distinct value when the block repeats values
+    (_distinct_values), else entry by entry. _csv_lines lays out the block's
+    lines.
 
     Then the sidecar <path>.npz replaces any earlier one: the SHA-256 of the
     bytes just written, the grid bounds and the values, from which
@@ -510,27 +651,25 @@ def write_field_csv(field: ProbabilityField, path) -> None:
     cache bound to those bytes and always safe to delete.
     """
     nalt = field.n_alternatives
-    coords = [list(map(repr, ax.tolist())) for ax in field.grid.axes()]
-    tails = ["".join(map(",".__add__, t)) for t in itertools.product(*coords[1:])]
+    coords = [np.array([repr(a).encode() for a in ax.tolist()]) for ax in field.grid.axes()]
+    tails = np.array([b","])  # ",a_1,...,a_J," of each node of an axis-0 row
+    for ax in coords[1:]:
+        tails = np.strings.add(np.strings.add(tails[:, None], ax), b",").ravel()
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
 
-        def emit(text):
-            data = text.encode()
+        def emit(data):
             digest.update(data)
             fh.write(data)
 
-        emit(",".join(_field_header(nalt)) + "\r\n")
+        emit((",".join(_field_header(nalt)) + "\r\n").encode())
         for s in axis0_slabs(field.values.shape):
-            block = field.values[s]
-            strings = _distinct_strings(block, repr)
-            for i, a0 in enumerate(coords[0][s]):
-                if strings is None:
-                    probs = [map(repr, col) for col in block[i].reshape(-1, nalt).T.tolist()]
-                else:
-                    probs = strings[i].reshape(-1, nalt).T
-                rows = map(",".join, zip(map(a0.__add__, tails), *probs))
-                emit("\r\n".join(rows) + "\r\n")
+            heads = np.strings.add(coords[0][s, None], tails).ravel()
+            nodes = field.values[s].reshape(-1, nalt)
+            for c in axis0_slabs(nodes.shape):  # one row of axis 0 may exceed a slab
+                found = _distinct_values(nodes[c])
+                probs = _repr_bytes(nodes[c]) if found is None else _repr_bytes(found[0])[found[1]]
+                emit(_csv_lines(heads[c], probs.reshape(-1, nalt)))
     write_npz(
         _sidecar_path(path),
         {

@@ -265,8 +265,8 @@ def fit_ratio_sieve(
             raise NegativeRatioError(
                 "log_polynomial basis requires strictly positive ratio samples"
             )
-        y = np.log(r)
-        xj, xm = np.log(aj), np.log(am)
+        # ratio_samples' arrays are fresh: their logs overwrite them
+        y, xj, xm = (np.log(v, out=v) for v in (r, aj, am))
     else:
         y = r
         xj, xm = aj, am

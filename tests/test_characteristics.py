@@ -267,6 +267,19 @@ class TestOmegaDomainRule:
         a_j, a_0 = _point_past(omega1, axis, side, 0.5)
         assert not np.isnan(OMEGA_QUERIES[query][0](omega1, a_j, a_0)).any()
 
+    def test_verify_names_the_alternative_out_of_domain(self, omega1, omega2):
+        # a J = 2 batch where only the second offer's a_2 is past omega_2's a_j domain
+        unit = density.DensityGrid(
+            axes=(np.linspace(0.25, 4.0, 16),) * 2,
+            f_values=np.full((16, 16), 1.0 / 3.75**2),
+            F_values=np.zeros((16, 16)),
+            support_mask=np.ones((16, 16), dtype=bool),
+        )
+        utilities = [SimpleNamespace(omega=om) for om in (omega1, omega2)]
+        offers = [[2.0, 2.0, 2.0], [2.0, 2.0, omega2.domain[0][1] + 1.0]]
+        with pytest.raises(DomainError, match=r"a_j outside omega domain .*\(alternative 2\)$"):
+            verify.rationalized_choice_prob(utilities, unit, offers)
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_every_query_applies_one_rule(self, omega1, data):

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -630,6 +631,25 @@ def _signed_zero_field():
     return field.ProbabilityField(grid, values)
 
 
+# 105 * 2^-20 rounds with a residual of exactly 1/2 at 16 digits: repr decides it
+_HALF_TIE = 105 * 2.0**-20
+# values that try the shortest-repr kernel at its edges, with the ones outside its domain
+REPR_EDGE_CASES = [
+    1e-4, float(np.nextafter(1e-4, 0.0)), float(np.nextafter(1.0, 0.0)),
+    *(2.0**-k for k in range(1, 14)),  # every power of two in [1e-4, 1)
+    *(float(np.nextafter(10.0**-k, side)) for k in range(1, 5) for side in (0.0, 1.0)),
+    0.5, 0.25, 0.1, 0.3, 0.0001, _HALF_TIE,
+    0.0, -0.0, 1.0, 5e-324, 1e-310,
+]
+
+
+def _repr_edge_field():
+    # q_1 runs through REPR_EDGE_CASES, one node each; q_0 = 1 - q_1
+    grid = field.GridSpec((0.0, -1.0), (1.0, 1.0), (5, 7))
+    q1 = np.array(REPR_EDGE_CASES).reshape(5, 7)
+    return field.ProbabilityField(grid, np.stack([1.0 - q1, q1], axis=-1))
+
+
 class TestWriterEquivalence:
     """The slab-streamed writer produces the reference writer's bytes."""
 
@@ -647,9 +667,10 @@ class TestWriterEquivalence:
             _single_alternative_field,
             _lin_gumbel_field,
             _signed_zero_field,
+            _repr_edge_field,
         ],
         ids=["J1", "J2", "J3", "exponent_form", "monte_carlo", "single_alternative",
-             "lin_gumbel_table", "signed_zero_table"],
+             "lin_gumbel_table", "signed_zero_table", "repr_edge_cases"],
     )
     def test_bytes_match_reference(self, tmp_path, monkeypatch, make):
         f = make()
@@ -664,6 +685,53 @@ class TestWriterEquivalence:
         assert hit.content_hash() == parsed.content_hash()
         assert np.array_equal(hit.values.view(np.uint64), parsed.values.view(np.uint64))
         assert np.array_equal(hit.values, f.values)
+
+
+def _reprs(x):
+    return np.array([repr(v).encode() for v in x.tolist()])
+
+
+_ONE_BITS = int(np.float64(1.0).view(np.uint64))
+_KERNEL_LOW_BITS = int(np.float64(1e-4).view(np.uint64))
+
+
+class TestReprKernel:
+    """_repr_bytes gives repr's bytes for every entry; _shortest_reprs decides
+    every entry of [1e-4, 1) but an exact tie, and those match repr."""
+
+    def test_decades_lie_above_their_powers_of_ten(self):
+        # floor(log10 x) compares x with the doubles 1e-1..1e-4
+        for k in range(1, 5):
+            assert Fraction(10.0**-k) > Fraction(1, 10**k)
+
+    def test_named_edge_cases(self):
+        x = np.array(REPR_EDGE_CASES)
+        assert field._repr_bytes(x).tolist() == _reprs(x).tolist()
+        inside = x[(x >= 1e-4) & (x < 1.0)]
+        strings, undecided = field._shortest_reprs(inside)
+        assert inside[undecided].tolist() == [_HALF_TIE]
+        assert np.array_equal(strings[~undecided], _reprs(inside)[~undecided])
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(
+        st.one_of(st.integers(0, _ONE_BITS), st.integers(_KERNEL_LOW_BITS, _ONE_BITS - 1)),
+        min_size=1, max_size=64,
+    ))
+    def test_bit_patterns_in_unit_interval(self, bits):
+        x = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert field._repr_bytes(x).tolist() == _reprs(x).tolist()
+
+    def test_seeded_sweep_of_every_binade(self):
+        # 72,000 random values in each binade [2^e, 2^(e+1)) that meets [1e-4, 1)
+        rng = np.random.default_rng(34)
+        for e in range(-14, 0):
+            lo = max(int(np.float64(2.0**e).view(np.uint64)), _KERNEL_LOW_BITS)
+            hi = int(np.float64(2.0 ** (e + 1)).view(np.uint64))
+            x = rng.integers(lo, hi, 72_000, dtype=np.uint64).view(np.float64)
+            strings, undecided = field._shortest_reprs(x)
+            assert not undecided.any()
+            bad = np.flatnonzero(strings != _reprs(x))
+            assert not bad.size, [x[i].hex() for i in bad[:5]]
 
 
 class TestDistinctStrings:
