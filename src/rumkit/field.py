@@ -523,7 +523,7 @@ def _distinct_strings(values, fmt):
 # above only at the 13 powers of two in range, and each of those is exact in
 # 16 digits (2^-k = 5^k * 10^-k), so the half-gap above serves every x.
 
-_REPR_CHUNK = 2**14  # entries per kernel call: its work arrays stay near 2 MiB
+_REPR_CHUNK = 2**14  # entries per kernel and line-table call: work arrays stay near 2 MiB
 _VELTKAMP = 2.0**27 + 1
 
 
@@ -642,8 +642,11 @@ def write_field_csv(field: ProbabilityField, path) -> None:
     ends in CRLF (the bytes csv.writer produces). Coordinates are formatted
     once per axis and probabilities by _repr_bytes, one axis0_slabs block at
     a time: once per distinct value when the block repeats values
-    (_distinct_values), else entry by entry. _csv_lines lays out the block's
-    lines.
+    (_distinct_values), else entry by entry. The block's lines are formatted
+    and laid out (_csv_lines) _REPR_CHUNK probabilities at a time: arrays of
+    that size (under a MiB) come from memory the allocator keeps, where a
+    whole block's would be mapped afresh, page faults included, on every
+    write.
 
     Then the sidecar <path>.npz replaces any earlier one: the SHA-256 of the
     bytes just written, the grid bounds and the values, from which
@@ -651,6 +654,7 @@ def write_field_csv(field: ProbabilityField, path) -> None:
     cache bound to those bytes and always safe to delete.
     """
     nalt = field.n_alternatives
+    lines = max(1, _REPR_CHUNK // nalt)  # nodes per _csv_lines call
     coords = [np.array([repr(a).encode() for a in ax.tolist()]) for ax in field.grid.axes()]
     tails = np.array([b","])  # ",a_1,...,a_J," of each node of an axis-0 row
     for ax in coords[1:]:
@@ -667,9 +671,14 @@ def write_field_csv(field: ProbabilityField, path) -> None:
             heads = np.strings.add(coords[0][s, None], tails).ravel()
             nodes = field.values[s].reshape(-1, nalt)
             for c in axis0_slabs(nodes.shape):  # one row of axis 0 may exceed a slab
-                found = _distinct_values(nodes[c])
-                probs = _repr_bytes(nodes[c]) if found is None else _repr_bytes(found[0])[found[1]]
-                emit(_csv_lines(heads[c], probs.reshape(-1, nalt)))
+                block, head = nodes[c], heads[c]
+                found = _distinct_values(block)
+                if found is not None:
+                    strings, rank = _repr_bytes(found[0]), found[1].reshape(block.shape)
+                for k in range(0, len(block), lines):
+                    piece = slice(k, k + lines)
+                    probs = _repr_bytes(block[piece]) if found is None else strings[rank[piece]]
+                    emit(_csv_lines(head[piece], probs.reshape(-1, nalt)))
     write_npz(
         _sidecar_path(path),
         {
